@@ -17,6 +17,7 @@ SUBSET_PATTERN_N = 4  # Cooper / PMchar live on 2**n indices
 MEMBERSHIP_N = 8
 TREE_NODES = 4096
 DOUBLING_VERTICES = 10
+GRAPH_SWEEP_VERTICES = 6  # sweeps over all 2**C(v, 2) graphs on v vertices
 
 
 def enumeration_bound(default: int) -> int:

@@ -9,6 +9,7 @@ failed), 2 = usage or input error.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 
 from . import jsonio
@@ -66,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vertices", type=int)
     p.add_argument("--samples", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--exhaustive", action="store_true")
+    p.add_argument("--exhaustive", action="store_true", default=None)
     p.add_argument("--arity", type=int)
 
     p = sub.add_parser("amalgam", help="free amalgam of two structures over a base")
@@ -178,32 +179,13 @@ def _cmd_hypergraph(args, stdout, stderr) -> int:
     return 0
 
 
-_VERIFY_PARAMS = {
-    "powerset-sm": ("n",),
-    "atomless-pm": ("n", "samples", "seed"),
-    "pm-char": ("n", "samples", "seed"),
-    "cm-doubling": ("n", "samples", "seed"),
-    "ip-family": ("n", "exhaustive", "samples", "seed"),
-    "one1": ("n",),
-    "membership": ("n",),
-    "blowup-roundtrip": ("k", "vertices", "samples", "seed"),
-    "triangle-free": ("vertices",),
-    "free-amalgam": ("samples", "seed"),
-    "cooper-claim": ("n",),
-    "hypergraph-dictionary": ("vertices", "arity", "samples", "seed"),
-}
-
-
 def _cmd_verify(args, stdout, stderr) -> int:
     procedure = VERIFIERS[args.construction]
-    kwargs = {}
-    for name in _VERIFY_PARAMS[args.construction]:
-        value = getattr(args, name, None)
-        if name == "exhaustive":
-            if args.exhaustive:
-                kwargs["exhaustive"] = True
-        elif value is not None:
-            kwargs[name] = value
+    kwargs = {
+        name: getattr(args, name)
+        for name in inspect.signature(procedure).parameters
+        if getattr(args, name) is not None
+    }
     report = procedure(**kwargs)
     stdout.write(dumps_canonical(report.to_dict()))
     for check in report.checks:

@@ -14,6 +14,7 @@ because it can only mean a transcription bug.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .bounds import IP_FAMILY_N, MEMBERSHIP_N, enumeration_bound
@@ -27,7 +28,7 @@ from .errors import (
     UnsupportedParams,
     VerificationFailure,
 )
-from .patterns import Pattern, classify, double_positive, subset_index
+from .patterns import Pattern, _bits, classify, double_positive, subset_index
 from .semantics import SetFamily, UnionClosedFamily, check_exhibits, check_one_n
 
 
@@ -202,6 +203,9 @@ def disjoint_one1_family(n: int, flavor: str = "atoms") -> UnionClosedFamily:
     """
     if n < 1:
         raise UnsupportedParams("n must be at least 1")
+    limit = enumeration_bound(IP_FAMILY_N)
+    if n > limit:
+        raise BoundExceeded(f"n={n} exceeds the bound {limit} on its 2**n unions")
     if flavor not in ("atoms", "skolem"):
         raise UnsupportedParams(f"unknown flavor {flavor!r}; choose atoms or skolem")
     singles = [frozenset({i}) for i in range(n)]
@@ -214,7 +218,7 @@ def disjoint_one1_family(n: int, flavor: str = "atoms") -> UnionClosedFamily:
         primes = first_primes(n)
         point_labels = tuple(str(q) for q in primes)
         set_labels = tuple(
-            str(_product(primes[i] for i in _bits(mask))) for mask in range(1 << n)
+            str(math.prod(primes[i] for i in _bits(mask))) for mask in range(1 << n)
         )
     ufam = UnionClosedFamily.from_singletons(n, singles, point_labels, set_labels)
     if not check_one_n(ufam, 1):
@@ -309,14 +313,3 @@ def check_membership_structure(structure: MembershipStructure) -> list[str]:
         if comp is not None and column[comp] != points - column[a]:
             problems.append(f"map fails to preserve complement of #{a}")
     return problems
-
-
-def _bits(mask: int) -> tuple[int, ...]:
-    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
-
-
-def _product(values) -> int:
-    out = 1
-    for v in values:
-        out *= v
-    return out

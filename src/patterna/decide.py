@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .bounds import BRUTE_FORCE_N, enumeration_bound
 from .errors import BoundExceeded, WitnessVerificationFailure
-from .patterns import Condition, Pattern
+from .patterns import Condition, Pattern, subset_index
 from .sat import CnfFormula, Literal, sat_solve
 from .semantics import SetFamily, check_exhibits
 
@@ -100,12 +100,10 @@ def brute_force_exhibitable(p: Pattern, bound: int | None = None) -> Decision:
     limit = enumeration_bound(BRUTE_FORCE_N) if bound is None else bound
     if p.n > limit:
         raise BoundExceeded(f"n={p.n} exceeds brute-force bound {limit}")
-    forbidden = [
-        (_mask(z.pos), _mask(z.neg)) for z in p.inconsistency
-    ]
+    forbidden = [(subset_index(z.pos), subset_index(z.neg)) for z in p.inconsistency]
     types = []
     for cond in _targets(p):
-        want, avoid = _mask(cond.pos), _mask(cond.neg)
+        want, avoid = subset_index(cond.pos), subset_index(cond.neg)
         found = None
         for candidate in range(1 << p.n):
             if candidate & want != want or candidate & avoid:
@@ -118,10 +116,3 @@ def brute_force_exhibitable(p: Pattern, bound: int | None = None) -> Decision:
             return Decision(False, None, cond)
         types.append(frozenset(i for i in range(p.n) if found >> i & 1))
     return _verified(p, types)
-
-
-def _mask(indices) -> int:
-    out = 0
-    for i in indices:
-        out |= 1 << i
-    return out

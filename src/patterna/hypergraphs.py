@@ -28,8 +28,8 @@ from .errors import (
     UnsupportedParams,
     VerificationFailure,
 )
-from .patterns import Condition, Pattern, classify
-from .semantics import SetFamily, check_exhibits
+from .patterns import Condition, Pattern, _bits, classify, subset_index
+from .semantics import SetFamily, check_exhibits, encodes_hypergraph
 
 
 @dataclass(frozen=True)
@@ -60,86 +60,75 @@ def graph(vertex_count: int, edges) -> Hypergraph:
     return Hypergraph(2, vertex_count, frozenset(frozenset(e) for e in edges))
 
 
-def _bits(mask: int) -> tuple[int, ...]:
-    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+def _maximal_clique_masks(h: Hypergraph) -> list[int]:
+    """The maximal cliques as vertex masks, by Bron–Kerbosch search
+    (Bron & Kerbosch, CACM 1973, Alg. 457) without pivoting.
 
-
-def _clique_table(h: Hypergraph) -> list[bool]:
-    """is_clique[mask] for every vertex subset: all arity-subsets are edges."""
+    Edges are stored as link[(k-1)-subset mask] = mask of the vertices
+    completing it to an edge.  Adding a vertex to a clique narrows the
+    candidates and the excluded vertices to those that also complete every
+    (k-2)-subset of the clique plus the new vertex; for graphs this is plain
+    adjacency.  Dense regions collapse: when the members plus all candidates
+    already form a clique, it is the node's unique maximal extension,
+    reported unless an excluded vertex still fits.
+    """
     k = h.arity
-    table = [False] * (1 << h.vertex_count)
-    table[0] = True
-    for mask in range(1, 1 << h.vertex_count):
-        top = mask.bit_length() - 1
-        rest = mask ^ (1 << top)
-        if not table[rest]:
-            continue
-        members = _bits(rest)
-        if len(members) + 1 < k:
-            table[mask] = True
+    link: dict[int, int] = {}
+    for edge in h.edges:
+        mask = subset_index(edge)
+        for v in edge:
+            link[mask ^ 1 << v] = link.get(mask ^ 1 << v, 0) | 1 << v
+
+    def narrow(members, bit):
+        # members are single-bit masks, so a sum of them is a union
+        allowed = -1
+        for rest in itertools.combinations(members, k - 2):
+            allowed &= link.get(sum(rest) | bit, 0)
+        return allowed
+
+    out: list[int] = []
+
+    def extend(members, candidates, excluded):
+        grown, pool, outside = members, candidates, excluded
+        while pool:
+            bit = pool & -pool
+            pool ^= bit
+            allowed = narrow(grown, bit)
+            if pool & ~allowed:
+                break
+            outside &= allowed
+            grown += (bit,)
         else:
-            table[mask] = all(
-                frozenset(sub + (top,)) in h.edges
-                for sub in itertools.combinations(members, k - 1)
-            )
-    return table
+            if grown and not outside:
+                out.append(sum(grown))
+            return
+        while candidates:
+            bit = candidates & -candidates
+            candidates ^= bit
+            allowed = narrow(members, bit)
+            extend(members + (bit,), candidates & allowed, excluded & allowed)
+            excluded |= bit
+
+    extend((), (1 << h.vertex_count) - 1, 0)
+    return out
 
 
 def maximal_cliques(h: Hypergraph) -> list[frozenset[int]]:
-    """All maximal cliques, by branch-and-exclude search.
-
-    Works without materializing the 2**v subset table, so it stays usable on
-    the blown-up hypergraphs whose clique structure is block-shaped.  Dense
-    regions collapse: once every remaining candidate fits, the node's unique
-    maximal extension is members + candidates, reported unless an excluded
-    vertex still fits.
-    """
-    k = h.arity
-    edge_masks = {_vertex_mask(e) for e in h.edges}
-
-    def compatible(v, members):
-        if len(members) < k - 1:
-            return True
-        bit = 1 << v
-        return all(
-            _vertex_mask(sub) | bit in edge_masks
-            for sub in itertools.combinations(members, k - 1)
-        )
-
-    def pool_is_clique(pool):
-        if len(pool) < k:
-            return True
-        return all(
-            _vertex_mask(sub) in edge_masks for sub in itertools.combinations(pool, k)
-        )
-
-    out: list[frozenset[int]] = []
-
-    def extend(members, candidates, excluded):
-        pool = members + tuple(sorted(candidates))
-        if pool_is_clique(pool):
-            if pool and not any(compatible(x, pool) for x in excluded):
-                out.append(frozenset(pool))
-            return
-        for v in sorted(candidates):
-            grown = members + (v,)
-            extend(
-                grown,
-                {u for u in candidates if u != v and compatible(u, grown)},
-                {u for u in excluded if compatible(u, grown)},
-            )
-            candidates = candidates - {v}
-            excluded = excluded | {v}
-
-    extend((), set(range(h.vertex_count)), set())
-    return sorted(out, key=sorted)
+    """All maximal cliques (vertex sets whose arity-subsets are all edges and
+    that no vertex extends), sorted by their sorted members."""
+    return sorted((frozenset(_bits(m)) for m in _maximal_clique_masks(h)), key=sorted)
 
 
-def _vertex_mask(vertices) -> int:
-    mask = 0
-    for v in vertices:
-        mask |= 1 << v
-    return mask
+def _clique_masks(h: Hypergraph) -> list[int]:
+    """Every nonempty clique as a vertex mask, ascending: the nonempty
+    submasks of the maximal cliques."""
+    found = set()
+    for top in _maximal_clique_masks(h):
+        sub = top
+        while sub:
+            found.add(sub)
+            sub = (sub - 1) & top
+    return sorted(found)
 
 
 def pattern_from_hypergraph(h: Hypergraph, bound: int | None = None) -> Pattern:
@@ -149,10 +138,7 @@ def pattern_from_hypergraph(h: Hypergraph, bound: int | None = None) -> Pattern:
     limit = enumeration_bound(CLIQUE_VERTICES) if bound is None else bound
     if h.vertex_count > limit:
         raise BoundExceeded(f"{h.vertex_count} vertices exceed clique-enumeration bound {limit}")
-    table = _clique_table(h)
-    consistency = tuple(
-        Condition(_bits(mask), ()) for mask in range(1, 1 << h.vertex_count) if table[mask]
-    )
+    consistency = tuple(Condition(_bits(mask), ()) for mask in _clique_masks(h))
     inconsistency = tuple(
         Condition(combo, ())
         for combo in itertools.combinations(range(h.vertex_count), h.arity)
@@ -165,16 +151,8 @@ def realize_check(fam: SetFamily, h: Hypergraph) -> bool:
     """Does fam realize h?  Equivalent to exhibiting pattern_from_hypergraph(h)
     but checked as: arity-subsets intersect iff they are edges, and every
     maximal clique has a common point (which covers all sub-cliques)."""
-    if fam.n != h.vertex_count:
-        raise ArityMismatch(f"family has {fam.n} sets, hypergraph has {h.vertex_count} vertices")
-    for combo in itertools.combinations(range(h.vertex_count), h.arity):
-        meet = fam.sets[combo[0]]
-        for v in combo[1:]:
-            meet &= fam.sets[v]
-            if not meet:
-                break
-        if bool(meet) != (frozenset(combo) in h.edges):
-            return False
+    if not encodes_hypergraph(fam, h):
+        return False
     for clique in maximal_cliques(h):
         members = sorted(clique)
         meet = fam.sets[members[0]]
@@ -223,13 +201,13 @@ def blowup(h: Hypergraph, bound: int | None = None):
     n = h.vertex_count
     grouping = tuple(tuple(range(i * (k + 1), (i + 1) * (k + 1))) for i in range(n))
     block_of = [i for i in range(n) for _ in range(k + 1)]
-    table = _clique_table(h)
+    cliques = set(_clique_masks(h))
     edges = []
     for combo in itertools.combinations(range((k + 1) * n), k + 1):
         spanned = 0
         for v in combo:
             spanned |= 1 << block_of[v]
-        if table[spanned]:
+        if spanned in cliques:
             edges.append(frozenset(combo))
     return Hypergraph(k + 1, (k + 1) * n, frozenset(edges)), grouping
 
@@ -562,8 +540,7 @@ def triangle_free_double(g: Hypergraph, bound: int | None = None) -> TriangleFre
     if g.vertex_count > limit:
         raise BoundExceeded(f"{g.vertex_count} vertices exceed doubling bound {limit}")
     n = g.vertex_count
-    table = _clique_table(g)
-    clique_masks = [mask for mask in range(1, 1 << n) if table[mask]]
+    clique_masks = _clique_masks(g)
     total = 2 * n + len(clique_masks)
 
     edges = set()

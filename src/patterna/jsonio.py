@@ -13,11 +13,22 @@ from .decide import Decision
 from .errors import ParseError
 from .hypergraphs import Embedding, Hypergraph, WitnessStructure
 from .patterns import Pattern, PatternFlags, validate_pattern
-from .semantics import SetFamily, UnionClosedFamily
+from .semantics import SetFamily
 
 
 def dumps_canonical(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def _require_integers(value, name: str) -> None:
+    """Reject any leaf of value's nested lists that is not an integer.  JSON
+    true/false would otherwise pass as 1/0, and floats fail deep inside."""
+    if isinstance(value, (list, tuple)):
+        for item in value:
+            if type(item) is not int:
+                _require_integers(item, name)
+    elif type(value) is not int:
+        raise ParseError(f"{name} must hold integers, got {json.dumps(value, default=repr)}")
 
 
 # -- patterns ---------------------------------------------------------------
@@ -34,6 +45,8 @@ def pattern_to_dict(p: Pattern) -> dict:
 def pattern_from_dict(data, *, strict: bool = True) -> Pattern:
     if not isinstance(data, dict) or "n" not in data:
         raise ParseError("pattern document must be an object with an 'n' key")
+    for key in ("n", "consistency", "inconsistency"):
+        _require_integers(data.get(key, []), key)
     try:
         return validate_pattern(data, strict=strict)
     except (TypeError, ValueError) as exc:
@@ -60,18 +73,10 @@ def family_to_dict(fam: SetFamily) -> dict:
 
 def family_from_dict(data) -> SetFamily:
     try:
+        _require_integers([data["universe"], data["sets"]], "set-family document")
         return SetFamily(data["universe"], tuple(frozenset(s) for s in data["sets"]))
     except (TypeError, KeyError, ValueError) as exc:
         raise ParseError(f"malformed set-family document: {exc}") from exc
-
-
-def union_family_to_dict(ufam: UnionClosedFamily) -> dict:
-    out = {"indices": ufam.index_count, "family": family_to_dict(ufam.family)}
-    if ufam.point_labels is not None:
-        out["point_labels"] = list(ufam.point_labels)
-    if ufam.set_labels is not None:
-        out["set_labels"] = list(ufam.set_labels)
-    return out
 
 
 # -- decisions --------------------------------------------------------------
@@ -104,10 +109,10 @@ def hypergraph_to_dict(h: Hypergraph) -> dict:
 
 def hypergraph_from_dict(data) -> Hypergraph:
     try:
-        return Hypergraph(
-            data.get("k", 2), data["vertices"], frozenset(frozenset(e) for e in data["edges"])
-        )
-    except (TypeError, KeyError, ValueError) as exc:
+        k = data.get("k", 2)
+        _require_integers([k, data["vertices"], data["edges"]], "hypergraph document")
+        return Hypergraph(k, data["vertices"], frozenset(frozenset(e) for e in data["edges"]))
+    except (AttributeError, TypeError, KeyError, ValueError) as exc:
         raise ParseError(f"malformed hypergraph document: {exc}") from exc
 
 
@@ -126,6 +131,7 @@ def structure_to_dict(s: WitnessStructure) -> dict:
 
 def structure_from_dict(data) -> WitnessStructure:
     try:
+        _require_integers([data["r"], data["hyperedges"]], "witness-structure document")
         return WitnessStructure(
             tuple(data["witness_points"]),
             tuple(data["parameter_points"]),
@@ -143,6 +149,7 @@ def embedding_to_dict(e: Embedding) -> dict:
 
 def embedding_from_dict(data) -> Embedding:
     try:
+        _require_integers([data["witness"], data["parameter"]], "embedding document")
         return Embedding(tuple(data["witness"]), tuple(data["parameter"]))
     except (TypeError, KeyError, ValueError) as exc:
         raise ParseError(f"malformed embedding document: {exc}") from exc

@@ -179,6 +179,17 @@ def is_k_bounded(p: Pattern, k: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def complete_conditions(n: int) -> list[Condition]:
+    """Every complete split (X, n∖X) of [0, n), by size of X and then
+    lexicographically.  For n = 0 this is the single, illegal (∅, ∅)."""
+    everything = frozenset(range(n))
+    return [
+        Condition(pos, everything - set(pos))
+        for size in range(n + 1)
+        for pos in itertools.combinations(range(n), size)
+    ]
+
+
 def op_pattern(n: int) -> Pattern:
     """Order property: C = {({i..n-1}, {0..i-1}) : i < n}, I = ∅."""
     _require(n >= 0, "n must be nonnegative")
@@ -190,12 +201,7 @@ def ip_pattern(n: int) -> Pattern:
     _require(n >= 0, "n must be nonnegative")
     if n == 0:
         return Pattern(0)  # the only split would be (∅, ∅), which is illegal
-    everything = frozenset(range(n))
-    conds = []
-    for size in range(n + 1):
-        for pos in itertools.combinations(range(n), size):
-            conds.append(Condition(pos, everything - set(pos)))
-    return Pattern(n, tuple(conds))
+    return Pattern(n, tuple(complete_conditions(n)))
 
 
 def cm_pattern(n: int) -> Pattern:
@@ -323,12 +329,9 @@ def cooper_pattern(n: int) -> Pattern:
             if e >> i & 1:
                 mask |= 1 << e
         up_masks.add(mask)
-    all_indices = frozenset(range(count))
     consistency, inconsistency = [], []
-    for mask in range(1 << count):
-        pos = _bits(mask)
-        cond = Condition(pos, all_indices - set(pos))
-        (consistency if mask in up_masks else inconsistency).append(cond)
+    for cond in complete_conditions(count):
+        (consistency if subset_index(cond.pos) in up_masks else inconsistency).append(cond)
     return Pattern(count, tuple(consistency), tuple(inconsistency))
 
 

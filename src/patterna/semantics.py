@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import ArityMismatch, IndexOutOfRange, MalformedUnionMap
-from .patterns import Condition, Pattern, subset_index
+from .patterns import Condition, Pattern, complete_conditions, subset_index
 
 
 @dataclass(frozen=True)
@@ -104,12 +104,9 @@ def fully_complete_extension(fam: SetFamily) -> Pattern:
     if n == 0:
         return Pattern(0)
     realized = realized_types(fam)
-    everything = frozenset(range(n))
     consistency, inconsistency = [], []
-    for size in range(n + 1):
-        for pos in itertools.combinations(range(n), size):
-            cond = Condition(pos, everything - set(pos))
-            (consistency if frozenset(pos) in realized else inconsistency).append(cond)
+    for cond in complete_conditions(n):
+        (consistency if frozenset(cond.pos) in realized else inconsistency).append(cond)
     return Pattern(n, tuple(consistency), tuple(inconsistency))
 
 

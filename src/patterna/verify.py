@@ -11,6 +11,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 
+from .bounds import GRAPH_SWEEP_VERTICES, SUBSET_PATTERN_N, enumeration_bound
 from .constructions import (
     atomless_pm_witness,
     canonical_char_family,
@@ -34,8 +35,15 @@ from .hypergraphs import (
     triangle_free_double,
     witness_trace_family,
 )
-from .errors import UnsupportedParams
-from .patterns import Condition, Pattern, classify, cooper_pattern, double_positive
+from .errors import BoundExceeded, UnsupportedParams
+from .patterns import (
+    Condition,
+    Pattern,
+    classify,
+    complete_conditions,
+    cooper_pattern,
+    double_positive,
+)
 from .rand import (
     random_amalgam_problem,
     random_consistency_pattern,
@@ -80,18 +88,12 @@ class Report:
         }
 
 
-def complete_conditions(n: int) -> list[Condition]:
-    everything = frozenset(range(n))
-    return [
-        Condition(pos, everything - set(pos))
-        for size in range(n + 1)
-        for pos in itertools.combinations(range(n), size)
-    ]
-
-
 def fully_complete_patterns(n: int):
     """All 2**(2**n) - 1 fully complete n-patterns (every nonempty choice of
     the consistent side)."""
+    limit = enumeration_bound(SUBSET_PATTERN_N)
+    if n > limit:
+        raise BoundExceeded(f"n={n} exceeds the fully-complete-pattern bound {limit}")
     splits = complete_conditions(n)
     for mask in range(1, 1 << len(splits)):
         cons = tuple(c for i, c in enumerate(splits) if mask >> i & 1)
@@ -242,6 +244,9 @@ def verify_blowup_roundtrip(k: int = 2, vertices: int = 4, samples: int = 20, se
 
 
 def verify_triangle_free(vertices: int = 4) -> Report:
+    limit = enumeration_bound(GRAPH_SWEEP_VERTICES)
+    if vertices > limit:
+        raise BoundExceeded(f"{vertices} vertices exceed the all-graphs sweep bound {limit}")
     report = Report("triangle-free")
     good = total = 0
     for n in range(vertices + 1):

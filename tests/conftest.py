@@ -70,6 +70,17 @@ def fully_complete_patterns(n: int):
         )
 
 
+def clique_masks_by_scan(h) -> list[int]:
+    """Every nonempty clique of a hypergraph as an ascending vertex mask, by
+    testing every arity-subset of every vertex subset."""
+    out = []
+    for mask in range(1, 1 << h.vertex_count):
+        members = [v for v in range(h.vertex_count) if mask >> v & 1]
+        if all(frozenset(sub) in h.edges for sub in itertools.combinations(members, h.arity)):
+            out.append(mask)
+    return out
+
+
 # Named instances used across test modules.
 
 #: Not exhibitable: requires set 0 empty and its complement empty.

@@ -1,10 +1,13 @@
+import inspect
 import io
 import json
 
 import pytest
 
 from patterna import Condition, Pattern, jsonio
+from patterna.bounds import ENV_VAR
 from patterna.cli import run
+from patterna.errors import ParseError
 
 from conftest import NO_POINT, UNION_SPLIT
 
@@ -147,6 +150,77 @@ class TestVerifyCommand:
         for name in VERIFIERS:
             code, out, _ = invoke(["verify", name])
             assert code == 0 and json.loads(out)["ok"], name
+
+    def test_forwarded_flags_are_the_verifier_parameters(self, monkeypatch):
+        from patterna.verify import VERIFIERS, Report
+
+        every_flag = ["--n", "1", "--k", "1", "--vertices", "1", "--samples", "1",
+                      "--seed", "1", "--arity", "1", "--exhaustive"]
+        for name, procedure in list(VERIFIERS.items()):
+            parameters = set(inspect.signature(procedure).parameters)
+            for flags, expected in (([], set()), (every_flag, parameters)):
+                seen = {}
+
+                def record(**kwargs):
+                    seen.update(kwargs)
+                    return Report(name)
+
+                record.__signature__ = inspect.signature(procedure)
+                monkeypatch.setitem(VERIFIERS, name, record)
+                code, _, _ = invoke(["verify", name, *flags])
+                assert code == 0 and set(seen) == expected, (name, flags)
+
+    def test_unbounded_sweeps_rejected(self, monkeypatch):
+        monkeypatch.delenv(ENV_VAR, raising=False)
+        for argv in (
+            ["verify", "powerset-sm", "--n", "5"],
+            ["verify", "triangle-free", "--vertices", "8"],
+            ["verify", "one1", "--n", "40"],
+        ):
+            code, out, err = invoke(argv)
+            assert code == 2 and not out and "exceed" in err, argv
+
+
+def write_doc(tmp_path, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def assert_one_line_error(argv):
+    code, out, err = invoke(argv)
+    assert code == 2 and not out, argv
+    assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+class TestNonIntegerFields:
+    def test_pattern_n_and_indices(self, tmp_path):
+        for doc in (
+            {"n": True, "consistency": [[[0], []]], "inconsistency": []},
+            {"n": 2, "consistency": [[[True], []]], "inconsistency": []},
+            {"n": 2, "consistency": [[[0], []]], "inconsistency": [[[], [False]]]},
+            {"n": 2, "consistency": [[[1.0], []]], "inconsistency": []},
+        ):
+            path = write_doc(tmp_path, doc)
+            for command in ("classify", "decide", "dimacs"):
+                assert_one_line_error([command, path])
+
+    def test_hypergraph_k_vertices_edges(self, tmp_path):
+        for doc in (
+            {"k": True, "vertices": 3, "edges": []},
+            {"k": 2, "vertices": True, "edges": []},
+            {"k": 2, "vertices": 2.0, "edges": []},
+            {"k": 2, "vertices": 3, "edges": [[0, True]]},
+        ):
+            path = write_doc(tmp_path, doc)
+            for action in ("pattern", "blowup", "double", "witness-structure"):
+                assert_one_line_error(["hypergraph", action, path])
+
+    def test_family_universe_and_points(self):
+        # no subcommand reads a set family, so the parse boundary is checked directly
+        for doc in ({"universe": True, "sets": [[0]]}, {"universe": 2, "sets": [[0, True]]}):
+            with pytest.raises(ParseError, match="integers"):
+                jsonio.family_from_dict(doc)
 
 
 class TestGoldenPayloads:

@@ -37,6 +37,8 @@ from patterna.errors import (
 )
 from patterna.rand import random_amalgam_problem, random_graph, random_hypergraph
 
+from conftest import clique_masks_by_scan
+
 
 def cond(pos, neg=()):
     return Condition(tuple(pos), tuple(neg))
@@ -70,6 +72,10 @@ class TestPatternFromHypergraph:
             p = pattern_from_hypergraph(h)
             flags = classify(p)
             assert flags.reasonable and flags.positive and is_k_bounded(p, h.arity)
+            assert set(p.consistency) == {
+                cond(v for v in range(h.vertex_count) if mask >> v & 1)
+                for mask in clique_masks_by_scan(h)
+            }
 
     def test_bound(self):
         with pytest.raises(BoundExceeded):
@@ -129,27 +135,26 @@ class TestMaximalCliques:
             assert realize_check(realization_witness(h), h)
 
     def test_matches_subset_table_route(self):
-        # independent route: enumerate every vertex subset, keep the cliques
-        # with no one-vertex clique extension
+        # independent route: scan every vertex subset, keep the cliques with
+        # no one-vertex clique extension
         rng = random.Random(53)
-        for _ in range(80):
-            h = random_hypergraph(rng, rng.choice((2, 3, 4)), rng.randint(0, 7), rng.random())
-            table = {}
-            for mask in range(1 << h.vertex_count):
-                members = [v for v in range(h.vertex_count) if mask >> v & 1]
-                table[mask] = all(
-                    frozenset(sub) in h.edges
-                    for sub in itertools.combinations(members, h.arity)
-                )
+        inputs = [
+            random_hypergraph(rng, rng.choice((2, 3, 4)), rng.randint(0, 9), rng.random())
+            for _ in range(80)
+        ]
+        for n in range(4):
+            pairs = list(itertools.combinations(range(n), 2))
+            for mask in range(1 << len(pairs)):
+                g = graph(n, (pairs[i] for i in range(len(pairs)) if mask >> i & 1))
+                inputs.append(blowup(g)[0])
+        for h in inputs:
+            cliques = set(clique_masks_by_scan(h))
             expected = sorted(
                 (
                     frozenset(v for v in range(h.vertex_count) if mask >> v & 1)
-                    for mask in range(1, 1 << h.vertex_count)
-                    if table[mask]
-                    and not any(
-                        not mask >> v & 1 and table[mask | 1 << v]
-                        for v in range(h.vertex_count)
-                    )
+                    for mask in cliques
+                    if not any(mask | 1 << v in cliques and not mask >> v & 1
+                               for v in range(h.vertex_count))
                 ),
                 key=sorted,
             )

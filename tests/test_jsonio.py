@@ -63,3 +63,12 @@ def test_malformed_documents():
         jsonio.family_from_dict({"universe": 2})
     with pytest.raises(ParseError):
         jsonio.hypergraph_from_dict({"vertices": 1})
+    with pytest.raises(ParseError):
+        jsonio.hypergraph_from_dict([1, 2])
+    with pytest.raises(ParseError):
+        jsonio.structure_from_dict(
+            {"witness_points": ["w0"], "parameter_points": ["p0"], "r": [[0, True]],
+             "hyperedges": []}
+        )
+    with pytest.raises(ParseError):
+        jsonio.embedding_from_dict({"witness": [0.0], "parameter": []})
