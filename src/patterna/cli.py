@@ -3,7 +3,8 @@
 Every subcommand prints exactly one canonical JSON document on stdout (same
 input, same bytes) and one-line human summaries on stderr.  Exit codes:
 0 = success / positive answer, 1 = negative answer (not exhibitable, check
-failed), 2 = usage or input error.
+failed), 2 = usage or input error, or any unexpected failure (reported in one
+line, without a traceback).
 """
 
 from __future__ import annotations
@@ -198,9 +199,7 @@ def _cmd_amalgam(args, stdout, stderr) -> int:
     base = jsonio.structure_from_dict(jsonio.load_json(args.base_file))
     side0 = jsonio.structure_from_dict(jsonio.load_json(args.side0_file))
     side1 = jsonio.structure_from_dict(jsonio.load_json(args.side1_file))
-    maps = jsonio.load_json(args.maps_file)
-    e0 = jsonio.embedding_from_dict(maps["e0"])
-    e1 = jsonio.embedding_from_dict(maps["e1"])
+    e0, e1 = jsonio.maps_from_dict(jsonio.load_json(args.maps_file))
     result = free_amalgam(base, side0, side1, e0, e1)
     stdout.write(
         dumps_canonical(
@@ -238,6 +237,10 @@ def run(argv, stdout=None, stderr=None) -> int:
         return _COMMANDS[args.command](args, stdout, stderr)
     except (PatternaError, KeyError, OSError, ValueError) as exc:
         stderr.write(f"error: {exc}\n")
+        return 2
+    except Exception as exc:  # any other fault: exit 2, never a traceback or exit 1
+        message = " ".join(str(exc).split())
+        stderr.write(f"error: unexpected {type(exc).__name__}: {message}\n")
         return 2
 
 

@@ -1,13 +1,16 @@
-"""Exhibitability decision via per-condition CNF encodings.
+"""Exhibitability decision via incremental per-condition SAT solving.
 
 A pattern is exhibitable iff, for each consistency condition, some complete
 type extends it without extending any inconsistency condition — plus, when
 there are no consistency conditions at all, some complete type must still
 exist to populate the mandatory nonempty universe (the "sentinel" instance).
-Each such question is one small CNF formula; decide_exhibitable answers them
-with the deterministic DPLL solver and assembles the chosen types into a
-witness family, which it re-verifies before returning.  A brute-force scanner
-with the same contract serves as the independent oracle.
+decide_exhibitable encodes the inconsistency clauses, which every such
+question shares, once per pattern, and asks each question by solving that
+formula under the condition's literals as assumptions.  A condition that a
+type already chosen realises (pos inside the type, neg outside it) is
+answered without a solve.  The chosen types make the witness family, which is
+re-verified before returning.  A brute-force scanner with the same contract
+serves as the independent oracle.
 """
 
 from __future__ import annotations
@@ -35,6 +38,11 @@ class Decision:
     failing_condition: Condition | None = None
 
 
+def _literals(cond: Condition) -> list[Literal]:
+    """The literals fixing cond: i in the type for i in pos, j not for j in neg."""
+    return [Literal(i) for i in cond.pos] + [Literal(j, True) for j in cond.neg]
+
+
 def condition_cnf(p: Pattern, cond: Condition = EMPTY_CONDITION) -> CnfFormula:
     """CNF whose models are the complete types extending `cond` and extending
     no inconsistency condition of p.
@@ -46,8 +54,7 @@ def condition_cnf(p: Pattern, cond: Condition = EMPTY_CONDITION) -> CnfFormula:
     tautological clause, which normalization drops — correctly, since its
     trace is empty in every family.
     """
-    clauses = [(Literal(i),) for i in cond.pos]
-    clauses += [(Literal(j, True),) for j in cond.neg]
+    clauses = [(lit,) for lit in _literals(cond)]
     for z in p.inconsistency:
         clauses.append(
             tuple(Literal(i, True) for i in z.pos) + tuple(Literal(j) for j in z.neg)
@@ -80,13 +87,20 @@ def _verified(p: Pattern, types) -> Decision:
 def decide_exhibitable(p: Pattern) -> Decision:
     """Decide exhibitability; on yes, synthesize and re-verify a witness.
 
-    One SAT instance per consistency condition (the sentinel instance when
-    there are none); the witness universe is the deduplicated set of chosen
-    complete types, one point each.  Deterministic end to end.
+    The shared formula condition_cnf(p) is built once.  Each consistency
+    condition in canonical order (the sentinel when there are none) is
+    skipped if a type already chosen realises it, and otherwise solved as
+    assumptions on the shared formula.  A skipped condition is satisfiable,
+    so the first failing condition is the first unsatisfiable one.  The
+    witness universe is the set of chosen complete types, one point each.
+    Deterministic end to end; nothing is kept between calls.
     """
+    shared = condition_cnf(p)
     types = []
     for cond in _targets(p):
-        assignment = sat_solve(condition_cnf(p, cond))
+        if any(t.issuperset(cond.pos) and t.isdisjoint(cond.neg) for t in types):
+            continue
+        assignment = sat_solve(shared, assumptions=_literals(cond))
         if assignment is None:
             return Decision(False, None, cond)
         types.append(frozenset(i for i in range(p.n) if assignment[i]))

@@ -155,6 +155,13 @@ def embedding_from_dict(data) -> Embedding:
         raise ParseError(f"malformed embedding document: {exc}") from exc
 
 
+def maps_from_dict(data) -> tuple[Embedding, Embedding]:
+    """The two embeddings of an amalgam maps document {"e0": ..., "e1": ...}."""
+    if not isinstance(data, dict) or "e0" not in data or "e1" not in data:
+        raise ParseError("maps document must be an object with 'e0' and 'e1' keys")
+    return embedding_from_dict(data["e0"]), embedding_from_dict(data["e1"])
+
+
 def load_json(path: str):
     try:
         with open(path, encoding="utf-8") as handle:

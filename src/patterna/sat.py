@@ -1,10 +1,14 @@
 """Propositional CNF, a deterministic DPLL solver, and DIMACS interchange.
 
-The solver is deliberately plain: unit propagation, pure-literal elimination,
-and branching on the lowest-index variable still occurring in the residual
-formula, trying True first.  Instances in this library are tiny, and the fixed
-strategy makes every produced assignment (and hence every synthesized witness
-downstream) bit-for-bit reproducible.
+The solver is deliberately plain: unit propagation to a fixpoint, then every
+pure literal at once, repeated until neither applies; then branching on the
+lowest-index variable still occurring in an unsatisfied clause, trying True
+first.  It is iterative, with an explicit trail and decision stack and
+per-clause counters, so its depth is bounded by memory, not by Python's
+recursion limit.  sat_solve takes optional assumption literals, which act
+exactly like extra unit clauses, so one formula can be solved under many
+sets of assumptions.  The fixed strategy makes every produced assignment
+(and hence every synthesized witness downstream) bit-for-bit reproducible.
 """
 
 from __future__ import annotations
@@ -25,18 +29,20 @@ class Literal:
 
 
 def _normalize_clauses(clauses, variable_count):
-    out = set()
+    # Literals are deduplicated and sorted by their (variable, negated) keys,
+    # which order and compare them exactly as Literal does, without calling
+    # the dataclass's Python-level __hash__ and __lt__.
+    out = {}
     for clause in clauses:
-        lits = frozenset(clause)
-        for lit in lits:
-            if not 0 <= lit.variable < variable_count:
-                raise IndexOutOfRange(
-                    f"variable {lit.variable} outside [0, {variable_count})"
-                )
-        if any(lit.negate() in lits for lit in lits):
+        lits = {(lit.variable, lit.negated): lit for lit in clause}
+        for variable, _ in lits:
+            if not 0 <= variable < variable_count:
+                raise IndexOutOfRange(f"variable {variable} outside [0, {variable_count})")
+        if any((variable, not negated) in lits for variable, negated in lits):
             continue  # tautological clause carries no constraint
-        out.add(tuple(sorted(lits)))
-    return tuple(sorted(out))
+        keys = tuple(sorted(lits))
+        out.setdefault(keys, tuple(lits[key] for key in keys))
+    return tuple(out[keys] for keys in sorted(out))
 
 
 @dataclass(frozen=True)
@@ -64,71 +70,131 @@ def _encode(lit: Literal) -> int:
     return -(lit.variable + 1) if lit.negated else lit.variable + 1
 
 
-def _simplify(clauses, lit):
-    """Drop clauses satisfied by lit, remove -lit elsewhere; None on empty clause."""
-    out = []
-    for clause in clauses:
-        if lit in clause:
-            continue
-        if -lit in clause:
-            clause = frozenset(x for x in clause if x != -lit)
-            if not clause:
-                return None
-        out.append(clause)
-    return out
+def _search(variable_count, clauses):
+    """Iterative DPLL over clauses of literal codes 2 * variable + negated.
 
+    Returns the value of each variable (None where the search assigned
+    none), or None if the clauses are unsatisfiable.  Each clause counts its true literals and its
+    literals not yet false, so a clause is satisfied when the first count is
+    nonzero, a unit when it is not and the second count is 1, and a conflict
+    when both are 0.  Each literal counts the unsatisfied clauses it occurs
+    in, which finds pure literals and the residual variables.  The trail
+    holds every assigned literal; a decision records the trail length before
+    it, so a conflict undoes the trail back to the last decision still to be
+    tried False.
+    """
+    occurs = [[] for _ in range(2 * variable_count)]
+    for c, clause in enumerate(clauses):
+        for lit in clause:
+            occurs[lit].append(c)
+    true_count = [0] * len(clauses)
+    free_count = [len(clause) for clause in clauses]
+    live = [len(cs) for cs in occurs]
+    value = [None] * variable_count
+    trail = []
+    decisions = []  # (trail length before, variable, False branch taken)
+    units = [c for c, clause in enumerate(clauses) if len(clause) == 1]
+    # Every pure variable is among these: a literal's count only reaches 0
+    # by a decrement, and the state a conflict returns to had no pure literal.
+    candidates = set(range(variable_count))
 
-def _dpll(clauses, assignment):
-    while True:
-        # unit propagation, first unit in clause order
-        unit = next((next(iter(c)) for c in clauses if len(c) == 1), None)
-        if unit is not None:
-            assignment[abs(unit) - 1] = unit > 0
-            clauses = _simplify(clauses, unit)
-            if clauses is None:
-                return None
-            continue
-        # pure literal elimination, lowest variable first
-        polarity = {}
-        for clause in clauses:
-            for lit in clause:
-                var = abs(lit)
-                polarity[var] = lit if polarity.setdefault(var, lit) == lit else 0
-        pures = sorted(lit for lit in polarity.values() if lit != 0)
-        if pures:
+    def assign(lit):
+        """Set lit true; returns True if some clause became empty."""
+        value[lit >> 1] = not lit & 1
+        trail.append(lit)
+        for c in occurs[lit]:
+            true_count[c] += 1
+            if true_count[c] == 1:
+                for other in clauses[c]:
+                    live[other] -= 1
+                    if not live[other]:
+                        candidates.add(other >> 1)
+        conflict = False
+        for c in occurs[lit ^ 1]:
+            free_count[c] -= 1
+            if not true_count[c]:
+                if free_count[c] == 1:
+                    units.append(c)
+                elif not free_count[c]:
+                    conflict = True
+        return conflict
+
+    def unassign(lit):
+        value[lit >> 1] = None
+        for c in occurs[lit]:
+            true_count[c] -= 1
+            if not true_count[c]:
+                for other in clauses[c]:
+                    live[other] += 1
+        for c in occurs[lit ^ 1]:
+            free_count[c] += 1
+
+    def propagate():
+        """Unit propagation to a fixpoint, then every pure literal at once,
+        until neither applies; returns True on a conflict."""
+        while True:
+            while units:
+                c = units.pop()
+                if true_count[c] or free_count[c] != 1:
+                    continue
+                if assign(next(lit for lit in clauses[c] if value[lit >> 1] is None)):
+                    return True
+            pures = []
+            for v in candidates:
+                if value[v] is None and bool(live[2 * v]) != bool(live[2 * v + 1]):
+                    pures.append(2 * v if live[2 * v] else 2 * v + 1)
+            candidates.clear()
+            if not pures:
+                return False
             for lit in pures:
-                assignment[abs(lit) - 1] = lit > 0
-                clauses = _simplify(clauses, lit)
-                # pure literals never shrink a clause, so no conflict here
-            continue
-        break
-    if not clauses:
-        return assignment
-    branch_var = min(abs(lit) for clause in clauses for lit in clause)
-    for lit in (branch_var, -branch_var):
-        trial = dict(assignment)
-        trial[abs(lit) - 1] = lit > 0
-        reduced = _simplify(clauses, lit)
-        if reduced is None:
-            continue
-        result = _dpll(reduced, trial)
-        if result is not None:
-            return result
-    return None
+                assign(lit)  # a pure literal falsifies no unsatisfied clause
+
+    conflict = propagate()
+    while True:
+        while conflict:  # undo back to the last decision still to be tried False
+            if not decisions:
+                return None
+            mark, v, flipped = decisions.pop()
+            while len(trail) > mark:
+                unassign(trail.pop())
+            units.clear()
+            candidates.clear()
+            if not flipped:
+                decisions.append((mark, v, True))
+                conflict = assign(2 * v + 1) or propagate()
+        # branch on the lowest residual variable, True first; every variable
+        # below the last decision's is assigned or gone from the unsatisfied
+        # clauses
+        v = decisions[-1][1] + 1 if decisions else 0
+        while v < variable_count and (value[v] is not None or not (live[2 * v] or live[2 * v + 1])):
+            v += 1
+        if v == variable_count:
+            return value
+        decisions.append((len(trail), v, False))
+        conflict = assign(2 * v) or propagate()
 
 
-def sat_solve(formula: CnfFormula) -> dict[int, bool] | None:
+def sat_solve(formula: CnfFormula, assumptions=()) -> dict[int, bool] | None:
     """Return a total satisfying assignment {variable: bool}, or None if unsat.
 
-    Deterministic: variables never mentioned by any clause default to True.
+    `assumptions` are literals that act exactly like extra unit clauses, so
+    sat_solve(f, assumptions=a) equals sat_solve of f with the clauses (l,)
+    for l in a added.  Deterministic: variables the search never assigns
+    default to True.
     """
-    clauses = [frozenset(_encode(lit) for lit in clause) for clause in formula.clauses]
-    if any(not c for c in clauses):
+    if any(not clause for clause in formula.clauses):
         return None
-    partial = _dpll(clauses, {})
-    if partial is None:
+    clauses = [[2 * lit.variable + lit.negated for lit in clause] for clause in formula.clauses]
+    for lit in assumptions:
+        if not 0 <= lit.variable < formula.variable_count:
+            raise IndexOutOfRange(
+                f"assumption variable {lit.variable} outside [0, {formula.variable_count})"
+            )
+        clauses.append([2 * lit.variable + lit.negated])
+    values = _search(formula.variable_count, clauses)
+    if values is None:
         return None
-    return {v: partial.get(v, True) for v in range(formula.variable_count)}
+    return {v: value is not False for v, value in enumerate(values)}
 
 
 def export_dimacs(formula: CnfFormula) -> str:

@@ -1,8 +1,8 @@
 """Shared oracles and enumeration helpers.
 
 The oracles here deliberately share no code with the library paths they
-check: truth-table SAT for the DPLL solver, direct subset scans for clique
-and trace logic.
+check: truth-table SAT and a recursive DPLL for the solver, direct subset
+scans for clique and trace logic.
 """
 
 from __future__ import annotations
@@ -22,6 +22,75 @@ def truth_table_sat(formula: CnfFormula) -> bool:
         ):
             return True
     return not formula.clauses if n == 0 else False
+
+
+def _simplify(clauses, lit):
+    """Drop clauses satisfied by lit, remove -lit elsewhere; None on empty clause."""
+    out = []
+    for clause in clauses:
+        if lit in clause:
+            continue
+        if -lit in clause:
+            clause = frozenset(x for x in clause if x != -lit)
+            if not clause:
+                return None
+        out.append(clause)
+    return out
+
+
+def _dpll(clauses, assignment):
+    while True:
+        # unit propagation, first unit in clause order
+        unit = next((next(iter(c)) for c in clauses if len(c) == 1), None)
+        if unit is not None:
+            assignment[abs(unit) - 1] = unit > 0
+            clauses = _simplify(clauses, unit)
+            if clauses is None:
+                return None
+            continue
+        # pure literal elimination, lowest variable first
+        polarity = {}
+        for clause in clauses:
+            for lit in clause:
+                var = abs(lit)
+                polarity[var] = lit if polarity.setdefault(var, lit) == lit else 0
+        pures = sorted(lit for lit in polarity.values() if lit != 0)
+        if pures:
+            for lit in pures:
+                assignment[abs(lit) - 1] = lit > 0
+                clauses = _simplify(clauses, lit)
+            continue
+        break
+    if not clauses:
+        return assignment
+    branch_var = min(abs(lit) for clause in clauses for lit in clause)
+    for lit in (branch_var, -branch_var):
+        trial = dict(assignment)
+        trial[abs(lit) - 1] = lit > 0
+        reduced = _simplify(clauses, lit)
+        if reduced is None:
+            continue
+        result = _dpll(reduced, trial)
+        if result is not None:
+            return result
+    return None
+
+
+def dpll_reference(formula: CnfFormula) -> dict[int, bool] | None:
+    """The recursive DPLL the solver must match assignment for assignment:
+    unit propagation, then every pure literal, repeated; then branch on the
+    lowest residual variable, True first; unassigned variables are True.
+    Recursion depth grows with the number of decisions, so keep it small."""
+    clauses = [
+        frozenset(-(lit.variable + 1) if lit.negated else lit.variable + 1 for lit in clause)
+        for clause in formula.clauses
+    ]
+    if any(not c for c in clauses):
+        return None
+    partial = _dpll(clauses, {})
+    if partial is None:
+        return None
+    return {v: partial.get(v, True) for v in range(formula.variable_count)}
 
 
 def all_conditions(n: int) -> list[Condition]:

@@ -4,10 +4,11 @@ import json
 
 import pytest
 
-from patterna import Condition, Pattern, jsonio
+from patterna import CnfFormula, Condition, Literal, Pattern, check_exhibits, jsonio
 from patterna.bounds import ENV_VAR
 from patterna.cli import run
 from patterna.errors import ParseError
+from patterna.patterns import pattern_from_cnf
 
 from conftest import NO_POINT, UNION_SPLIT
 
@@ -52,6 +53,52 @@ class TestDecideCommand:
     def test_missing_file_exits_two(self):
         code, _, err = invoke(["decide", "/nonexistent/p.json"])
         assert code == 2 and "error:" in err
+
+    def test_xor_chain_3000_variables(self, tmp_path):
+        # one decision per pair: a solver that recursed per branch overflowed
+        # the stack here and the uncaught RecursionError exited 1
+        m = 3000
+        clauses = []
+        for i in range(0, m - 1, 2):
+            clauses += [(Literal(i), Literal(i + 1)), (Literal(i, True), Literal(i + 1, True))]
+        pattern = pattern_from_cnf(CnfFormula(m, tuple(clauses)))
+        path = tmp_path / "xor.json"
+        path.write_text(jsonio.dumps_canonical(jsonio.pattern_to_dict(pattern)))
+        code, out, _ = invoke(["decide", str(path), "--witness"])
+        assert code == 0
+        witness = jsonio.family_from_dict(json.loads(out)["witness"])
+        assert check_exhibits(witness, pattern).ok
+
+    def test_pigeonhole_8_7_fails_its_condition(self, tmp_path):
+        pigeons, holes = 8, 7
+
+        def var(i, j, negated=False):
+            return Literal(i * holes + j, negated)
+
+        clauses = [tuple(var(i, j) for j in range(holes)) for i in range(pigeons)]
+        clauses += [
+            (var(a, j, True), var(b, j, True))
+            for j in range(holes) for a in range(pigeons) for b in range(a + 1, pigeons)
+        ]
+        pattern = pattern_from_cnf(CnfFormula(pigeons * holes, tuple(clauses)))
+        path = tmp_path / "php.json"
+        path.write_text(jsonio.dumps_canonical(jsonio.pattern_to_dict(pattern)))
+        code, out, _ = invoke(["decide", str(path), "--witness"])
+        assert code == 1
+        assert json.loads(out) == {
+            "exhibitable": False, "witness": None, "failing": [[pigeons * holes], []],
+        }
+
+    def test_unexpected_exception_exits_two(self, corpus, monkeypatch):
+        import patterna.cli
+
+        def broken(pattern):
+            raise TypeError("unsupported operand\nsecond line")
+
+        monkeypatch.setattr(patterna.cli, "decide_exhibitable", broken)
+        code, out, err = invoke(["decide", corpus["union_split"]])
+        assert code == 2 and not out
+        assert err == "error: unexpected TypeError: unsupported operand second line\n"
 
 
 class TestGenerateCommand:
@@ -241,33 +288,36 @@ class TestGoldenPayloads:
 
 
 class TestAmalgamCommand:
-    def test_round_trip(self, tmp_path):
+    @pytest.fixture
+    def structures(self, tmp_path):
         from patterna.hypergraphs import WitnessStructure
 
         base = WitnessStructure((), ("p0",), frozenset(), frozenset())
         b0 = WitnessStructure(("w0",), ("p0", "p1"), frozenset({(0, 0)}), frozenset())
         b1 = WitnessStructure((), ("p0", "q1"), frozenset(), frozenset({frozenset({0, 1})}))
+        paths = []
         for name, s in (("a", base), ("b0", b0), ("b1", b1)):
             (tmp_path / f"{name}.json").write_text(
                 jsonio.dumps_canonical(jsonio.structure_to_dict(s))
             )
+            paths.append(str(tmp_path / f"{name}.json"))
+        return paths
+
+    def test_round_trip(self, tmp_path, structures):
         (tmp_path / "maps.json").write_text(
             jsonio.dumps_canonical(
                 {"e0": {"witness": [], "parameter": [0]}, "e1": {"witness": [], "parameter": [0]}}
             )
         )
-        code, out, _ = invoke(
-            [
-                "amalgam",
-                str(tmp_path / "a.json"),
-                str(tmp_path / "b0.json"),
-                str(tmp_path / "b1.json"),
-                str(tmp_path / "maps.json"),
-            ]
-        )
+        code, out, _ = invoke(["amalgam", *structures, str(tmp_path / "maps.json")])
         assert code == 0
         payload = json.loads(out)
         assert len(payload["structure"]["parameter_points"]) == 3
+
+    def test_malformed_maps(self, tmp_path, structures):
+        embedding = {"witness": [], "parameter": [0]}
+        for maps in ([1], {}, {"e0": embedding}, {"e0": [1], "e1": embedding}, {"e0": 1, "e1": 1}):
+            assert_one_line_error(["amalgam", *structures, write_doc(tmp_path, maps)])
 
 
 class TestDeterminism:

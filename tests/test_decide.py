@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import patterna.decide
 from patterna import (
     EMPTY_CONDITION,
     Condition,
@@ -16,7 +17,7 @@ from patterna import (
     sat_solve,
 )
 from patterna.errors import BoundExceeded
-from patterna.rand import random_cnf, random_pattern
+from patterna.rand import random_cnf, random_condition, random_pattern
 
 from conftest import NO_POINT, UNION_SPLIT, all_conditions, truth_table_sat
 
@@ -40,6 +41,20 @@ class TestConditionCnf:
     def test_units_only(self):
         p = Pattern(2, (cond([0], [1]),))
         assert sat_solve(condition_cnf(p, p.consistency[0])) is not None
+
+    def test_assumptions_match_per_condition_formula(self):
+        rng = random.Random(21)
+        for _ in range(200):
+            p = random_pattern(rng, rng.randint(1, 5), 6)
+            k = rng.randrange(p.n)
+            # random_condition draws pos and neg independently, so they may overlap
+            conditions = [*p.consistency, cond([k], [k])]
+            conditions += [random_condition(rng, p.n) for _ in range(3)]
+            for c in conditions:
+                literals = [Literal(i) for i in c.pos] + [Literal(j, True) for j in c.neg]
+                assert sat_solve(condition_cnf(p), assumptions=literals) == sat_solve(
+                    condition_cnf(p, c)
+                )
 
     def test_overlapping_inconsistency_condition_is_vacuous(self):
         # a condition with pos∩neg nonempty can never be traced; its clause
@@ -72,6 +87,20 @@ class TestDecide:
         p = Pattern(2, (cond([0]), cond([1])), (cond([0]), cond([1])))
         decision = decide_exhibitable(p)
         assert decision.failing_condition == cond([0])
+
+    def test_realised_condition_is_not_solved(self, monkeypatch):
+        # the type chosen for ({0}, ∅) is {0, 1}, which realises ({0, 1}, ∅)
+        p = Pattern(2, (cond([0]), cond([0, 1])))
+        calls = []
+
+        def counting(formula, assumptions=()):
+            calls.append(tuple(assumptions))
+            return sat_solve(formula, assumptions=assumptions)
+
+        monkeypatch.setattr(patterna.decide, "sat_solve", counting)
+        decision = decide_exhibitable(p)
+        assert calls == [(Literal(0),)]
+        assert decision.exhibitable and decision.witness.universe_size == 1
 
     def test_exhibitable_iff_witness(self):
         rng = random.Random(2)

@@ -72,3 +72,7 @@ def test_malformed_documents():
         )
     with pytest.raises(ParseError):
         jsonio.embedding_from_dict({"witness": [0.0], "parameter": []})
+    embedding = {"witness": [], "parameter": [0]}
+    for maps in ([1], {"e0": embedding}, {"e0": embedding, "e1": [1]}):
+        with pytest.raises(ParseError):
+            jsonio.maps_from_dict(maps)

@@ -7,7 +7,7 @@ from patterna import CnfFormula, Literal, export_dimacs, import_dimacs, sat_solv
 from patterna.errors import IndexOutOfRange, ParseError
 from patterna.rand import random_cnf
 
-from conftest import truth_table_sat
+from conftest import dpll_reference, truth_table_sat
 
 
 def lit(v, neg=False):
@@ -60,6 +60,36 @@ class TestSolve:
                     any(assignment[l.variable] != l.negated for l in clause)
                     for clause in f.clauses
                 )
+
+    def test_same_assignment_as_recursive_reference(self):
+        rng = random.Random(2003)
+        for _ in range(400):
+            variables = rng.randint(0, 12)
+            f = random_cnf(rng, variables, rng.randint(0, 3 * variables + 3), rng.randint(1, 4))
+            assert sat_solve(f) == dpll_reference(f), f
+
+    def test_assumptions_act_as_unit_clauses(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            variables = rng.randint(1, 8)
+            f = random_cnf(rng, variables, rng.randint(0, 12))
+            assumptions = [
+                lit(rng.randrange(variables), rng.random() < 0.5) for _ in range(rng.randint(0, 3))
+            ]
+            with_units = CnfFormula(variables, f.clauses + tuple((a,) for a in assumptions))
+            assert sat_solve(f, assumptions=assumptions) == sat_solve(with_units)
+
+    def test_assumption_range(self):
+        with pytest.raises(IndexOutOfRange):
+            sat_solve(CnfFormula(1, ()), assumptions=[lit(1)])
+
+    def test_long_chain_needs_no_recursion(self):
+        # 2000 independent pairs x_i xor x_{i+1}: one decision per pair
+        clauses = []
+        for i in range(0, 4000, 2):
+            clauses += [(lit(i), lit(i + 1)), (lit(i, True), lit(i + 1, True))]
+        assignment = sat_solve(CnfFormula(4000, tuple(clauses)))
+        assert assignment == {v: v % 2 == 0 for v in range(4000)}
 
 
 class TestDimacs:
