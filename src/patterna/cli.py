@@ -10,6 +10,7 @@ line, without a traceback).
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import sys
 
@@ -29,7 +30,10 @@ from .sat import export_dimacs
 from .verify import VERIFIERS
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every run: a
+    parse fills a fresh namespace and leaves the parser unchanged."""
     parser = argparse.ArgumentParser(
         prog="patterna",
         description="Classify, generate, decide, and verify consistency/inconsistency patterns.",

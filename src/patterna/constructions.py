@@ -29,7 +29,7 @@ from .errors import (
     VerificationFailure,
 )
 from .patterns import Pattern, _bits, classify, double_positive, subset_index
-from .semantics import SetFamily, UnionClosedFamily, check_exhibits, check_one_n
+from .semantics import SetFamily, UnionClosedFamily, _trace_mask, check_exhibits, check_one_n
 
 
 def _self_check(fam: SetFamily, p: Pattern, what: str) -> SetFamily:
@@ -112,11 +112,9 @@ def check_char_property(char_fam: SetFamily, k: int) -> bool:
     for family_mask in range(1, 1 << (1 << k)):
         members = _bits(family_mask)
         meet_subsets = full
-        trace = char_fam.universe
         for e in members:
             meet_subsets &= e
-            trace &= char_fam.sets[e]
-        if bool(trace) != bool(meet_subsets):
+        if bool(_trace_mask(char_fam, members, ())) != bool(meet_subsets):
             return False
     return True
 

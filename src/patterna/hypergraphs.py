@@ -29,7 +29,7 @@ from .errors import (
     VerificationFailure,
 )
 from .patterns import Condition, Pattern, _bits, classify, subset_index
-from .semantics import SetFamily, check_exhibits, encodes_hypergraph
+from .semantics import SetFamily, _trace_mask, check_exhibits, encodes_hypergraph
 
 
 @dataclass(frozen=True)
@@ -151,16 +151,9 @@ def realize_check(fam: SetFamily, h: Hypergraph) -> bool:
     """Does fam realize h?  Equivalent to exhibiting pattern_from_hypergraph(h)
     but checked as: arity-subsets intersect iff they are edges, and every
     maximal clique has a common point (which covers all sub-cliques)."""
-    if not encodes_hypergraph(fam, h):
-        return False
-    for clique in maximal_cliques(h):
-        members = sorted(clique)
-        meet = fam.sets[members[0]]
-        for v in members[1:]:
-            meet &= fam.sets[v]
-        if not meet:
-            return False
-    return True
+    return encodes_hypergraph(fam, h) and all(
+        _trace_mask(fam, _bits(clique), ()) for clique in _maximal_clique_masks(h)
+    )
 
 
 def realization_witness(h: Hypergraph) -> SetFamily:
@@ -220,13 +213,8 @@ def blowup_pullback(fam: SetFamily, original: Hypergraph, grouping) -> SetFamily
         raise PreconditionFailure("grouping does not match the deterministic blowup grouping")
     if fam.n != blown.vertex_count or not realize_check(fam, blown):
         raise PreconditionFailure("family does not realize the blowup")
-    sets = []
-    for block in expected:
-        meet = fam.universe
-        for v in block:
-            meet &= fam.sets[v]
-        sets.append(meet)
-    result = SetFamily(fam.universe_size, tuple(sets))
+    sets = tuple(frozenset(_bits(_trace_mask(fam, block, ()))) for block in expected)
+    result = SetFamily(fam.universe_size, sets)
     if not realize_check(result, original):
         raise VerificationFailure("pullback failed to realize the original hypergraph")
     return result

@@ -55,7 +55,9 @@ def _coerce_condition(raw) -> Condition:
 
 
 def _canonical_side(raw_conditions, n: int, side: str) -> tuple[Condition, ...]:
-    conditions = []
+    """The side deduplicated and sorted by the (pos, neg) keys that order
+    Conditions, without calling the dataclass's Python-level hash and __lt__."""
+    conditions = {}
     for raw in raw_conditions:
         cond = _coerce_condition(raw)
         if not cond.pos and not cond.neg:
@@ -63,8 +65,8 @@ def _canonical_side(raw_conditions, n: int, side: str) -> tuple[Condition, ...]:
         for i in cond.indices:
             if not 0 <= i < n:
                 raise IndexOutOfRange(f"index {i} in {side} outside [0, {n})")
-        conditions.append(cond)
-    return tuple(sorted(set(conditions)))
+        conditions.setdefault((cond.pos, cond.neg), cond)
+    return tuple(conditions[key] for key in sorted(conditions))
 
 
 @dataclass(frozen=True)
@@ -107,16 +109,19 @@ def validate_pattern(data, *, strict: bool = True) -> Pattern:
         raw_i = data.get("inconsistency", ())
     except (TypeError, KeyError) as exc:
         raise IndexOutOfRange(f"pattern data must provide n/consistency/inconsistency: {exc}") from exc
-    if strict:
-        for side, raw in (("consistency", raw_c), ("inconsistency", raw_i)):
-            seen = set()
-            for item in raw:
-                cond = _coerce_condition(item)
-                if cond in seen:
+    sides = []
+    for side, raw in (("consistency", raw_c), ("inconsistency", raw_i)):
+        conditions, seen = [], set()
+        for item in raw:
+            cond = _coerce_condition(item)
+            if strict:
+                key = (cond.pos, cond.neg)
+                if key in seen:
                     raise DuplicateCondition(f"duplicate {side} condition {cond.pos}/{cond.neg}")
-                seen.add(cond)
-    return Pattern(n, tuple(_coerce_condition(c) for c in raw_c),
-                   tuple(_coerce_condition(c) for c in raw_i))
+                seen.add(key)
+            conditions.append(cond)
+        sides.append(tuple(conditions))
+    return Pattern(n, *sides)
 
 
 @dataclass(frozen=True)
@@ -141,12 +146,16 @@ def classify(p: Pattern) -> PatternFlags:
     """
     conds = p.conditions
     disjoint = all(set(c.pos).isdisjoint(c.neg) for c in conds)
-    contained = any(
-        set(z.pos) <= set(y.pos) and set(z.neg) <= set(y.neg)
-        for z in p.inconsistency
-        for y in p.consistency
+
+    def packed(side):
+        # each (pos_mask, neg_mask) pair as one int: z lies coordinatewise
+        # inside y iff z & y == z
+        return {subset_index(c.pos) | subset_index(c.neg) << p.n for c in side}
+
+    consistent = packed(p.consistency)
+    reasonable = disjoint and not any(
+        z & y == z for z in packed(p.inconsistency) for y in consistent
     )
-    reasonable = disjoint and not contained
     positive = all(not c.neg for c in conds)
     full = list(range(p.n))
     complete = bool(conds) and all(sorted(c.pos + c.neg) == full for c in conds)

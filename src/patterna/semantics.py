@@ -11,10 +11,10 @@ procedures implement.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ArityMismatch, IndexOutOfRange, MalformedUnionMap
-from .patterns import Condition, Pattern, complete_conditions, subset_index
+from .patterns import Condition, Pattern, _bits, complete_conditions, subset_index
 
 
 @dataclass(frozen=True)
@@ -23,22 +23,32 @@ class SetFamily:
 
     The universe is mandatorily nonempty: first-order structures are, and
     that single fact is what makes e.g. I = {({0},∅), (∅,{0})} non-exhibitable.
+    The frozensets are the public view; traces are computed on `masks`, one
+    int per index with bit p set iff point p is in the set.
     """
 
     universe_size: int
     sets: tuple[frozenset[int], ...]
+    masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.universe_size < 1:
             raise ValueError("universe must be nonempty")
         coerced = tuple(frozenset(s) for s in self.sets)
+        masks = []
         for s in coerced:
+            mask = 0
             for point in s:
+                if type(point) is not int:
+                    raise IndexOutOfRange(f"point {point!r} is not an integer")
                 if not 0 <= point < self.universe_size:
                     raise IndexOutOfRange(
                         f"point {point} outside universe [0, {self.universe_size})"
                     )
+                mask |= 1 << point
+            masks.append(mask)
         object.__setattr__(self, "sets", coerced)
+        object.__setattr__(self, "masks", tuple(masks))
 
     @property
     def n(self) -> int:
@@ -49,6 +59,18 @@ class SetFamily:
         return frozenset(range(self.universe_size))
 
 
+def _trace_mask(fam: SetFamily, pos, neg) -> int:
+    """The trace of (pos, neg) as a point mask: full & AND(masks[pos]) &
+    ~OR(masks[neg]).  Indices are not range-checked here."""
+    masks = fam.masks
+    trace = (1 << fam.universe_size) - 1
+    for i in pos:
+        trace &= masks[i]
+    for j in neg:
+        trace &= ~masks[j]
+    return trace
+
+
 def condition_trace(fam: SetFamily, cond: Condition) -> frozenset[int]:
     """Points inside every positive set and outside every negative one.
 
@@ -56,12 +78,7 @@ def condition_trace(fam: SetFamily, cond: Condition) -> frozenset[int]:
     for i in cond.indices:
         if not 0 <= i < fam.n:
             raise IndexOutOfRange(f"condition index {i} outside family of {fam.n} sets")
-    trace = fam.universe
-    for i in cond.pos:
-        trace &= fam.sets[i]
-    for j in cond.neg:
-        trace -= fam.sets[j]
-    return trace
+    return frozenset(_bits(_trace_mask(fam, cond.pos, cond.neg)))
 
 
 @dataclass(frozen=True)
@@ -78,8 +95,8 @@ def check_exhibits(fam: SetFamily, p: Pattern) -> ExhibitReport:
     """Does fam exhibit p?  The report lists every failing condition."""
     if fam.n != p.n:
         raise ArityMismatch(f"family has {fam.n} sets, pattern expects {p.n}")
-    bad_c = tuple(c for c in p.consistency if not condition_trace(fam, c))
-    bad_i = tuple(z for z in p.inconsistency if condition_trace(fam, z))
+    bad_c = tuple(c for c in p.consistency if not _trace_mask(fam, c.pos, c.neg))
+    bad_i = tuple(z for z in p.inconsistency if _trace_mask(fam, z.pos, z.neg))
     return ExhibitReport(not bad_c and not bad_i, bad_c, bad_i)
 
 
@@ -151,27 +168,20 @@ class UnionClosedFamily:
         """Build the family with B_X = union of the given singleton sets."""
         singles = [frozenset(s) for s in singletons]
         k = len(singles)
-        sets = []
-        for mask in range(1 << k):
-            union = frozenset()
-            for i in range(k):
-                if mask >> i & 1:
-                    union |= singles[i]
-            sets.append(union)
+        sets = [frozenset()]
+        for mask in range(1, 1 << k):
+            low = mask & -mask
+            sets.append(sets[mask ^ low] | singles[low.bit_length() - 1])
         return cls(k, SetFamily(universe_size, tuple(sets)), point_labels, set_labels)
 
 
 def union_representable(ufam: UnionClosedFamily) -> bool:
-    """Re-verify B_X = union of B_{i} over i in X, for every X."""
-    k = ufam.index_count
-    for mask in range(1 << k):
-        union = frozenset()
-        for i in range(k):
-            if mask >> i & 1:
-                union |= ufam.base_set(i)
-        if ufam.family.sets[mask] != union:
-            return False
-    return True
+    """Re-verify B_X = union of B_{i} over i in X, for every X: B_∅ is empty
+    and each B_X is B_{X minus its lowest index} plus B_{lowest index}."""
+    masks = ufam.family.masks
+    return masks[0] == 0 and all(
+        masks[x] == masks[x & (x - 1)] | masks[x & -x] for x in range(1, 1 << ufam.index_count)
+    )
 
 
 def check_one_n(ufam: UnionClosedFamily, n: int) -> bool:
@@ -182,14 +192,10 @@ def check_one_n(ufam: UnionClosedFamily, n: int) -> bool:
         raise MalformedUnionMap("threshold must be at least 1")
     if not union_representable(ufam):
         return False
-    k = ufam.index_count
-    base = [ufam.base_set(i) for i in range(k)]
-    for size in range(1, k + 1):
-        for combo in itertools.combinations(range(k), size):
-            meet = base[combo[0]]
-            for i in combo[1:]:
-                meet &= base[i]
-            if bool(meet) != (size <= n):
+    base = [1 << i for i in range(ufam.index_count)]  # family indices of B_{i}
+    for size in range(1, len(base) + 1):
+        for combo in itertools.combinations(base, size):
+            if bool(_trace_mask(ufam.family, combo, ())) != (size <= n):
                 return False
     return True
 
@@ -199,10 +205,8 @@ def encodes_hypergraph(fam: SetFamily, hg) -> bool:
     the sets of S intersect <=> S is a hyperedge."""
     if fam.n != hg.vertex_count:
         raise ArityMismatch(f"family has {fam.n} sets, hypergraph has {hg.vertex_count} vertices")
-    for combo in itertools.combinations(range(hg.vertex_count), hg.arity):
-        meet = fam.sets[combo[0]]
-        for v in combo[1:]:
-            meet &= fam.sets[v]
-        if bool(meet) != (frozenset(combo) in hg.edges):
-            return False
-    return True
+    edges = {tuple(sorted(edge)) for edge in hg.edges}
+    return all(
+        bool(_trace_mask(fam, combo, ())) == (combo in edges)
+        for combo in itertools.combinations(range(hg.vertex_count), hg.arity)
+    )

@@ -166,3 +166,14 @@ UNION_SPLIT = Pattern(
         Condition((2,), (0, 1)),
     ),
 )
+
+
+def trace_by_points(fam, cond) -> frozenset[int]:
+    """The trace of cond in fam, one point at a time: the points that lie in
+    every positive set and in no negative set."""
+    return frozenset(
+        point
+        for point in range(fam.universe_size)
+        if all(point in fam.sets[i] for i in cond.pos)
+        and not any(point in fam.sets[j] for j in cond.neg)
+    )

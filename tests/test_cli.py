@@ -321,6 +321,18 @@ class TestAmalgamCommand:
 
 
 class TestDeterminism:
+    def test_repeat_runs_in_one_process(self, corpus):
+        # the parser is built once per process; a usage error in between
+        # must leave later runs unchanged
+        commands = [
+            ["decide", corpus["union_split"], "--witness"],
+            ["verify", "cooper-claim", "--n", "2"],
+            ["decide", "--no-such-flag"],
+        ]
+        first = [invoke(argv)[:2] for argv in commands]
+        assert [code for code, _ in first] == [0, 0, 2]
+        assert [invoke(argv)[:2] for argv in commands + commands[:1]] == first + first[:1]
+
     def test_byte_identical_repeats(self, corpus):
         commands = [
             ["decide", corpus["no_point"]],

@@ -1,0 +1,121 @@
+"""Pinned CLI output: the sha256 of stdout and the exit code of a fixed
+command corpus.
+
+The digests were recorded from the frozenset implementation of the trace
+checks, so a change in the set representation that alters a single output
+byte fails here.  Regenerate them only for a deliberate, documented output
+change.
+"""
+
+import hashlib
+import io
+import json
+
+import pytest
+
+from patterna import gen_divline, jsonio
+from patterna.cli import run
+from patterna.verify import VERIFIERS
+
+HYPERGRAPHS = {
+    "path3": {"k": 2, "vertices": 3, "edges": [[0, 1], [1, 2]]},
+    "paw4": {"k": 2, "vertices": 4, "edges": [[0, 1], [0, 2], [1, 2], [2, 3]]},
+    "c5": {"k": 2, "vertices": 5, "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [0, 4]]},
+    "empty3": {"k": 2, "vertices": 3, "edges": []},
+    "k3tri4": {"k": 3, "vertices": 4, "edges": [[0, 1, 2], [0, 1, 3], [1, 2, 3]]},
+    "k3pair5": {"k": 3, "vertices": 5, "edges": [[0, 1, 2], [2, 3, 4]]},
+}
+
+PATTERNS = {
+    "op4": ("op", {"n": 4}),
+    "sop4": ("sop", {"n": 4}),
+    "ip3": ("ip", {"n": 3}),
+    "ktp222": ("ktp", {"b": 2, "d": 2, "k": 2}),
+    "tp1-22": ("tp1", {"b": 2, "d": 2}),
+    "cooper2": ("cooper", {"n": 2}),
+    "pmchar2": ("pmchar", {"n": 2}),
+}
+
+
+def corpus(directory):
+    """(name, argv) for every pinned command; input files go to directory."""
+    commands = [(f"verify {name}", ["verify", name]) for name in sorted(VERIFIERS)]
+    for name, doc in HYPERGRAPHS.items():
+        path = directory / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        for action in ("pattern", "blowup", "double", "witness-structure"):
+            commands.append((f"hypergraph {action} {name}", ["hypergraph", action, str(path)]))
+    for name, (kind, params) in PATTERNS.items():
+        path = directory / f"{name}.json"
+        path.write_text(jsonio.dumps_canonical(jsonio.pattern_to_dict(gen_divline(kind, **params))))
+        commands.append((f"decide {name}", ["decide", str(path), "--witness"]))
+        commands.append((f"classify {name}", ["classify", str(path)]))
+    return commands
+
+
+def digest(argv):
+    out = io.StringIO()
+    code = run(argv, stdout=out, stderr=io.StringIO())
+    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+#: name -> [exit code, sha256 of stdout]
+PINNED = {
+    "verify atomless-pm": [0, "425c4b6e0d97175a4b09200ed3afb84e891857b91479acee39458d5cd848927d"],
+    "verify blowup-roundtrip": [0, "ac0d2c6a38ad88edb592af95accd9ec91744c21236ac2a1c25949f86fcb216d8"],
+    "verify cm-doubling": [0, "3a9ed3738d10d30df879ebb57c45d73353073d7c18262eea38d35b6692e93aea"],
+    "verify cooper-claim": [0, "7e0cbd7c325292dc5a858ffd57b0be0512bdade6d261f05462aa7c11546feebd"],
+    "verify free-amalgam": [0, "bebac159d50edb53106992d4a9b6181c227017257fc35c72df36b99b5f66b20b"],
+    "verify hypergraph-dictionary": [0, "31648777a7664488dc4d1cf8ae836f2a82c74638429e4266e9946541616454fb"],
+    "verify ip-family": [0, "bca5bc392a6709c32c22bf7046193cf538aabb8f2ecf48131096dc638d256717"],
+    "verify membership": [0, "0d6c14edc49ebc3bab63a86b2e21e0a8eb651a5aa9f724c8544c8c6a922cf752"],
+    "verify one1": [0, "2f046ad7958ed779d7535c64242dfc15940a4b981caa6fb5ccc28321cc9a6e9a"],
+    "verify pm-char": [0, "05a18a1117ee8ccae9ee5980bc0c103bfea66042ffe70d4c9a42b301619b58e8"],
+    "verify powerset-sm": [0, "eac10d7a5d7577f1bf85e8abf625c1ee53df2ff7d11983fe6137bfc7e25c5656"],
+    "verify triangle-free": [0, "bc7c24f6ef4c66aa3dc8b901324af2474737038b846c5860c327659ea6302d5c"],
+    "hypergraph pattern path3": [0, "2064564b4ddb26ddad152f37bd3dd37450f9322f7ba9f53e007ae6d3dd23a447"],
+    "hypergraph blowup path3": [0, "0d9fe59f65b221ff6e4bc2211d009b1e15e0edc99ee764c0d6803b881a8d9be6"],
+    "hypergraph double path3": [0, "8bfae0e6314952b7f6a44cfebf089e9e4c30631849ccde4877dbb648abbcb73b"],
+    "hypergraph witness-structure path3": [0, "55a97b7385cb007e82bcb4f4fc91a75f12df76ea307ccadc4dc2401a1f8f3ae2"],
+    "hypergraph pattern paw4": [0, "6451c057829c28aed3bf6c8f8306920a9157994a93d950e5bebacdcc635581eb"],
+    "hypergraph blowup paw4": [0, "61203e09c63ed0043906a1cf135b2403e9f4bdf0a23636645fa29a24e6ec612c"],
+    "hypergraph double paw4": [0, "24952628470912e2c7859887cf1d9ecc718f23bb628938fb6fd0722d800c2e7c"],
+    "hypergraph witness-structure paw4": [0, "6faa2f5f7af62e4062962b352036a51d16a7678a930d7c994ccd143656cd703b"],
+    "hypergraph pattern c5": [0, "5e5431e65c5517e3f6c606f7c48be43f67cbe3df1c91a219bec10a7ec21d2e86"],
+    "hypergraph blowup c5": [0, "187da9fce52135851ef5cdf3dcc849b2473de5f53992d21f6591153690c53277"],
+    "hypergraph double c5": [0, "77da7b09433c69637388939f21542aab42e218fc4f3acdf9b514f3e1d8908005"],
+    "hypergraph witness-structure c5": [0, "480a39856d63c6e37b009a8054c8f102915ba68c246c99b35f9e9ca086887249"],
+    "hypergraph pattern empty3": [0, "704fd21b695ed1ad8c4f6d6c7b606cf515fc5cbad3c9a69cb4cdc91cec92585e"],
+    "hypergraph blowup empty3": [0, "54d6133d7f8c8029d35eed4a8c950540c81a861bd44a1729e91f6d85152493f0"],
+    "hypergraph double empty3": [0, "17a7ccde220ced0a5a8e942a98c836797e77e4c523c80bf411d167f3080e5579"],
+    "hypergraph witness-structure empty3": [0, "3a17b0c88296bc172d82331ab2b8d3ecc109dc8dbdc3939a21456e731728423e"],
+    "hypergraph pattern k3tri4": [0, "7cd2c3e40449ea78cddd93ccc46608567c309912df97ce9fbd075f4176490cba"],
+    "hypergraph blowup k3tri4": [0, "45b6501ba982e4ca30f9bf00a2ffe246dcae6639ba14129f446c3b1abac175e5"],
+    "hypergraph double k3tri4": [2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"],
+    "hypergraph witness-structure k3tri4": [0, "0c8cd0b9f49307044b478b14b3de3cf053946607273bf7c4b170e7512e97c4b5"],
+    "hypergraph pattern k3pair5": [0, "ad7f2695ff9dc969f2895afeb6c8d78da80168a0585cddefd2a2ffc426084ef6"],
+    "hypergraph blowup k3pair5": [0, "6c5ae9a85c40f833b1eb2b5d565f8219b96c7e07bdbc842d14dc8263becdfc98"],
+    "hypergraph double k3pair5": [2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"],
+    "hypergraph witness-structure k3pair5": [0, "c7c6cb82ea2bb9e2b0e5210694310263e285c6354ff4eb231fe0c00cc4581b5e"],
+    "decide op4": [0, "d35cacf253d2de4e0ec4a02c9a8e70ad1feb98bacdc58e5d5d89c975b4ad2b75"],
+    "classify op4": [0, "cf20464291c986b1819035b3a2c2f85d3b47821625ed5a3e06c624a8f9a42cc5"],
+    "decide sop4": [0, "48b3b5b08d8e7bb3c2aa6c880167afe95c061601fffe5a59b4efcf46c1e443df"],
+    "classify sop4": [0, "70bcfb18527b532dce59a63dacdd6c512ef21960b53965b97118063a8ba74b67"],
+    "decide ip3": [0, "c54523b9659ef8c7278bbf7c873d6f9c154d5340d303604c720bca2cd274c5b7"],
+    "classify ip3": [0, "1fcc94327e474ea68f8cfe3c1695a4a83a2e4c5eb877b4e4e44e75ca7aa4a4ca"],
+    "decide ktp222": [0, "dfcaa6ebee6d9f5fc21cea9a0f728bd57d5998e83c7df76312c4ed4b1e307aed"],
+    "classify ktp222": [0, "cb0c1e300a6c0bc0f579ae1928b4b01ce41d2387c244a329a96a7301b089db20"],
+    "decide tp1-22": [0, "dfcaa6ebee6d9f5fc21cea9a0f728bd57d5998e83c7df76312c4ed4b1e307aed"],
+    "classify tp1-22": [0, "cb0c1e300a6c0bc0f579ae1928b4b01ce41d2387c244a329a96a7301b089db20"],
+    "decide cooper2": [0, "c47db77d7e729ec81841f71058e44e8a21db14d0100ebd4dc1bacd6423912ce2"],
+    "classify cooper2": [0, "1fcc94327e474ea68f8cfe3c1695a4a83a2e4c5eb877b4e4e44e75ca7aa4a4ca"],
+    "decide pmchar2": [0, "c47db77d7e729ec81841f71058e44e8a21db14d0100ebd4dc1bacd6423912ce2"],
+    "classify pmchar2": [0, "ab00077a13e4f82ae5dc9173fae6d4edae21633c08a00f109539eb054646bb25"],
+}
+
+
+def test_corpus_matches_pins(tmp_path):
+    commands = corpus(tmp_path)
+    assert [name for name, _ in commands] == list(PINNED)
+    mismatched = [name for name, argv in commands if list(digest(argv)) != PINNED[name]]
+    assert not mismatched

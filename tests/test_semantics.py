@@ -87,6 +87,13 @@ class TestExhibits:
         with pytest.raises(ValueError):
             SetFamily(0, ())
 
+    @pytest.mark.parametrize("point", [0.5, 1.0, "1", True, None])
+    def test_non_integer_point_rejected(self, point):
+        # 0 <= 0.5 < 2 holds, so a range check alone let 0.5 in, and the point
+        # then dropped out of every trace
+        with pytest.raises(IndexOutOfRange, match="not an integer"):
+            SetFamily(2, (frozenset({point}), frozenset({1})))
+
 
 class TestRealizedTypes:
     def test_two_point_family(self):

@@ -1,0 +1,262 @@
+"""Seeded differential tests: every trace-based check against point scans.
+
+The oracles here (conftest.trace_by_points, clique_masks_by_scan and the
+scans below) look at one point at a time and share no code with the
+library's trace primitive.  Universes reach 200 points, so the library's
+point masks run well past 64 bits.
+"""
+
+import itertools
+import random
+
+from patterna import (
+    Condition,
+    Hypergraph,
+    Pattern,
+    SetFamily,
+    UnionClosedFamily,
+    blowup,
+    blowup_pullback,
+    canonical_char_family,
+    check_char_property,
+    check_exhibits,
+    check_one_n,
+    classify,
+    condition_trace,
+    encodes_hypergraph,
+    realization_witness,
+    realize_check,
+    union_representable,
+)
+
+from conftest import clique_masks_by_scan, trace_by_points
+
+
+def random_family(rng, n, max_universe=200):
+    universe = rng.randint(1, max_universe)
+    density = rng.random()
+    return SetFamily(
+        universe,
+        tuple(
+            frozenset(p for p in range(universe) if rng.random() < density) for _ in range(n)
+        ),
+    )
+
+
+def random_condition(rng, n, overlap=True):
+    """A legal condition over [0, n); pos and neg may share indices."""
+    while True:
+        pos = [i for i in range(n) if rng.random() < 0.35]
+        neg = [i for i in range(n) if rng.random() < 0.25 and (overlap or i not in pos)]
+        if pos or neg:
+            return Condition(tuple(pos), tuple(neg))
+
+
+def members(mask):
+    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
+
+
+def padded(fam, rng, extra):
+    """fam moved to a universe with `extra` more points that lie in no set;
+    the points keep their order and the traces their emptiness."""
+    offset = rng.randint(0, extra)
+    return SetFamily(
+        fam.universe_size + extra,
+        tuple(frozenset(p + offset for p in s) for s in fam.sets),
+    )
+
+
+def test_traces_and_exhibit_reports():
+    rng = random.Random(4101)
+    outcomes = set()
+    for _ in range(300):
+        n = rng.randint(0, 7)
+        fam = random_family(rng, n)
+        conds = [random_condition(rng, n) for _ in range(rng.randint(1, 12))] if n else []
+        traces = {}
+        for cond in conds:
+            traces[cond] = trace_by_points(fam, cond)
+            assert condition_trace(fam, cond) == traces[cond], (fam, cond)
+        split = [rng.random() < 0.5 for _ in conds]
+        candidates = [
+            Pattern(
+                n,
+                tuple(c for c, s in zip(conds, split) if s),
+                tuple(c for c, s in zip(conds, split) if not s),
+            ),
+            Pattern(
+                n,
+                tuple(c for c in conds if traces[c]),
+                tuple(c for c in conds if not traces[c]),
+            ),
+        ]
+        for p in candidates:
+            bad_c = tuple(c for c in p.consistency if not traces[c])
+            bad_i = tuple(z for z in p.inconsistency if traces[z])
+            report = check_exhibits(fam, p)
+            assert report.ok == (not bad_c and not bad_i)
+            assert report.failing_consistency == bad_c
+            assert report.failing_inconsistency == bad_i
+            outcomes.add(report.ok)
+    assert outcomes == {True, False}
+
+
+def encodes_by_scan(fam, h):
+    return all(
+        bool(trace_by_points(fam, Condition(combo, ()))) == (frozenset(combo) in h.edges)
+        for combo in itertools.combinations(range(h.vertex_count), h.arity)
+    )
+
+
+def realizes_by_scan(fam, h):
+    return encodes_by_scan(fam, h) and all(
+        trace_by_points(fam, Condition(members(mask), ())) for mask in clique_masks_by_scan(h)
+    )
+
+
+def random_hypergraph(rng):
+    arity = rng.randint(2, 3)
+    vertices = rng.randint(0, 7)
+    density = rng.random()
+    edges = frozenset(
+        frozenset(combo)
+        for combo in itertools.combinations(range(vertices), arity)
+        if rng.random() < density
+    )
+    return Hypergraph(arity, vertices, edges)
+
+
+def test_hypergraph_encoding_and_realization():
+    rng = random.Random(4102)
+    outcomes = set()
+    for _ in range(150):
+        h = random_hypergraph(rng)
+        witness = padded(realization_witness(h), rng, rng.randint(0, 150))
+        point = rng.randrange(witness.universe_size)
+        flipped = SetFamily(
+            witness.universe_size,
+            tuple(s ^ {point} if rng.random() < 0.3 else s for s in witness.sets),
+        )
+        for fam in (random_family(rng, h.vertex_count), witness, flipped):
+            encodes = encodes_by_scan(fam, h)
+            realizes = realizes_by_scan(fam, h)
+            assert encodes_hypergraph(fam, h) == encodes, (fam, h)
+            assert realize_check(fam, h) == realizes, (fam, h)
+            outcomes.add((encodes, realizes))
+    assert outcomes == {(True, True), (True, False), (False, False)}
+
+
+def test_blowup_pullback_meets_blocks():
+    rng = random.Random(4103)
+    for _ in range(20):
+        vertices = rng.randint(0, 4)
+        edges = [e for e in itertools.combinations(range(vertices), 2) if rng.random() < 0.6]
+        h = Hypergraph(2, vertices, frozenset(frozenset(e) for e in edges))
+        blown, grouping = blowup(h)
+        witness = padded(realization_witness(blown), rng, rng.randint(0, 100))
+        pulled = blowup_pullback(witness, h, grouping)
+        assert pulled.universe_size == witness.universe_size
+        assert pulled.sets == tuple(
+            trace_by_points(witness, Condition(block, ())) for block in grouping
+        )
+
+
+def one_n_by_scan(singles, universe, threshold):
+    for size in range(1, len(singles) + 1):
+        for combo in itertools.combinations(singles, size):
+            common = any(all(p in s for s in combo) for p in range(universe))
+            if common != (size <= threshold):
+                return False
+    return True
+
+
+def union_representable_by_scan(ufam):
+    singles = [ufam.family.sets[1 << i] for i in range(ufam.index_count)]
+    return all(
+        ufam.family.sets[mask]
+        == frozenset(
+            p
+            for p in range(ufam.family.universe_size)
+            if any(p in singles[i] for i in members(mask))
+        )
+        for mask in range(1 << ufam.index_count)
+    )
+
+
+def test_union_closed_threshold_checks():
+    rng = random.Random(4104)
+    outcomes = set()
+    for _ in range(100):
+        k = rng.randint(1, 6)
+        universe = rng.randint(1, 200)
+        density = rng.choice((0.005, 0.05, 0.3, 0.8))
+        singles = [
+            frozenset(p for p in range(universe) if rng.random() < density) for _ in range(k)
+        ]
+        ufam = UnionClosedFamily.from_singletons(universe, singles)
+        threshold = rng.randint(1, k + 1)
+        expected = one_n_by_scan(singles, universe, threshold)
+        assert union_representable(ufam)
+        assert check_one_n(ufam, threshold) == expected
+        outcomes.add(expected)
+        sets = list(ufam.family.sets)
+        sets[rng.randrange(len(sets))] = frozenset({rng.randrange(universe)})
+        broken = UnionClosedFamily(k, SetFamily(universe, tuple(sets)))
+        representable = union_representable_by_scan(broken)
+        base = [broken.family.sets[1 << i] for i in range(k)]
+        assert union_representable(broken) == representable
+        assert check_one_n(broken, threshold) == (
+            representable and one_n_by_scan(base, universe, threshold)
+        )
+    assert outcomes == {True, False}
+
+
+def char_property_by_scan(fam, k):
+    full = (1 << k) - 1
+    for family_mask in range(1, 1 << (1 << k)):
+        chosen = members(family_mask)
+        meet = full
+        for e in chosen:
+            meet &= e
+        common = any(all(p in fam.sets[e] for e in chosen) for p in range(fam.universe_size))
+        if common != bool(meet):
+            return False
+    return True
+
+
+def test_characterization_property():
+    rng = random.Random(4105)
+    outcomes = set()
+    for _ in range(40):
+        k = rng.randint(0, 3)
+        canonical = padded(canonical_char_family(k), rng, rng.randint(0, 150))
+        sets = list(canonical.sets)
+        sets[rng.randrange(len(sets))] = frozenset(
+            rng.sample(range(canonical.universe_size), rng.randint(0, min(3, canonical.universe_size)))
+        )
+        for fam in (canonical, SetFamily(canonical.universe_size, tuple(sets))):
+            expected = char_property_by_scan(fam, k)
+            assert check_char_property(fam, k) == expected
+            outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
+def test_classify_reasonable_matches_set_recomputation():
+    rng = random.Random(4106)
+    outcomes = set()
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        overlap = rng.random() < 0.2
+        consistency = [random_condition(rng, n, overlap) for _ in range(rng.randint(0, 10))]
+        inconsistency = [random_condition(rng, n, overlap) for _ in range(rng.randint(0, 10))]
+        p = Pattern(n, tuple(consistency), tuple(inconsistency))
+        disjoint = all(not set(c.pos) & set(c.neg) for c in p.conditions)
+        contained = any(
+            set(z.pos) <= set(y.pos) and set(z.neg) <= set(y.neg)
+            for z in p.inconsistency
+            for y in p.consistency
+        )
+        expected = disjoint and not contained
+        assert classify(p).reasonable == expected, p
+        outcomes.add(expected)
+    assert outcomes == {True, False}
