@@ -14,7 +14,6 @@ because it can only mean a transcription bug.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 from .bounds import IP_FAMILY_N, MEMBERSHIP_N, enumeration_bound
@@ -207,17 +206,20 @@ def disjoint_one1_family(n: int, flavor: str = "atoms") -> UnionClosedFamily:
     if flavor not in ("atoms", "skolem"):
         raise UnsupportedParams(f"unknown flavor {flavor!r}; choose atoms or skolem")
     singles = [frozenset({i}) for i in range(n)]
+    # mask 2**i + m (m < 2**i) extends the label of m, built one bit earlier
     if flavor == "atoms":
         point_labels = tuple(f"a{i}" for i in range(n))
-        set_labels = tuple(
-            "∪".join(f"a{i}" for i in _bits(mask)) or "0" for mask in range(1 << n)
-        )
+        labels = ["0"]
+        for atom in point_labels:
+            labels += [atom] + [f"{label}∪{atom}" for label in labels[1:]]
     else:
         primes = first_primes(n)
         point_labels = tuple(str(q) for q in primes)
-        set_labels = tuple(
-            str(math.prod(primes[i] for i in _bits(mask))) for mask in range(1 << n)
-        )
+        products = [1]
+        for q in primes:
+            products += [product * q for product in products]
+        labels = map(str, products)
+    set_labels = tuple(labels)
     ufam = UnionClosedFamily.from_singletons(n, singles, point_labels, set_labels)
     if not check_one_n(ufam, 1):
         raise VerificationFailure("disjoint singleton family failed its threshold check")

@@ -4,13 +4,12 @@ A pattern is exhibitable iff, for each consistency condition, some complete
 type extends it without extending any inconsistency condition — plus, when
 there are no consistency conditions at all, some complete type must still
 exist to populate the mandatory nonempty universe (the "sentinel" instance).
-decide_exhibitable encodes the inconsistency clauses, which every such
-question shares, once per pattern, and asks each question by solving that
-formula under the condition's literals as assumptions.  A condition that a
-type already chosen realises (pos inside the type, neg outside it) is
-answered without a solve.  The chosen types make the witness family, which is
-re-verified before returning.  A brute-force scanner with the same contract
-serves as the independent oracle.
+decide_exhibitable compiles the inconsistency clauses, shared by every such
+question, once per pattern and solves each question under the condition's
+literals as assumptions; a condition that a type already chosen realises
+(pos inside it, neg outside it) needs no solve.  The chosen types make the
+witness family, re-verified before returning.  A brute-force scanner with
+the same contract serves as the independent oracle.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 from .bounds import BRUTE_FORCE_N, enumeration_bound
 from .errors import BoundExceeded, WitnessVerificationFailure
 from .patterns import Condition, Pattern, subset_index
-from .sat import CnfFormula, Literal, sat_solve
+from .sat import CnfFormula, CompiledCnf, Literal, _normal_codes, sat_solve
 from .semantics import SetFamily, check_exhibits
 
 #: Sentinel for the "universe is nonempty" instance solved when C = ∅.  Not a
@@ -43,22 +42,25 @@ def _literals(cond: Condition) -> list[Literal]:
     return [Literal(i) for i in cond.pos] + [Literal(j, True) for j in cond.neg]
 
 
+def _clause_codes(p: Pattern) -> list[tuple[int, ...]]:
+    """p's inconsistency clauses as normal-form literal codes: (Z+, Z-) gives
+    (OR of not-i for i in Z+) or (OR of j for j in Z-), and is dropped as a
+    tautology when its parts overlap, since its trace is always empty."""
+    return _normal_codes(
+        [2 * i + 1 for i in z.pos] + [2 * j for j in z.neg] for z in p.inconsistency
+    )
+
+
 def condition_cnf(p: Pattern, cond: Condition = EMPTY_CONDITION) -> CnfFormula:
     """CNF whose models are the complete types extending `cond` and extending
     no inconsistency condition of p.
 
     Variable i stands for "index i belongs to the type": unit clauses fix
     cond's positive and negative parts, and each inconsistency condition
-    (Z+, Z-) contributes the clause (OR of not-i for i in Z+) or (OR of j for
-    j in Z-).  An inconsistency condition with overlapping parts yields a
-    tautological clause, which normalization drops — correctly, since its
-    trace is empty in every family.
+    contributes its clause from _clause_codes.
     """
     clauses = [(lit,) for lit in _literals(cond)]
-    for z in p.inconsistency:
-        clauses.append(
-            tuple(Literal(i, True) for i in z.pos) + tuple(Literal(j) for j in z.neg)
-        )
+    clauses += [tuple(Literal(c >> 1, bool(c & 1)) for c in clause) for clause in _clause_codes(p)]
     return CnfFormula(p.n, tuple(clauses))
 
 
@@ -66,16 +68,13 @@ def _targets(p: Pattern):
     return p.consistency if p.consistency else (EMPTY_CONDITION,)
 
 
-def _witness_from_types(p: Pattern, types) -> SetFamily:
+def _verified(p: Pattern, types) -> Decision:
+    """The witness with one point per distinct type, re-verified."""
     universe = sorted(set(types), key=sorted)
     sets = tuple(
         frozenset(point for point, t in enumerate(universe) if i in t) for i in range(p.n)
     )
-    return SetFamily(len(universe), sets)
-
-
-def _verified(p: Pattern, types) -> Decision:
-    witness = _witness_from_types(p, types)
+    witness = SetFamily(len(universe), sets)
     report = check_exhibits(witness, p)
     if not report.ok:
         raise WitnessVerificationFailure(
@@ -87,15 +86,15 @@ def _verified(p: Pattern, types) -> Decision:
 def decide_exhibitable(p: Pattern) -> Decision:
     """Decide exhibitability; on yes, synthesize and re-verify a witness.
 
-    The shared formula condition_cnf(p) is built once.  Each consistency
-    condition in canonical order (the sentinel when there are none) is
-    skipped if a type already chosen realises it, and otherwise solved as
-    assumptions on the shared formula.  A skipped condition is satisfiable,
-    so the first failing condition is the first unsatisfiable one.  The
-    witness universe is the set of chosen complete types, one point each.
-    Deterministic end to end; nothing is kept between calls.
+    The clauses of condition_cnf(p) are encoded and compiled once.  Each
+    consistency condition in canonical order (the sentinel when there are
+    none) is skipped if a type already chosen realises it, and otherwise
+    solved as assumptions on the compiled clauses.  A skipped condition is
+    satisfiable, so the first failing condition is the first unsatisfiable
+    one.  The witness universe is the set of chosen complete types, one
+    point each.  Deterministic end to end; nothing is kept between calls.
     """
-    shared = condition_cnf(p)
+    shared = CompiledCnf(p.n, _clause_codes(p))
     types = []
     for cond in _targets(p):
         if any(t.issuperset(cond.pos) and t.isdisjoint(cond.neg) for t in types):

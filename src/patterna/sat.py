@@ -5,16 +5,16 @@ pure literal at once, repeated until neither applies; then branching on the
 lowest-index variable still occurring in an unsatisfied clause, trying True
 first.  It is iterative, with an explicit trail and decision stack and
 per-clause counters, so its depth is bounded by memory, not by Python's
-recursion limit.  sat_solve takes optional assumption literals, which act
-exactly like extra unit clauses, so one formula can be solved under many
-sets of assumptions.  The fixed strategy makes every produced assignment
+recursion limit.  sat_solve takes a CompiledCnf (clauses compiled once, for
+many solves) or a CnfFormula, and assumption literals, which act exactly
+like extra unit clauses.  The fixed strategy makes every produced assignment
 (and hence every synthesized witness downstream) bit-for-bit reproducible.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import IndexOutOfRange, ParseError
 
@@ -28,21 +28,16 @@ class Literal:
         return Literal(self.variable, not self.negated)
 
 
-def _normalize_clauses(clauses, variable_count):
-    # Literals are deduplicated and sorted by their (variable, negated) keys,
-    # which order and compare them exactly as Literal does, without calling
-    # the dataclass's Python-level __hash__ and __lt__.
-    out = {}
+def _normal_codes(clauses) -> list[tuple[int, ...]]:
+    """Clauses of literal codes 2 * variable + negated, which order as the
+    literals do, in CnfFormula's normal form: literals and clauses
+    deduplicated and sorted, tautological clauses dropped."""
+    out = set()
     for clause in clauses:
-        lits = {(lit.variable, lit.negated): lit for lit in clause}
-        for variable, _ in lits:
-            if not 0 <= variable < variable_count:
-                raise IndexOutOfRange(f"variable {variable} outside [0, {variable_count})")
-        if any((variable, not negated) in lits for variable, negated in lits):
-            continue  # tautological clause carries no constraint
-        keys = tuple(sorted(lits))
-        out.setdefault(keys, tuple(lits[key] for key in keys))
-    return tuple(out[keys] for keys in sorted(out))
+        lits = set(clause)
+        if lits.isdisjoint([lit ^ 1 for lit in lits]):
+            out.add(tuple(sorted(lits)))
+    return sorted(out)
 
 
 @dataclass(frozen=True)
@@ -52,48 +47,65 @@ class CnfFormula:
     Construction normalizes: duplicate literals and clauses collapse,
     tautological clauses are dropped, and literals/clauses are sorted by
     (variable, negated).  Two formulas are equal iff they normalize alike.
+    `codes` holds the same clauses as literal codes, for the solver.
     """
 
     variable_count: int
     clauses: tuple[tuple[Literal, ...], ...]
+    codes: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.variable_count < 0:
             raise IndexOutOfRange("variable count must be nonnegative")
-        object.__setattr__(
-            self, "clauses", _normalize_clauses(self.clauses, self.variable_count)
-        )
+        raw = [[2 * lit.variable + lit.negated for lit in clause] for clause in self.clauses]
+        for variable in sorted({code >> 1 for clause in raw for code in clause}):
+            if not 0 <= variable < self.variable_count:
+                raise IndexOutOfRange(f"variable {variable} outside [0, {self.variable_count})")
+        codes = tuple(_normal_codes(raw))
+        clauses = tuple(tuple(Literal(c >> 1, bool(c & 1)) for c in clause) for clause in codes)
+        object.__setattr__(self, "clauses", clauses)
+        object.__setattr__(self, "codes", codes)
 
 
-def _encode(lit: Literal) -> int:
-    # 1-based signed encoding, as in DIMACS
-    return -(lit.variable + 1) if lit.negated else lit.variable + 1
+class CompiledCnf:
+    """Normal-form clauses of literal codes, compiled once for many solves:
+    each literal's occurrence list and the counts a search starts from."""
+
+    def __init__(self, variable_count: int, clauses):
+        self.variable_count, self.clauses = variable_count, tuple(clauses)
+        self.occurs = [[] for _ in range(2 * variable_count)]
+        for c, clause in enumerate(self.clauses):
+            for lit in clause:
+                self.occurs[lit].append(c)
+        self.free_count = [len(clause) for clause in self.clauses]
+        self.live = [len(cs) for cs in self.occurs]
+        self.units = [c for c, free in enumerate(self.free_count) if free == 1]
+        self.has_empty = 0 in self.free_count
 
 
-def _search(variable_count, clauses):
-    """Iterative DPLL over clauses of literal codes 2 * variable + negated.
+def _search(cnf: CompiledCnf, assumptions):
+    """Iterative DPLL over cnf with the literal codes `assumptions` set first.
 
     Returns the value of each variable (None where the search assigned
-    none), or None if the clauses are unsatisfiable.  Each clause counts its true literals and its
-    literals not yet false, so a clause is satisfied when the first count is
-    nonzero, a unit when it is not and the second count is 1, and a conflict
-    when both are 0.  Each literal counts the unsatisfied clauses it occurs
-    in, which finds pure literals and the residual variables.  The trail
-    holds every assigned literal; a decision records the trail length before
-    it, so a conflict undoes the trail back to the last decision still to be
-    tried False.
+    none), or None if the clauses are unsatisfiable under the assumptions.
+    Each clause counts its true literals and its literals not yet false, so
+    a clause is satisfied when the first count is nonzero, a unit when it is
+    not and the second count is 1, and a conflict when both are 0.  Each
+    literal counts the unsatisfied clauses it occurs in, which finds pure
+    literals and the residual variables.  The trail holds every assigned
+    literal; a decision records the trail length before it, so a conflict
+    undoes the trail back to the last decision still to be tried False.
+    Assumptions stay on the trail below every decision; unit propagation
+    reaches one fixpoint in any order, so they act as unit clauses would.
     """
-    occurs = [[] for _ in range(2 * variable_count)]
-    for c, clause in enumerate(clauses):
-        for lit in clause:
-            occurs[lit].append(c)
+    variable_count, clauses, occurs = cnf.variable_count, cnf.clauses, cnf.occurs
     true_count = [0] * len(clauses)
-    free_count = [len(clause) for clause in clauses]
-    live = [len(cs) for cs in occurs]
+    free_count = cnf.free_count.copy()
+    live = cnf.live.copy()
     value = [None] * variable_count
     trail = []
     decisions = []  # (trail length before, variable, False branch taken)
-    units = [c for c, clause in enumerate(clauses) if len(clause) == 1]
+    units = cnf.units.copy()
     # Every pure variable is among these: a literal's count only reaches 0
     # by a decrement, and the state a conflict returns to had no pure literal.
     candidates = set(range(variable_count))
@@ -106,24 +118,27 @@ def _search(variable_count, clauses):
             true_count[c] += 1
             if true_count[c] == 1:
                 for other in clauses[c]:
-                    live[other] -= 1
-                    if not live[other]:
+                    count = live[other] - 1
+                    live[other] = count
+                    if not count:
                         candidates.add(other >> 1)
         conflict = False
         for c in occurs[lit ^ 1]:
-            free_count[c] -= 1
-            if not true_count[c]:
-                if free_count[c] == 1:
+            free = free_count[c] - 1
+            free_count[c] = free
+            if free < 2 and not true_count[c]:
+                if free:
                     units.append(c)
-                elif not free_count[c]:
+                else:
                     conflict = True
         return conflict
 
     def unassign(lit):
         value[lit >> 1] = None
         for c in occurs[lit]:
-            true_count[c] -= 1
-            if not true_count[c]:
+            count = true_count[c] - 1
+            true_count[c] = count
+            if not count:
                 for other in clauses[c]:
                     live[other] += 1
         for c in occurs[lit ^ 1]:
@@ -149,6 +164,9 @@ def _search(variable_count, clauses):
             for lit in pures:
                 assign(lit)  # a pure literal falsifies no unsatisfied clause
 
+    for lit in assumptions:  # conflict if the opposite literal is set or a clause empties
+        if value[lit >> 1] is bool(lit & 1) or value[lit >> 1] is None and assign(lit):
+            return None
     conflict = propagate()
     while True:
         while conflict:  # undo back to the last decision still to be tried False
@@ -174,24 +192,25 @@ def _search(variable_count, clauses):
         conflict = assign(2 * v) or propagate()
 
 
-def sat_solve(formula: CnfFormula, assumptions=()) -> dict[int, bool] | None:
+def sat_solve(formula: CnfFormula | CompiledCnf, assumptions=()) -> dict[int, bool] | None:
     """Return a total satisfying assignment {variable: bool}, or None if unsat.
 
-    `assumptions` are literals that act exactly like extra unit clauses, so
-    sat_solve(f, assumptions=a) equals sat_solve of f with the clauses (l,)
-    for l in a added.  Deterministic: variables the search never assigns
-    default to True.
+    `formula` is a CnfFormula, compiled for this call, or a CompiledCnf
+    shared between calls.  `assumptions` are literals that act exactly like
+    extra unit clauses, so sat_solve(f, assumptions=a) equals sat_solve of f
+    with the clauses (l,) for l in a added.  Deterministic: variables the
+    search never assigns default to True.
     """
-    if any(not clause for clause in formula.clauses):
+    if isinstance(formula, CnfFormula):
+        formula = CompiledCnf(formula.variable_count, formula.codes)
+    if formula.has_empty:
         return None
-    clauses = [[2 * lit.variable + lit.negated for lit in clause] for clause in formula.clauses]
     for lit in assumptions:
         if not 0 <= lit.variable < formula.variable_count:
             raise IndexOutOfRange(
                 f"assumption variable {lit.variable} outside [0, {formula.variable_count})"
             )
-        clauses.append([2 * lit.variable + lit.negated])
-    values = _search(formula.variable_count, clauses)
+    values = _search(formula, [2 * lit.variable + lit.negated for lit in assumptions])
     if values is None:
         return None
     return {v: value is not False for v, value in enumerate(values)}
@@ -201,7 +220,8 @@ def export_dimacs(formula: CnfFormula) -> str:
     """Serialize in DIMACS CNF format; byte-deterministic for canonical input."""
     lines = [f"p cnf {formula.variable_count} {len(formula.clauses)}"]
     for clause in formula.clauses:
-        lines.append(" ".join([str(_encode(lit)) for lit in clause] + ["0"]))
+        signed = [-lit.variable - 1 if lit.negated else lit.variable + 1 for lit in clause]
+        lines.append(" ".join(map(str, signed + [0])))
     return "\n".join(lines) + "\n"
 
 
@@ -213,9 +233,8 @@ def import_dimacs(text: str) -> CnfFormula:
     header = None
     clauses: list[list[Literal]] = []
     pending: list[Literal] = []
-    last_line = 0
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        last_line = lineno
+    lines = text.splitlines()
+    for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith("c"):
             continue
@@ -241,11 +260,11 @@ def import_dimacs(text: str) -> CnfFormula:
                     )
                 pending.append(Literal(var, value < 0))
     if header is None:
-        raise ParseError("missing 'p cnf' header", last_line or None)
+        raise ParseError("missing 'p cnf' header", len(lines) or None)
     if pending:
-        raise ParseError("unterminated clause (missing trailing 0)", last_line)
+        raise ParseError("unterminated clause (missing trailing 0)", len(lines))
     if len(clauses) != header[1]:
         raise ParseError(
-            f"header declares {header[1]} clauses, found {len(clauses)}", last_line
+            f"header declares {header[1]} clauses, found {len(clauses)}", len(lines)
         )
     return CnfFormula(header[0], tuple(tuple(c) for c in clauses))

@@ -32,6 +32,8 @@ class SetFamily:
     masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if type(self.universe_size) is not int:
+            raise IndexOutOfRange(f"universe size {self.universe_size!r} is not an integer")
         if self.universe_size < 1:
             raise ValueError("universe must be nonempty")
         coerced = tuple(frozenset(s) for s in self.sets)

@@ -2,18 +2,22 @@
 command corpus.
 
 The digests were recorded from the frozenset implementation of the trace
-checks, so a change in the set representation that alters a single output
-byte fails here.  Regenerate them only for a deliberate, documented output
-change.
+checks, and those of the CNF-encoded decide commands from the solver that
+rebuilt its arrays on every call, so a change in the set representation or
+the SAT path that alters a single output byte fails here.  Regenerate them
+only for a deliberate, documented output change.
 """
 
 import hashlib
 import io
 import json
 
+import itertools
+import random
+
 import pytest
 
-from patterna import gen_divline, jsonio
+from patterna import CnfFormula, Literal, gen_divline, jsonio, pattern_from_cnf
 from patterna.cli import run
 from patterna.verify import VERIFIERS
 
@@ -37,6 +41,57 @@ PATTERNS = {
 }
 
 
+def _pigeonhole(holes):
+    """PHP(holes + 1, holes), unsatisfiable; variable i * holes + j + 1 puts
+    pigeon i in hole j."""
+    pigeons = holes + 1
+    clauses = [[i * holes + j + 1 for j in range(holes)] for i in range(pigeons)]
+    for j in range(holes):
+        for a, b in itertools.combinations(range(pigeons), 2):
+            clauses.append([-(a * holes + j + 1), -(b * holes + j + 1)])
+    return pigeons * holes, clauses
+
+
+def _xor_chain(variables):
+    clauses = []
+    for i in range(0, variables - 1, 2):
+        clauses += [[i + 1, i + 2], [-(i + 1), -(i + 2)]]
+    return variables, clauses
+
+
+def _implication_chain(variables):
+    return variables, [[-(i + 1), i + 2] for i in range(variables - 1)]
+
+
+def _planted_3sat(seed, variables, clause_count):
+    """Random 3-clauses, each satisfied by one hidden assignment."""
+    rng = random.Random(seed)
+    hidden = [rng.random() < 0.5 for _ in range(variables)]
+    clauses = set()
+    while len(clauses) < clause_count:
+        lits = [v + 1 if rng.random() < 0.5 else -(v + 1) for v in rng.sample(range(variables), 3)]
+        if any(hidden[abs(lit) - 1] == (lit > 0) for lit in lits):
+            clauses.add(tuple(sorted(lits, key=abs)))
+    return variables, sorted(clauses)
+
+
+#: CNF formulas (variable count, signed 1-based clauses), decided through
+#: pattern_from_cnf, so the pins cover the SAT path itself.
+CNFS = {
+    "php6-5": _pigeonhole(5),
+    "xor200": _xor_chain(200),
+    "implies150": _implication_chain(150),
+    "planted40": _planted_3sat(7, 40, 160),
+}
+
+
+def _cnf_document(variables, clauses):
+    formula = CnfFormula(
+        variables, tuple(tuple(Literal(abs(lit) - 1, lit < 0) for lit in c) for c in clauses)
+    )
+    return jsonio.dumps_canonical(jsonio.pattern_to_dict(pattern_from_cnf(formula)))
+
+
 def corpus(directory):
     """(name, argv) for every pinned command; input files go to directory."""
     commands = [(f"verify {name}", ["verify", name]) for name in sorted(VERIFIERS)]
@@ -50,6 +105,10 @@ def corpus(directory):
         path.write_text(jsonio.dumps_canonical(jsonio.pattern_to_dict(gen_divline(kind, **params))))
         commands.append((f"decide {name}", ["decide", str(path), "--witness"]))
         commands.append((f"classify {name}", ["classify", str(path)]))
+    for name, (variables, clauses) in CNFS.items():
+        path = directory / f"{name}.json"
+        path.write_text(_cnf_document(variables, clauses))
+        commands.append((f"decide {name}", ["decide", str(path), "--witness"]))
     return commands
 
 
@@ -111,6 +170,10 @@ PINNED = {
     "classify cooper2": [0, "1fcc94327e474ea68f8cfe3c1695a4a83a2e4c5eb877b4e4e44e75ca7aa4a4ca"],
     "decide pmchar2": [0, "c47db77d7e729ec81841f71058e44e8a21db14d0100ebd4dc1bacd6423912ce2"],
     "classify pmchar2": [0, "ab00077a13e4f82ae5dc9173fae6d4edae21633c08a00f109539eb054646bb25"],
+    "decide php6-5": [1, "9e6e722a8be06fb6657e24baa3ecbc4c129a5e0bc5a7e19797dbb3eabf008398"],
+    "decide xor200": [0, "ce418cfb1915458669596faf2b9804596d06dadda782c51bbfc7669f732509a0"],
+    "decide implies150": [0, "0b1732a6f4686fb4508edcb9ea58059be2425d2b7a09254bef437036d2bcecc5"],
+    "decide planted40": [0, "7d26894a9501a1e3bff9cdb10c0649e9b90f452ecc61921ed06babae34c5497e"],
 }
 
 

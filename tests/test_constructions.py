@@ -191,6 +191,25 @@ class TestDisjointFamilies:
         assert fam.set_labels[subset_index({0, 2})] == "10"
         assert fam.set_for({0, 2}) == {0, 2}
 
+    def test_labels_match_direct_formula(self):
+        # each union is labelled by its atoms in ascending order ("0" when
+        # empty), or by the product of its points' primes
+        for n in range(1, 11):
+            primes = first_primes(n)
+            members = [[i for i in range(n) if mask >> i & 1] for mask in range(1 << n)]
+            atoms = disjoint_one1_family(n, "atoms")
+            assert atoms.set_labels == tuple(
+                "∪".join(f"a{i}" for i in m) or "0" for m in members
+            )
+            skolem = disjoint_one1_family(n, "skolem")
+            expected = []
+            for m in members:
+                product = 1
+                for i in m:
+                    product *= primes[i]
+                expected.append(str(product))
+            assert skolem.set_labels == tuple(expected)
+
     def test_not_one_2(self):
         for n in (2, 3, 4):
             assert not check_one_n(disjoint_one1_family(n), 2)

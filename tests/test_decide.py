@@ -5,6 +5,7 @@ import pytest
 import patterna.decide
 from patterna import (
     EMPTY_CONDITION,
+    CnfFormula,
     Condition,
     Literal,
     Pattern,
@@ -19,7 +20,10 @@ from patterna import (
 from patterna.errors import BoundExceeded
 from patterna.rand import random_cnf, random_condition, random_pattern
 
-from conftest import NO_POINT, UNION_SPLIT, all_conditions, truth_table_sat
+from patterna.decide import _clause_codes, _literals
+from patterna.sat import CompiledCnf
+
+from conftest import NO_POINT, UNION_SPLIT, all_conditions, dpll_reference, truth_table_sat
 
 
 def cond(pos, neg=()):
@@ -61,6 +65,71 @@ class TestConditionCnf:
         # is tautological and normalization drops it
         p = Pattern(1, (cond([0]),), (cond([0], [0]),))
         assert decide_exhibitable(p).exhibitable
+
+
+def messy_pattern(rng):
+    """A random pattern whose raw inconsistency side repeats conditions and
+    includes conditions with overlapping parts (tautological clauses)."""
+    n = rng.randint(1, 6)
+    incons = [random_condition(rng, n) for _ in range(rng.randint(0, 8))]
+    incons += rng.choices(incons, k=rng.randint(0, 3)) if incons else []
+    k = rng.randrange(n)
+    incons.append(cond([k], [k]))
+    cons = [random_condition(rng, n) for _ in range(rng.randint(0, 4))]
+    return Pattern(n, tuple(cons), tuple(incons))
+
+
+class TestCompiledClauses:
+    def test_codes_are_cnf_normal_form(self):
+        # the clauses built literal by literal and normalised by CnfFormula,
+        # as codes 2 * variable + negated
+        rng = random.Random(17)
+        for _ in range(300):
+            p = messy_pattern(rng)
+            formula = CnfFormula(
+                p.n,
+                tuple(
+                    tuple(Literal(i, True) for i in z.pos) + tuple(Literal(j) for j in z.neg)
+                    for z in p.inconsistency
+                ),
+            )
+            codes = tuple(tuple(2 * l.variable + l.negated for l in c) for c in formula.clauses)
+            compiled = CompiledCnf(p.n, _clause_codes(p))
+            assert compiled.clauses == codes
+            # one clause per condition with disjoint parts, none tautological
+            disjoint = [z for z in p.inconsistency if set(z.pos).isdisjoint(z.neg)]
+            assert len(compiled.clauses) == len(disjoint)
+            assert all(set(c).isdisjoint(code ^ 1 for code in c) for c in compiled.clauses)
+
+    def test_compiled_solve_matches_formula_and_reference(self):
+        rng = random.Random(18)
+        for _ in range(200):
+            p = messy_pattern(rng)
+            compiled = CompiledCnf(p.n, _clause_codes(p))
+            conditions = [*p.consistency, EMPTY_CONDITION]
+            conditions += [random_condition(rng, p.n) for _ in range(3)]
+            for c in conditions:
+                formula = condition_cnf(p, c)
+                expected = sat_solve(formula)
+                assert sat_solve(compiled, assumptions=_literals(c)) == expected
+                assert expected == dpll_reference(formula)
+
+    def test_solver_gets_the_shared_clauses(self, monkeypatch):
+        # every solve decide makes is on the clauses of condition_cnf(p),
+        # passed first and positionally
+        rng = random.Random(19)
+        sizes = []
+
+        def recording(*args, **kwargs):
+            sizes.append(len(args[0].clauses))
+            return sat_solve(*args, **kwargs)
+
+        monkeypatch.setattr(patterna.decide, "sat_solve", recording)
+        for _ in range(150):
+            p = messy_pattern(rng)
+            sizes.clear()
+            decide_exhibitable(p)
+            assert sizes and set(sizes) == {len(condition_cnf(p).clauses)}
 
 
 class TestDecide:

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from patterna import CnfFormula, Literal, export_dimacs, import_dimacs, sat_solve
 from patterna.errors import IndexOutOfRange, ParseError
 from patterna.rand import random_cnf
+from patterna.sat import CompiledCnf
 
 from conftest import dpll_reference, truth_table_sat
 
@@ -78,6 +79,23 @@ class TestSolve:
             ]
             with_units = CnfFormula(variables, f.clauses + tuple((a,) for a in assumptions))
             assert sat_solve(f, assumptions=assumptions) == sat_solve(with_units)
+
+    def test_compiled_formula_is_reused_unchanged(self):
+        # one CompiledCnf solved under many assumption sets, contradictory
+        # ones included, answers each as a fresh formula with unit clauses
+        rng = random.Random(6)
+        for _ in range(100):
+            variables = rng.randint(1, 8)
+            f = random_cnf(rng, variables, rng.randint(0, 12))
+            compiled = CompiledCnf(
+                variables, [[2 * l.variable + l.negated for l in c] for c in f.clauses]
+            )
+            for _ in range(6):
+                v = rng.randrange(variables)
+                assumptions = [lit(rng.randrange(variables), rng.random() < 0.5) for _ in range(2)]
+                assumptions += rng.choice([[], [lit(v), lit(v, True)], [lit(v), lit(v)]])
+                with_units = CnfFormula(variables, f.clauses + tuple((a,) for a in assumptions))
+                assert sat_solve(compiled, assumptions=assumptions) == sat_solve(with_units)
 
     def test_assumption_range(self):
         with pytest.raises(IndexOutOfRange):

@@ -94,6 +94,13 @@ class TestExhibits:
         with pytest.raises(IndexOutOfRange, match="not an integer"):
             SetFamily(2, (frozenset({point}), frozenset({1})))
 
+    @pytest.mark.parametrize("size", [2.5, 2.0, "2", True, None])
+    def test_non_integer_universe_size_rejected(self, size):
+        # SetFamily(2.5, ...) used to construct, and the first trace then
+        # raised a bare TypeError from the float shift
+        with pytest.raises(IndexOutOfRange, match="not an integer"):
+            SetFamily(size, (frozenset({0}),))
+
 
 class TestRealizedTypes:
     def test_two_point_family(self):
