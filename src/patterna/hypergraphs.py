@@ -28,7 +28,7 @@ from .errors import (
     UnsupportedParams,
     VerificationFailure,
 )
-from .patterns import Condition, Pattern, _bits, classify, subset_index
+from .patterns import Condition, Pattern, _bits, classify
 from .semantics import SetFamily, _trace_mask, check_exhibits, encodes_hypergraph
 
 
@@ -41,10 +41,10 @@ class Hypergraph:
     edges: frozenset[frozenset[int]]
 
     def __post_init__(self):
-        if self.arity < 2:
-            raise UnsupportedParams("arity must be at least 2")
-        if self.vertex_count < 0:
-            raise UnsupportedParams("vertex count must be nonnegative")
+        if type(self.arity) is not int or self.arity < 2:
+            raise UnsupportedParams(f"arity {self.arity!r} is not an int of at least 2")
+        if type(self.vertex_count) is not int or self.vertex_count < 0:
+            raise UnsupportedParams(f"vertex count {self.vertex_count!r} is not a nonnegative int")
         coerced = frozenset(frozenset(e) for e in self.edges)
         for edge in coerced:
             if len(edge) != self.arity:
@@ -70,14 +70,23 @@ def _maximal_clique_masks(h: Hypergraph) -> list[int]:
     (k-2)-subset of the clique plus the new vertex; for graphs this is plain
     adjacency.  Dense regions collapse: when the members plus all candidates
     already form a clique, it is the node's unique maximal extension,
-    reported unless an excluded vertex still fits.
+    reported unless an excluded vertex still fits.  The search runs on the
+    vertices relabelled by ascending (degree, vertex), a cheap stand-in for
+    the degeneracy order of Eppstein, Löffler & Strash (ISAAC 2010).
     """
-    k = h.arity
+    k, n = h.arity, h.vertex_count
+    degree = [0] * n
+    for v in itertools.chain.from_iterable(h.edges):
+        degree[v] += 1
+    label = dict(zip(sorted(range(n), key=degree.__getitem__), (1 << i for i in range(n))))
+    unlabel = {bit: 1 << v for v, bit in label.items()}
     link: dict[int, int] = {}
     for edge in h.edges:
-        mask = subset_index(edge)
+        mask = 0
         for v in edge:
-            link[mask ^ 1 << v] = link.get(mask ^ 1 << v, 0) | 1 << v
+            mask |= label[v]
+        for v in edge:
+            link[mask ^ label[v]] = link.get(mask ^ label[v], 0) | label[v]
 
     def narrow(members, bit):
         # members are single-bit masks, so a sum of them is a union
@@ -100,7 +109,7 @@ def _maximal_clique_masks(h: Hypergraph) -> list[int]:
             grown += (bit,)
         else:
             if grown and not outside:
-                out.append(sum(grown))
+                out.append(sum(map(unlabel.__getitem__, grown)))
             return
         while candidates:
             bit = candidates & -candidates
@@ -109,7 +118,7 @@ def _maximal_clique_masks(h: Hypergraph) -> list[int]:
             extend(members + (bit,), candidates & allowed, excluded & allowed)
             excluded |= bit
 
-    extend((), (1 << h.vertex_count) - 1, 0)
+    extend((), (1 << n) - 1, 0)
     return out
 
 
@@ -119,11 +128,11 @@ def maximal_cliques(h: Hypergraph) -> list[frozenset[int]]:
     return sorted((frozenset(_bits(m)) for m in _maximal_clique_masks(h)), key=sorted)
 
 
-def _clique_masks(h: Hypergraph) -> list[int]:
-    """Every nonempty clique as a vertex mask, ascending: the nonempty
-    submasks of the maximal cliques."""
+def _submasks(maximal) -> list[int]:
+    """Every nonempty clique as a vertex mask, ascending, from the maximal
+    cliques' masks: their nonempty submasks."""
     found = set()
-    for top in _maximal_clique_masks(h):
+    for top in maximal:
         sub = top
         while sub:
             found.add(sub)
@@ -138,7 +147,7 @@ def pattern_from_hypergraph(h: Hypergraph, bound: int | None = None) -> Pattern:
     limit = enumeration_bound(CLIQUE_VERTICES) if bound is None else bound
     if h.vertex_count > limit:
         raise BoundExceeded(f"{h.vertex_count} vertices exceed clique-enumeration bound {limit}")
-    consistency = tuple(Condition(_bits(mask), ()) for mask in _clique_masks(h))
+    consistency = tuple(Condition(_bits(mask), ()) for mask in _submasks(_maximal_clique_masks(h)))
     inconsistency = tuple(
         Condition(combo, ())
         for combo in itertools.combinations(range(h.vertex_count), h.arity)
@@ -147,16 +156,16 @@ def pattern_from_hypergraph(h: Hypergraph, bound: int | None = None) -> Pattern:
     return Pattern(h.vertex_count, consistency, inconsistency)
 
 
-def _cliques_pointed(fam: SetFamily, cliques) -> bool:
-    """Does every clique, given as a vertex mask, have a common point in fam?"""
-    return all(_trace_mask(fam, _bits(clique), ()) for clique in cliques)
+def _realizes(fam: SetFamily, h: Hypergraph, cliques) -> bool:
+    """Does fam realize h, given h's maximal cliques as vertex masks?"""
+    return encodes_hypergraph(fam, h) and all(_trace_mask(fam, _bits(c), ()) for c in cliques)
 
 
 def realize_check(fam: SetFamily, h: Hypergraph) -> bool:
     """Does fam realize h?  Equivalent to exhibiting pattern_from_hypergraph(h)
     but checked as: arity-subsets intersect iff they are edges, and every
     maximal clique has a common point (which covers all sub-cliques)."""
-    return encodes_hypergraph(fam, h) and _cliques_pointed(fam, _maximal_clique_masks(h))
+    return _realizes(fam, h, _maximal_clique_masks(h))
 
 
 def realization_witness(h: Hypergraph) -> SetFamily:
@@ -169,7 +178,7 @@ def realization_witness(h: Hypergraph) -> SetFamily:
         frozenset(idx for idx, m in enumerate(cliques) if m >> v & 1) for v in range(h.vertex_count)
     )
     fam = SetFamily(max(len(cliques), 1), sets)  # no vertices: one point in no set
-    if not (encodes_hypergraph(fam, h) and _cliques_pointed(fam, cliques)):
+    if not _realizes(fam, h, cliques):
         raise VerificationFailure("maximal-clique witness failed realization check")
     return fam
 
@@ -185,6 +194,11 @@ def blowup(h: Hypergraph, bound: int | None = None):
     of h.  In particular each block is an edge, and the union of the blocks of
     any h-clique is a clique of the blowup.  Returns (blown, grouping).
     """
+    return _blowup(h, bound)[:2]
+
+
+def _blowup(h: Hypergraph, bound: int | None):
+    """blowup(h) plus the maximal clique masks of h it was built from."""
     limit = enumeration_bound(CLIQUE_VERTICES) if bound is None else bound
     if h.vertex_count > limit:
         raise BoundExceeded(f"{h.vertex_count} vertices exceed blowup bound {limit}")
@@ -192,7 +206,8 @@ def blowup(h: Hypergraph, bound: int | None = None):
     n = h.vertex_count
     grouping = tuple(tuple(range(i * (k + 1), (i + 1) * (k + 1))) for i in range(n))
     block_of = [i for i in range(n) for _ in range(k + 1)]
-    cliques = set(_clique_masks(h))
+    maximal = _maximal_clique_masks(h)
+    cliques = set(_submasks(maximal))
     edges = []
     for combo in itertools.combinations(range((k + 1) * n), k + 1):
         spanned = 0
@@ -200,20 +215,20 @@ def blowup(h: Hypergraph, bound: int | None = None):
             spanned |= 1 << block_of[v]
         if spanned in cliques:
             edges.append(frozenset(combo))
-    return Hypergraph(k + 1, (k + 1) * n, frozenset(edges)), grouping
+    return Hypergraph(k + 1, (k + 1) * n, frozenset(edges)), grouping, maximal
 
 
 def blowup_pullback(fam: SetFamily, original: Hypergraph, grouping) -> SetFamily:
     """Collapse a family realizing blowup(original) back to the original:
     the set of vertex i is the intersection over its block.  Re-verified."""
-    blown, expected = blowup(original)
+    blown, expected, maximal = _blowup(original, None)
     if tuple(tuple(b) for b in grouping) != expected:
         raise PreconditionFailure("grouping does not match the deterministic blowup grouping")
     if fam.n != blown.vertex_count or not realize_check(fam, blown):
         raise PreconditionFailure("family does not realize the blowup")
     sets = tuple(frozenset(_bits(_trace_mask(fam, block, ()))) for block in expected)
     result = SetFamily(fam.universe_size, sets)
-    if not realize_check(result, original):
+    if not _realizes(result, original, maximal):
         raise VerificationFailure("pullback failed to realize the original hypergraph")
     return result
 
@@ -526,7 +541,7 @@ def triangle_free_double(g: Hypergraph, bound: int | None = None) -> TriangleFre
     if g.vertex_count > limit:
         raise BoundExceeded(f"{g.vertex_count} vertices exceed doubling bound {limit}")
     n = g.vertex_count
-    clique_masks = _clique_masks(g)
+    clique_masks = _submasks(_maximal_clique_masks(g))
     total = 2 * n + len(clique_masks)
 
     edges = set()

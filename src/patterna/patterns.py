@@ -143,28 +143,28 @@ def classify(p: Pattern) -> PatternFlags:
     split (X, n∖X) and there is at least one condition.  fully complete:
     complete, C nonempty, and each split lies in exactly one of C, I.
     k_bounded: all inconsistency conditions are positive of one size k.
+    The cost grows with the conditions and their largest index, not with n.
     """
     conds = p.conditions
     disjoint = all(set(c.pos).isdisjoint(c.neg) for c in conds)
-
-    def packed(side):
-        # each (pos_mask, neg_mask) pair as one int: z lies coordinatewise
-        # inside y iff z & y == z
-        return {subset_index(c.pos) | subset_index(c.neg) << p.n for c in side}
-
-    consistent = packed(p.consistency)
-    reasonable = disjoint and not any(
-        z & y == z for z in packed(p.inconsistency) for y in consistent
-    )
+    # (pos, neg) as one int, neg shifted past every positive index: z lies
+    # coordinatewise inside y iff z & y == z, so z == y or z has fewer bits
+    shift = max((c.pos[-1] + 1 for c in conds if c.pos), default=0)
+    by_count: dict[int, set[int]] = {}
+    for c in p.consistency:
+        y = subset_index(c.pos) | subset_index(c.neg) << shift
+        by_count.setdefault(y.bit_count(), set()).add(y)
+    def contained(c):
+        z = subset_index(c.pos) | subset_index(c.neg) << shift
+        size = z.bit_count()
+        return z in by_count.get(size, ()) or any(
+            z & y == z for count, ys in by_count.items() if count > size for y in ys)
+    reasonable = disjoint and not any(map(contained, p.inconsistency))
     positive = all(not c.neg for c in conds)
-    full = list(range(p.n))
-    complete = bool(conds) and all(sorted(c.pos + c.neg) == full for c in conds)
-    fully_complete = (
-        complete
-        and bool(p.consistency)
-        and not set(p.consistency) & set(p.inconsistency)
-        and len(p.consistency) + len(p.inconsistency) == 2**p.n
-    )
+    complete = bool(conds) and disjoint and all(len(c.pos) + len(c.neg) == p.n for c in conds)
+    # splits all have n bits, so for complete patterns C ∩ I = ∅ is reasonableness
+    fully_complete = (complete and bool(p.consistency) and reasonable
+                      and len(p.consistency) + len(p.inconsistency) == 2**p.n)
     k_bounded = None
     k_bounded_at_most = None
     if p.inconsistency and all(not z.neg for z in p.inconsistency):

@@ -104,11 +104,19 @@ def check_exhibits(fam: SetFamily, p: Pattern) -> ExhibitReport:
 
 def realized_types(fam: SetFamily) -> frozenset[frozenset[int]]:
     """The complete types realized by at least one point:
-    { {i : point in sets[i]} : point in universe }."""
-    return frozenset(
-        frozenset(i for i, s in enumerate(fam.sets) if point in s)
-        for point in range(fam.universe_size)
-    )
+    { {i : point in sets[i]} : point in universe }, by partition refinement:
+    the universe split by each set in turn, keeping the nonempty parts."""
+    classes = {(): (1 << fam.universe_size) - 1}  # type -> its points, as a mask
+    for i, mask in enumerate(fam.masks):
+        split = {}
+        for t, points in classes.items():
+            inside = points & mask
+            if inside:
+                split[t + (i,)] = inside
+            if inside != points:
+                split[t] = points ^ inside
+        classes = split
+    return frozenset(map(frozenset, classes))
 
 
 def fully_complete_extension(fam: SetFamily) -> Pattern:

@@ -20,6 +20,7 @@ from patterna import (
     encodes_hypergraph,
     free_amalgam,
     graph,
+    hypergraphs,
     is_k_bounded,
     maximal_cliques,
     pattern_from_hypergraph,
@@ -34,6 +35,7 @@ from patterna.errors import (
     NotAnEmbedding,
     NotReasonablePositive,
     PreconditionFailure,
+    UnsupportedParams,
 )
 from patterna.rand import random_amalgam_problem, random_graph, random_hypergraph
 
@@ -46,6 +48,12 @@ def cond(pos, neg=()):
 
 def fam(universe, *sets):
     return SetFamily(universe, tuple(frozenset(s) for s in sets))
+
+
+@pytest.mark.parametrize("arity, vertex_count", [(2, 3.0), (2.0, 3), (2, True), (2, None)])
+def test_non_integer_sizes_rejected(arity, vertex_count):
+    with pytest.raises(UnsupportedParams):
+        Hypergraph(arity, vertex_count, frozenset())
 
 
 class TestPatternFromHypergraph:
@@ -147,6 +155,13 @@ class TestMaximalCliques:
             for mask in range(1 << len(pairs)):
                 g = graph(n, (pairs[i] for i in range(len(pairs)) if mask >> i & 1))
                 inputs.append(blowup(g)[0])
+        for _ in range(30):
+            h = skewed_hypergraph(rng, rng.choice((2, 3, 4)), rng.randint(5, 10))
+            # the search's ascending-degree order is not the identity here
+            vertices = range(h.vertex_count)
+            degree = [sum(v in e for e in h.edges) for v in vertices]
+            assert sorted(vertices, key=degree.__getitem__) != list(vertices)
+            inputs.append(h)
         for h in inputs:
             cliques = set(clique_masks_by_scan(h))
             expected = sorted(
@@ -159,6 +174,49 @@ class TestMaximalCliques:
                 key=sorted,
             )
             assert maximal_cliques(h) == expected
+
+    def test_blowups_relabel_invariant(self):
+        # every 3-uniform hypergraph on 4 vertices and every 9-edge graph on
+        # 5 vertices, blown up: the cliques found under a random relabelling
+        # map back to the cliques found directly, and each is a clique that
+        # no vertex extends
+        rng = random.Random(59)
+        triples = list(itertools.combinations(range(4), 3))
+        pairs = list(itertools.combinations(range(5), 2))
+        sources = [
+            Hypergraph(3, 4, frozenset(frozenset(t) for i, t in enumerate(triples) if mask >> i & 1))
+            for mask in range(16)
+        ] + [graph(5, (e for e in pairs if e != missing)) for missing in pairs]
+        for source in sources:
+            h = blowup(source)[0]
+            cliques = maximal_cliques(h)
+            perm = rng.sample(range(h.vertex_count), h.vertex_count)
+            moved = Hypergraph(
+                h.arity, h.vertex_count, frozenset(frozenset(perm[v] for v in e) for e in h.edges)
+            )
+            back = {perm[v]: v for v in range(h.vertex_count)}
+            assert sorted((frozenset(back[v] for v in c) for c in maximal_cliques(moved)),
+                          key=sorted) == cliques
+            for clique in cliques:
+                assert all(frozenset(sub) in h.edges
+                           for sub in itertools.combinations(clique, h.arity))
+                for v in set(range(h.vertex_count)) - clique:
+                    assert not all(frozenset((v, *sub)) in h.edges
+                                   for sub in itertools.combinations(clique, h.arity - 1))
+
+
+def skewed_hypergraph(rng, arity, vertices):
+    """A dense core on the lowest vertices plus pendant vertices, each in one
+    edge with the core: the low labels carry the high degrees."""
+    core = rng.randint(arity, vertices - 1)
+    edges = {
+        frozenset(combo)
+        for combo in itertools.combinations(range(core), arity)
+        if rng.random() < 0.9
+    }
+    for v in range(core, vertices):
+        edges.add(frozenset((v, *rng.sample(range(core), arity - 1))))
+    return Hypergraph(arity, vertices, frozenset(edges))
 
 
 class TestBlowup:
@@ -196,6 +254,17 @@ class TestBlowup:
         decision = decide_exhibitable(pattern_from_hypergraph(blown))
         pulled = blowup_pullback(decision.witness, h, grouping)
         assert realize_check(pulled, h)
+
+    def test_pullback_searches_each_hypergraph_once(self, monkeypatch):
+        h = graph(3, [(0, 1), (1, 2)])
+        blown, grouping = blowup(h)
+        witness = realization_witness(blown)
+        searched = []
+        engine = hypergraphs._maximal_clique_masks
+        monkeypatch.setattr(hypergraphs, "_maximal_clique_masks",
+                            lambda g: searched.append(g) or engine(g))
+        assert realize_check(blowup_pullback(witness, h, grouping), h)
+        assert searched == [h, blown, h]  # the last is the realize_check above
 
     def test_pullback_precondition(self):
         h = graph(2, [])

@@ -1,4 +1,8 @@
+import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -94,6 +98,35 @@ class TestClassify:
     def test_empty_pattern_flags(self):
         flags = classify(Pattern(4))
         assert flags.reasonable and flags.positive and not flags.complete
+
+    def test_cost_independent_of_n(self, tmp_path):
+        # in a child process with its address space capped at 1.5 GB, which
+        # anything linear in n = 10**8 would exceed
+        (tmp_path / "p.json").write_text('{"n": 100000000}')
+        script = (
+            "import dataclasses, resource, sys\n"
+            "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, hard))\n"
+            "from patterna import Condition, Pattern, classify, cli\n"
+            "for p in (Pattern(10**8), Pattern(10**8, (Condition((0, 1), ()),), (Condition((1,), ()),))):\n"
+            "    print(dataclasses.astuple(classify(p)))\n"
+            "sys.exit(cli.run(['classify', sys.argv[1]]))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "p.json")],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        assert lines[:2] == [
+            "(True, True, False, False, None, None)",
+            "(False, True, False, False, 1, 1)",
+        ]
+        assert json.loads("\n".join(lines[2:])) == {
+            "complete": False, "fully_complete": False, "k_bounded": None,
+            "k_bounded_at_most": None, "positive": True, "reasonable": True,
+        }
 
     def test_k_bounded(self):
         p = Pattern(4, (), (cond([0, 1]), cond([2, 3])))

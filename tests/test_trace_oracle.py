@@ -24,8 +24,10 @@ from patterna import (
     classify,
     condition_trace,
     encodes_hypergraph,
+    fully_complete_extension,
     realization_witness,
     realize_check,
+    realized_types,
     union_representable,
 )
 
@@ -243,13 +245,21 @@ def test_characterization_property():
 
 def test_classify_reasonable_matches_set_recomputation():
     rng = random.Random(4106)
-    outcomes = set()
+    patterns = []
     for _ in range(300):
         n = rng.randint(1, 7)
         overlap = rng.random() < 0.2
         consistency = [random_condition(rng, n, overlap) for _ in range(rng.randint(0, 10))]
         inconsistency = [random_condition(rng, n, overlap) for _ in range(rng.randint(0, 10))]
-        p = Pattern(n, tuple(consistency), tuple(inconsistency))
+        patterns.append(Pattern(n, tuple(consistency), tuple(inconsistency)))
+    # fully complete extensions, where every condition has the same size,
+    # and copies with one consistent split made inconsistent too (z == y)
+    for _ in range(40):
+        ext = fully_complete_extension(random_family(rng, rng.randint(1, 6), 80))
+        split = rng.choice(ext.consistency)
+        patterns += [ext, Pattern(ext.n, ext.consistency, ext.inconsistency + (split,))]
+    outcomes = set()
+    for p in patterns:
         disjoint = all(not set(c.pos) & set(c.neg) for c in p.conditions)
         contained = any(
             set(z.pos) <= set(y.pos) and set(z.neg) <= set(y.neg)
@@ -257,6 +267,28 @@ def test_classify_reasonable_matches_set_recomputation():
             for y in p.consistency
         )
         expected = disjoint and not contained
-        assert classify(p).reasonable == expected, p
-        outcomes.add(expected)
-    assert outcomes == {True, False}
+        complete = bool(p.conditions) and all(
+            sorted(c.pos + c.neg) == list(range(p.n)) for c in p.conditions
+        )
+        fully_complete = (
+            complete
+            and bool(p.consistency)
+            and not set(p.consistency) & set(p.inconsistency)
+            and len(p.consistency) + len(p.inconsistency) == 2**p.n
+        )
+        flags = classify(p)
+        assert (flags.reasonable, flags.complete, flags.fully_complete) == (
+            expected, complete, fully_complete
+        ), p
+        outcomes.add((expected, fully_complete))
+    assert outcomes == {(True, True), (True, False), (False, False)}
+
+
+def test_realized_types_match_point_scan():
+    rng = random.Random(4107)
+    for _ in range(60):
+        fam = random_family(rng, rng.randint(0, 8))
+        assert realized_types(fam) == {
+            frozenset(i for i, s in enumerate(fam.sets) if point in s)
+            for point in range(fam.universe_size)
+        }
