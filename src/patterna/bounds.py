@@ -18,6 +18,7 @@ MEMBERSHIP_N = 8
 TREE_NODES = 4096
 DOUBLING_VERTICES = 10
 GRAPH_SWEEP_VERTICES = 6  # sweeps over all 2**C(v, 2) graphs on v vertices
+PATTERN_INDICES_LOG2 = 20  # a generated pattern's conditions hold <= 2**this indices in all
 
 
 def enumeration_bound(default: int) -> int:

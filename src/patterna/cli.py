@@ -127,14 +127,13 @@ def _cmd_dimacs(args, stdout, stderr) -> int:
         formula = condition_cnf(pattern)
         label = "sentinel"
     else:
-        try:
-            target = pattern.consistency[args.condition]
-        except IndexError:
+        if not 0 <= args.condition < len(pattern.consistency):
             stderr.write(
                 f"condition index {args.condition} out of range "
                 f"(pattern has {len(pattern.consistency)} consistency conditions)\n"
             )
             return 2
+        target = pattern.consistency[args.condition]
         cond = [list(target.pos), list(target.neg)]
         formula = condition_cnf(pattern, target)
         label = str(args.condition)

@@ -28,7 +28,7 @@ from .errors import (
     UnsupportedParams,
     VerificationFailure,
 )
-from .patterns import Condition, Pattern, _bits, classify
+from .patterns import Condition, Pattern, _bits, classify, subset_index
 from .semantics import SetFamily, _trace_mask, check_exhibits, encodes_hypergraph
 
 
@@ -218,13 +218,26 @@ def _blowup(h: Hypergraph, bound: int | None):
     return Hypergraph(k + 1, (k + 1) * n, frozenset(edges)), grouping, maximal
 
 
+def _blowup_cliques(h: Hypergraph, grouping, maximal) -> list[int]:
+    """The maximal cliques of blowup(h) as vertex masks: the block unions of
+    h's maximal cliques, and the k-sets (cliques vacuously) taking one
+    vertex from each block of a non-edge of h, which no vertex extends."""
+    blocks = [subset_index(block) for block in grouping]
+    out = [sum(blocks[i] for i in _bits(m)) for m in maximal]
+    for combo in itertools.combinations(range(h.vertex_count), h.arity):
+        if frozenset(combo) not in h.edges:
+            out.extend(map(subset_index, itertools.product(*(grouping[i] for i in combo))))
+    return out
+
+
 def blowup_pullback(fam: SetFamily, original: Hypergraph, grouping) -> SetFamily:
     """Collapse a family realizing blowup(original) back to the original:
     the set of vertex i is the intersection over its block.  Re-verified."""
     blown, expected, maximal = _blowup(original, None)
     if tuple(tuple(b) for b in grouping) != expected:
         raise PreconditionFailure("grouping does not match the deterministic blowup grouping")
-    if fam.n != blown.vertex_count or not realize_check(fam, blown):
+    cliques = _blowup_cliques(original, expected, maximal)
+    if fam.n != blown.vertex_count or not _realizes(fam, blown, cliques):
         raise PreconditionFailure("family does not realize the blowup")
     sets = tuple(frozenset(_bits(_trace_mask(fam, block, ()))) for block in expected)
     result = SetFamily(fam.universe_size, sets)

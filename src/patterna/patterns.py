@@ -12,11 +12,13 @@ patterns, the CNF-to-pattern reduction, and the positive doubling transform.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
 
-from .bounds import SUBSET_PATTERN_N, TREE_NODES, enumeration_bound
+from .bounds import PATTERN_INDICES_LOG2, SUBSET_PATTERN_N, TREE_NODES, enumeration_bound
 from .errors import (
+    BoundExceeded,
     DuplicateCondition,
     EmptyCondition,
     IndexOutOfRange,
@@ -91,6 +93,14 @@ class Pattern:
     @property
     def conditions(self) -> tuple[Condition, ...]:
         return self.consistency + self.inconsistency
+
+
+def _canonical(cls, *values):
+    """A Condition or Pattern from field values that are already canonical
+    (sorted, duplicate-free, in range), built without re-checking them."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(zip(cls.__dataclass_fields__, values))
+    return obj
 
 
 def validate_pattern(data, *, strict: bool = True) -> Pattern:
@@ -189,25 +199,27 @@ def is_k_bounded(p: Pattern, k: int) -> bool:
 
 
 def complete_conditions(n: int) -> list[Condition]:
-    """Every complete split (X, n∖X) of [0, n), by size of X and then
-    lexicographically.  For n = 0 this is the single, illegal (∅, ∅)."""
-    everything = frozenset(range(n))
-    return [
-        Condition(pos, everything - set(pos))
-        for size in range(n + 1)
-        for pos in itertools.combinations(range(n), size)
-    ]
+    """Every complete split (X, n∖X) of [0, n), in the canonical (pos, neg)
+    order.  For n = 0 this is the single, illegal (∅, ∅)."""
+    splits = [((), ())]
+    for i in reversed(range(n)):
+        # the splits of [i, n): ((), [i, n)), then those with i in pos, then the rest
+        without = [(pos, (i,) + neg) for pos, neg in splits]
+        splits = without[:1] + [((i,) + pos, neg) for pos, neg in splits] + without[1:]
+    return [_canonical(Condition, pos, neg) for pos, neg in splits]
 
 
 def op_pattern(n: int) -> Pattern:
     """Order property: C = {({i..n-1}, {0..i-1}) : i < n}, I = ∅."""
     _require(n >= 0, "n must be nonnegative")
+    _require_output(n * n)
     return Pattern(n, tuple(Condition(range(i, n), range(0, i)) for i in range(n)))
 
 
 def ip_pattern(n: int) -> Pattern:
     """Independence property: every complete split (X, n∖X) is consistent."""
     _require(n >= 0, "n must be nonnegative")
+    _require_output(n << n)
     if n == 0:
         return Pattern(0)  # the only split would be (∅, ∅), which is illegal
     return Pattern(n, tuple(complete_conditions(n)))
@@ -221,6 +233,7 @@ def cm_pattern(n: int) -> Pattern:
 def sop_pattern(n: int) -> Pattern:
     """Strict order property: C = {({i+1},{i})}, I = {({i},{i+1})} for i < n-1."""
     _require(n >= 0, "n must be nonnegative")
+    _require_output(4 * max(n - 1, 0))
     return Pattern(
         n,
         tuple(Condition((i + 1,), (i,)) for i in range(n - 1)),
@@ -259,6 +272,8 @@ def ktp_pattern(branching: int, depth: int, k: int) -> Pattern:
     _require(2 <= k, "k must be at least 2")
     _require(k <= branching, "k must not exceed the branching (no k-subsets of a level)")
     nodes, index = _tree_nodes(branching, depth)
+    leaves = branching**depth
+    _require_output(leaves * (depth + 1) + (len(nodes) - leaves) * math.comb(branching, k) * k)
     consistency = [Condition(path, ()) for path in _tree_paths(branching, depth, index)]
     inconsistency = []
     for node in nodes:
@@ -273,6 +288,9 @@ def ktp_pattern(branching: int, depth: int, k: int) -> Pattern:
 def tp1_pattern(branching: int, depth: int) -> Pattern:
     """Tree property of the first kind: paths consistent, incomparable pairs inconsistent."""
     nodes, index = _tree_nodes(branching, depth)
+    # a node of length l is comparable with its l proper prefixes
+    incomparable = math.comb(len(nodes), 2) - sum(map(len, nodes))
+    _require_output(branching**depth * (depth + 1) + 2 * incomparable)
     consistency = [Condition(path, ()) for path in _tree_paths(branching, depth, index)]
     inconsistency = []
     for a, b in itertools.combinations(nodes, 2):
@@ -293,6 +311,7 @@ def ktp2_pattern(branching: int, depth: int, k: int) -> Pattern:
     _require(branching >= 1 and depth >= 0, "array dimensions must be nonnegative")
     if branching**depth > enumeration_bound(TREE_NODES):
         raise UnsupportedParams(f"{branching}**{depth} choice functions exceed the bound")
+    _require_output(branching**depth * depth + depth * math.comb(branching, k) * k)
     consistency = [
         Condition(tuple(i * branching + f[i] for i in range(depth)), ())
         for f in itertools.product(range(branching), repeat=depth)
@@ -331,6 +350,7 @@ def cooper_pattern(n: int) -> Pattern:
     if n > enumeration_bound(SUBSET_PATTERN_N):
         raise UnsupportedParams(f"2**(2**{n}) conditions exceed the bound")
     count = 1 << n
+    _require_output(count << count)
     up_masks = set()
     for i in range(n):
         mask = 0
@@ -355,6 +375,7 @@ def pmchar_pattern(n: int) -> Pattern:
     if n > enumeration_bound(SUBSET_PATTERN_N):
         raise UnsupportedParams(f"2**(2**{n}) conditions exceed the bound")
     count = 1 << n
+    _require_output(count << (count - 1))  # each index lies in half of the subsets
     full = (1 << n) - 1
     consistency, inconsistency = [], []
     for mask in range(1, 1 << count):
@@ -404,6 +425,13 @@ def _need(value, name):
 def _require(ok: bool, message: str):
     if not ok:
         raise UnsupportedParams(message)
+
+
+def _require_output(indices: int):
+    """Refuse a pattern holding more than 2**PATTERN_INDICES_LOG2 indices in all."""
+    limit = enumeration_bound(PATTERN_INDICES_LOG2)
+    if indices > 2**limit:
+        raise BoundExceeded(f"{indices} indices in all exceed the pattern output bound 2**{limit}")
 
 
 # ---------------------------------------------------------------------------

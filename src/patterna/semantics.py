@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .errors import ArityMismatch, IndexOutOfRange, MalformedUnionMap
-from .patterns import Condition, Pattern, _bits, complete_conditions, subset_index
+from .patterns import Condition, Pattern, _bits, _canonical, complete_conditions, subset_index
 
 
 @dataclass(frozen=True)
@@ -102,11 +102,11 @@ def check_exhibits(fam: SetFamily, p: Pattern) -> ExhibitReport:
     return ExhibitReport(not bad_c and not bad_i, bad_c, bad_i)
 
 
-def realized_types(fam: SetFamily) -> frozenset[frozenset[int]]:
-    """The complete types realized by at least one point:
-    { {i : point in sets[i]} : point in universe }, by partition refinement:
-    the universe split by each set in turn, keeping the nonempty parts."""
-    classes = {(): (1 << fam.universe_size) - 1}  # type -> its points, as a mask
+def _type_classes(fam: SetFamily) -> dict[tuple[int, ...], int]:
+    """Each realized complete type, as a sorted tuple, mapped to its points
+    as a mask, by partition refinement: the universe split by each set in
+    turn, keeping the nonempty parts."""
+    classes = {(): (1 << fam.universe_size) - 1}
     for i, mask in enumerate(fam.masks):
         split = {}
         for t, points in classes.items():
@@ -116,7 +116,12 @@ def realized_types(fam: SetFamily) -> frozenset[frozenset[int]]:
             if inside != points:
                 split[t] = points ^ inside
         classes = split
-    return frozenset(map(frozenset, classes))
+    return classes
+
+
+def realized_types(fam: SetFamily) -> frozenset[frozenset[int]]:
+    """The complete types { {i : point in sets[i]} : point in universe }."""
+    return frozenset(map(frozenset, _type_classes(fam)))
 
 
 def fully_complete_extension(fam: SetFamily) -> Pattern:
@@ -125,16 +130,16 @@ def fully_complete_extension(fam: SetFamily) -> Pattern:
 
     Any family exhibiting the extension exhibits every pattern fam exhibits.
     For n = 0 the only split is the illegal (∅, ∅), so the empty pattern is
-    returned.
+    returned.  The splits come in canonical order, so they are kept as built.
     """
     n = fam.n
     if n == 0:
         return Pattern(0)
-    realized = realized_types(fam)
+    realized = _type_classes(fam)
     consistency, inconsistency = [], []
     for cond in complete_conditions(n):
-        (consistency if frozenset(cond.pos) in realized else inconsistency).append(cond)
-    return Pattern(n, tuple(consistency), tuple(inconsistency))
+        (consistency if cond.pos in realized else inconsistency).append(cond)
+    return _canonical(Pattern, n, tuple(consistency), tuple(inconsistency))
 
 
 @dataclass(frozen=True)
@@ -211,12 +216,22 @@ def check_one_n(ufam: UnionClosedFamily, n: int) -> bool:
 
 
 def encodes_hypergraph(fam: SetFamily, hg) -> bool:
-    """True iff for every arity-sized vertex subset S:
-    the sets of S intersect <=> S is a hyperedge."""
+    """True iff for every arity-sized vertex subset S: the sets of S
+    intersect <=> S is a hyperedge.  S grows from its prefix's meet, so an
+    empty meet prunes every extension; as many S as edges may meet."""
     if fam.n != hg.vertex_count:
         raise ArityMismatch(f"family has {fam.n} sets, hypergraph has {hg.vertex_count} vertices")
-    edges = {tuple(sorted(edge)) for edge in hg.edges}
-    return all(
-        bool(_trace_mask(fam, combo, ())) == (combo in edges)
-        for combo in itertools.combinations(range(hg.vertex_count), hg.arity)
-    )
+    masks, n = fam.masks, hg.vertex_count
+    edges = set(map(subset_index, hg.edges))
+    prefixes = [((1 << fam.universe_size) - 1, 0, 0)]  # (meet, vertex mask, next vertex)
+    for _ in range(hg.arity - 1):
+        prefixes = [(meet & masks[v], members | 1 << v, v + 1)
+                    for meet, members, start in prefixes for v in range(start, n) if meet & masks[v]]
+    meeting = 0
+    for meet, members, start in prefixes:
+        for v in range(start, n):
+            if meet & masks[v]:
+                if members | 1 << v not in edges:
+                    return False
+                meeting += 1
+    return meeting == len(edges)

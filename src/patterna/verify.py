@@ -30,12 +30,14 @@ from .hypergraphs import (
     build_witness_structure,
     check_axioms,
     free_amalgam,
+    graph,
+    pattern_from_hypergraph,
     realization_witness,
     realize_check,
     triangle_free_double,
     witness_trace_family,
 )
-from .errors import BoundExceeded, UnsupportedParams
+from .errors import BoundExceeded, UnsupportedParams, VerificationFailure
 from .patterns import (
     Condition,
     Pattern,
@@ -43,6 +45,7 @@ from .patterns import (
     complete_conditions,
     cooper_pattern,
     double_positive,
+    is_k_bounded,
 )
 from .rand import (
     random_amalgam_problem,
@@ -88,6 +91,13 @@ class Report:
         }
 
 
+def _require_sizes(**sizes):
+    """Reject a size below the least that makes sense: name=(value, least)."""
+    for name, (value, least) in sizes.items():
+        if value < least:
+            raise UnsupportedParams(f"{name} must be at least {least}, got {value}")
+
+
 def fully_complete_patterns(n: int):
     """All 2**(2**n) - 1 fully complete n-patterns (every nonempty choice of
     the consistent side)."""
@@ -102,6 +112,7 @@ def fully_complete_patterns(n: int):
 
 
 def verify_powerset_sm(n: int = 2) -> Report:
+    _require_sizes(n=(n, 1))
     report = Report("powerset-sm")
     total = good = 0
     for p in fully_complete_patterns(n):
@@ -118,50 +129,51 @@ def verify_powerset_sm(n: int = 2) -> Report:
     return report
 
 
-def verify_atomless_pm(n: int = 4, samples: int = 50, seed: int = 0) -> Report:
-    report = Report("atomless-pm")
+def _sampled(construction: str, name: str, samples: int, seed: int, trial, what: str) -> Report:
+    """One check: how many of `samples` seeded trials pass, trial(rng) -> bool."""
+    _require_sizes(samples=(samples, 1))
     rng = random.Random(seed)
-    good = 0
-    for _ in range(samples):
+    good = sum(bool(trial(rng)) for _ in range(samples))
+    report = Report(construction)
+    report.add(name, good == samples, f"{good}/{samples} {what}")
+    return report
+
+
+def verify_atomless_pm(n: int = 4, samples: int = 50, seed: int = 0) -> Report:
+    _require_sizes(n=(n, 0))
+
+    def trial(rng):
         p = random_reasonable_positive(rng, rng.randint(0, n), 4, 4)
         decision = decide_exhibitable(p)
         witness = atomless_pm_witness(p)
-        if decision.exhibitable and check_exhibits(witness, p).ok:
-            good += 1
-    report.add(
-        "positive-exhibition", good == samples, f"{good}/{samples} witnesses verified"
-    )
-    return report
+        return decision.exhibitable and check_exhibits(witness, p).ok
+
+    return _sampled("atomless-pm", "positive-exhibition", samples, seed, trial, "witnesses verified")
 
 
 def verify_pm_char(n: int = 4, samples: int = 30, seed: int = 0) -> Report:
-    report = Report("pm-char")
-    rng = random.Random(seed)
-    good = 0
-    for _ in range(samples):
+    _require_sizes(n=(n, 0))
+
+    def trial(rng):
         p = random_reasonable_positive(rng, rng.randint(0, n), 4, 4)
         fam = pm_char_reduction(canonical_char_family(len(p.consistency)), p)
-        if check_exhibits(fam, p).ok:
-            good += 1
-    report.add(
-        "characterization-reduction", good == samples, f"{good}/{samples} reductions verified"
-    )
-    return report
+        return check_exhibits(fam, p).ok
+
+    return _sampled("pm-char", "characterization-reduction", samples, seed, trial,
+                    "reductions verified")
 
 
 def verify_cm_doubling(n: int = 4, samples: int = 50, seed: int = 0) -> Report:
-    report = Report("cm-doubling")
-    rng = random.Random(seed)
-    good = 0
-    for _ in range(samples):
+    _require_sizes(n=(n, 0))
+
+    def trial(rng):
         p = random_consistency_pattern(rng, rng.randint(0, n), 4)
-        doubled = double_positive(p)
-        decision = decide_exhibitable(doubled)
+        decision = decide_exhibitable(double_positive(p))
         truncated = cm_from_doubled_witness(decision.witness, p)
-        if decision.exhibitable and check_exhibits(truncated, p).ok:
-            good += 1
-    report.add("doubling-truncation", good == samples, f"{good}/{samples} truncations verified")
-    return report
+        return decision.exhibitable and check_exhibits(truncated, p).ok
+
+    return _sampled("cm-doubling", "doubling-truncation", samples, seed, trial,
+                    "truncations verified")
 
 
 def all_disjoint_conditions(n: int) -> list[Condition]:
@@ -176,37 +188,27 @@ def all_disjoint_conditions(n: int) -> list[Condition]:
 
 
 def verify_ip_family(n: int = 2, exhaustive: bool = True, samples: int = 100, seed: int = 0) -> Report:
-    report = Report("ip-family")
     fam = ip_family(n)
-    if exhaustive:
-        conditions = all_disjoint_conditions(n)
-        if len(conditions) > 16:
-            raise UnsupportedParams(
-                f"exhaustive sweep over 2**{len(conditions)} patterns; use samples for n > 2"
-            )
-        good = total = 0
-        for mask in range(1 << len(conditions)):
-            total += 1
-            p = Pattern(n, tuple(c for i, c in enumerate(conditions) if mask >> i & 1), ())
-            if check_exhibits(fam, p).ok:
-                good += 1
-        report.add(
-            "exhibits-all-consistency-patterns",
-            good == total,
-            f"{good}/{total} consistency {n}-patterns exhibited",
+    if not exhaustive:
+        return _sampled("ip-family", "exhibits-random-consistency-patterns", samples, seed,
+                        lambda rng: check_exhibits(fam, random_consistency_pattern(rng, n, 6)).ok,
+                        f"random consistency {n}-patterns exhibited")
+    conditions = all_disjoint_conditions(n)
+    if len(conditions) > 16:
+        raise UnsupportedParams(
+            f"exhaustive sweep over 2**{len(conditions)} patterns; use samples for n > 2"
         )
-    else:
-        rng = random.Random(seed)
-        good = 0
-        for _ in range(samples):
-            p = random_consistency_pattern(rng, n, 6)
-            if check_exhibits(fam, p).ok:
-                good += 1
-        report.add(
-            "exhibits-random-consistency-patterns",
-            good == samples,
-            f"{good}/{samples} random consistency {n}-patterns exhibited",
-        )
+    total = 1 << len(conditions)
+    good = sum(
+        check_exhibits(fam, Pattern(n, tuple(c for i, c in enumerate(conditions) if mask >> i & 1), ())).ok
+        for mask in range(total)
+    )
+    report = Report("ip-family")
+    report.add(
+        "exhibits-all-consistency-patterns",
+        good == total,
+        f"{good}/{total} consistency {n}-patterns exhibited",
+    )
     return report
 
 
@@ -229,31 +231,29 @@ def verify_membership(n: int = 3) -> Report:
 
 
 def verify_blowup_roundtrip(k: int = 2, vertices: int = 4, samples: int = 20, seed: int = 0) -> Report:
-    report = Report("blowup-roundtrip")
-    rng = random.Random(seed)
-    good = 0
-    for _ in range(samples):
+    _require_sizes(k=(k, 2), vertices=(vertices, 0))
+
+    def trial(rng):
         h = random_hypergraph(rng, k, rng.randint(0, vertices), rng.choice((0.3, 0.5, 0.7)))
         blown, grouping = blowup(h)
-        witness = realization_witness(blown)
-        pulled = blowup_pullback(witness, h, grouping)
-        if realize_check(pulled, h):
-            good += 1
-    report.add("pullback-realizes-original", good == samples, f"{good}/{samples} round trips")
-    return report
+        return realize_check(blowup_pullback(realization_witness(blown), h, grouping), h)
+
+    return _sampled("blowup-roundtrip", "pullback-realizes-original", samples, seed, trial,
+                    "round trips")
 
 
 def verify_triangle_free(vertices: int = 4) -> Report:
     limit = enumeration_bound(GRAPH_SWEEP_VERTICES)
     if vertices > limit:
         raise BoundExceeded(f"{vertices} vertices exceed the all-graphs sweep bound {limit}")
+    _require_sizes(vertices=(vertices, 0))
     report = Report("triangle-free")
     good = total = 0
     for n in range(vertices + 1):
         pairs = list(itertools.combinations(range(n), 2))
         for mask in range(1 << len(pairs)):
             total += 1
-            g = _graph_from_mask(n, pairs, mask)
+            g = graph(n, (pairs[i] for i in range(len(pairs)) if mask >> i & 1))
             result = triangle_free_double(g)  # raises TriangleFound on any triangle
             if realize_check(result.family, g):
                 good += 1
@@ -265,23 +265,12 @@ def verify_triangle_free(vertices: int = 4) -> Report:
     return report
 
 
-def _graph_from_mask(n, pairs, mask):
-    from .hypergraphs import graph
-
-    return graph(n, (pairs[i] for i in range(len(pairs)) if mask >> i & 1))
-
-
 def verify_free_amalgam(samples: int = 25, seed: int = 0) -> Report:
-    report = Report("free-amalgam")
-    rng = random.Random(seed)
-    good = 0
-    for _ in range(samples):
-        a, b0, b1, e0, e1 = random_amalgam_problem(rng)
-        result = free_amalgam(a, b0, b1, e0, e1)  # raises on axiom/commuting failure
-        if check_axioms(result.structure).ok:
-            good += 1
-    report.add("amalgams-satisfy-axioms", good == samples, f"{good}/{samples} problems")
-    return report
+    def trial(rng):
+        result = free_amalgam(*random_amalgam_problem(rng))  # raises on axiom/commuting failure
+        return check_axioms(result.structure).ok
+
+    return _sampled("free-amalgam", "amalgams-satisfy-axioms", samples, seed, trial, "problems")
 
 
 def verify_cooper_claim(n: int = 2) -> Report:
@@ -307,30 +296,25 @@ def verify_cooper_claim(n: int = 2) -> Report:
 
 def verify_hypergraph_dictionary(vertices: int = 4, arity: int = 2, samples: int = 30, seed: int = 0) -> Report:
     """Extra entry point: random hypergraphs through the whole dictionary."""
-    report = Report("hypergraph-dictionary")
-    rng = random.Random(seed)
-    good = 0
-    for _ in range(samples):
+    _require_sizes(vertices=(vertices, 0), arity=(arity, 2))
+
+    def trial(rng):
         h = random_hypergraph(rng, arity, rng.randint(0, vertices), rng.choice((0.3, 0.5, 0.7)))
         p = pattern_from_hypergraph_checked(h)
         decision = decide_exhibitable(p)
         structure = build_witness_structure(h)
-        ok = (
+        return (
             decision.exhibitable
             and realize_check(decision.witness, h)
             and check_axioms(structure).ok
             and realize_check(witness_trace_family(structure), h)
         )
-        good += bool(ok)
-    report.add("dictionary-roundtrip", good == samples, f"{good}/{samples} hypergraphs")
-    return report
+
+    return _sampled("hypergraph-dictionary", "dictionary-roundtrip", samples, seed, trial,
+                    "hypergraphs")
 
 
 def pattern_from_hypergraph_checked(h):
-    from .errors import VerificationFailure
-    from .hypergraphs import pattern_from_hypergraph
-    from .patterns import is_k_bounded
-
     p = pattern_from_hypergraph(h)
     flags = classify(p)
     if not (flags.reasonable and flags.positive and is_k_bounded(p, h.arity)):

@@ -3,10 +3,13 @@ import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from patterna import CnfFormula, Condition, Literal, Pattern, check_exhibits, jsonio
 from patterna.bounds import ENV_VAR
 from patterna.cli import run
+from patterna.patterns import GEN_KINDS
+from patterna.verify import VERIFIERS
 from patterna.errors import ParseError
 from patterna.patterns import pattern_from_cnf
 
@@ -117,6 +120,12 @@ class TestGenerateCommand:
         code, _, err = invoke(["generate", "op"])
         assert code == 2 and "error:" in err
 
+    def test_output_bound(self, monkeypatch):
+        monkeypatch.delenv(ENV_VAR, raising=False)
+        for argv in (["ip", "--n", "24"], ["tp1", "--b", "2", "--d", "11"], ["op", "--n", "200000"]):
+            code, out, err = invoke(["generate", *argv])
+            assert code == 2 and not out and "exceed the pattern output bound" in err, argv
+
 
 class TestClassifyCommand:
     def test_flags(self, corpus):
@@ -140,6 +149,13 @@ class TestDimacsCommand:
     def test_out_of_range_index(self, corpus):
         code, _, _ = invoke(["dimacs", corpus["union_split"], "--condition", "9"])
         assert code == 2
+
+    def test_negative_index_rejected(self, corpus):
+        # Python indexing would take -1 as the last condition
+        for index in ("-1", "-2", "-3"):
+            code, out, err = invoke(["dimacs", corpus["union_split"], "--condition", index])
+            assert code == 2 and not out
+            assert err == f"condition index {index} out of range (pattern has 2 consistency conditions)\n"
 
     def test_round_trip(self, corpus):
         from patterna.sat import import_dimacs
@@ -226,6 +242,31 @@ class TestVerifyCommand:
         ):
             code, out, err = invoke(argv)
             assert code == 2 and not out and "exceed" in err, argv
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["powerset-sm", "--n", "-2"], "n"),
+    (["powerset-sm", "--n", "0"], "n"),
+    (["triangle-free", "--vertices", "-1"], "vertices"),
+    (["hypergraph-dictionary", "--samples", "0"], "samples"),
+    (["blowup-roundtrip", "--samples", "-1"], "samples"),
+    (["atomless-pm", "--samples", "-3"], "samples"),
+    (["cm-doubling", "--n", "-1"], "n"),
+    (["pm-char", "--n", "-1"], "n"),
+    (["hypergraph-dictionary", "--vertices", "-1"], "vertices"),
+    (["blowup-roundtrip", "--k", "-1"], "k"),
+    (["free-amalgam", "--samples", "0"], "samples"),
+    (["ip-family", "--samples", "0"], None),
+])
+def test_verify_rejects_senseless_sizes(argv, name):
+    # a vacuous 0/0 PASS, a FAIL on 0/-1 or a raw Python message before;
+    # ip-family sweeps exhaustively by default and ignores --samples
+    code, out, err = invoke(["verify", *argv])
+    if name is None:
+        assert code == 0 and json.loads(out)["ok"]
+    else:
+        assert code == 2 and not out
+        assert err.startswith(f"error: {name} must be at least "), err
 
 
 def write_doc(tmp_path, doc):
@@ -344,3 +385,65 @@ class TestDeterminism:
         for argv in commands:
             outputs = {invoke(argv)[1] for _ in range(3)}
             assert len(outputs) == 1, argv
+
+
+# -- contract fuzzing -------------------------------------------------------
+
+SMALL = st.integers(-2, 4)
+INDEX_LIST = st.lists(SMALL, max_size=3)
+LEAF = st.one_of(st.none(), st.booleans(), SMALL, st.floats(-2, 4), st.text("ab0", max_size=2))
+KEYS = st.sampled_from([
+    "n", "consistency", "inconsistency", "k", "vertices", "edges", "universe", "sets",
+    "witness_points", "parameter_points", "r", "hyperedges", "flavor", "e0", "e1",
+    "witness", "parameter",
+])
+DOCUMENT = st.one_of(
+    st.recursive(LEAF, lambda kids: st.lists(kids, max_size=3) | st.dictionaries(KEYS, kids, max_size=4),
+                 max_leaves=8),
+    st.fixed_dictionaries({
+        "n": SMALL,
+        "consistency": st.lists(st.lists(INDEX_LIST, min_size=2, max_size=2), max_size=4),
+        "inconsistency": st.lists(st.lists(INDEX_LIST, min_size=2, max_size=2), max_size=4),
+    }),
+    st.fixed_dictionaries({"k": SMALL, "vertices": SMALL, "edges": st.lists(INDEX_LIST, max_size=4)}),
+    st.fixed_dictionaries({
+        "witness_points": st.lists(st.text("w0", max_size=2), max_size=2),
+        "parameter_points": st.lists(st.text("p0", max_size=2), max_size=3),
+        "r": st.lists(st.lists(SMALL, min_size=2, max_size=2), max_size=3),
+        "hyperedges": st.lists(INDEX_LIST, max_size=2),
+    }),
+)
+#: Positional words and the flags that take a small integer, by subcommand.
+#: The integers stay small so every run is quick; the bounds themselves are
+#: tested on their own.
+FUZZ = {
+    "classify": ([], [], 1),
+    "decide": ([], ["--witness", "--oracle"], 1),
+    "dimacs": ([], ["--condition"], 1),
+    "hypergraph": (["pattern", "blowup", "double", "witness-structure"], [], 1),
+    "generate": (sorted(GEN_KINDS), ["--n", "--b", "--d", "--k"], 0),
+    "verify": (sorted(VERIFIERS), ["--n", "--k", "--vertices", "--samples", "--seed", "--arity",
+                                   "--exhaustive"], 0),
+    "amalgam": ([], [], 4),
+}
+SWITCHES = {"--witness", "--oracle", "--exhaustive"}
+
+
+@pytest.mark.parametrize("command", sorted(FUZZ))
+@settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_contract_on_arbitrary_input(tmp_path, command, data):
+    # exit 0, 1 or 2; stdout empty or exactly one JSON document; no traceback
+    words, flags, files = FUZZ[command]
+    argv = [command] + ([data.draw(st.sampled_from(words))] if words else [])
+    for i in range(files):
+        path = tmp_path / f"{i}.json"
+        path.write_text(json.dumps(data.draw(DOCUMENT)))
+        argv.append(str(path))
+    for flag in data.draw(st.lists(st.sampled_from(flags), unique=True, max_size=3)) if flags else []:
+        argv += [flag] if flag in SWITCHES else [flag, str(data.draw(st.integers(-2, 3)))]
+    code, out, err = invoke(argv)
+    assert code in (0, 1, 2), (argv, err)
+    if out:
+        json.loads(out)  # one document: a second would be "Extra data"
+    assert "Traceback" not in err, (argv, err)

@@ -181,13 +181,7 @@ class TestMaximalCliques:
         # map back to the cliques found directly, and each is a clique that
         # no vertex extends
         rng = random.Random(59)
-        triples = list(itertools.combinations(range(4), 3))
-        pairs = list(itertools.combinations(range(5), 2))
-        sources = [
-            Hypergraph(3, 4, frozenset(frozenset(t) for i, t in enumerate(triples) if mask >> i & 1))
-            for mask in range(16)
-        ] + [graph(5, (e for e in pairs if e != missing)) for missing in pairs]
-        for source in sources:
+        for source in fixed_blowup_sources():
             h = blowup(source)[0]
             cliques = maximal_cliques(h)
             perm = rng.sample(range(h.vertex_count), h.vertex_count)
@@ -203,6 +197,25 @@ class TestMaximalCliques:
                 for v in set(range(h.vertex_count)) - clique:
                     assert not all(frozenset((v, *sub)) in h.edges
                                    for sub in itertools.combinations(clique, h.arity - 1))
+
+
+def fixed_blowup_sources():
+    """The construct benchmark's fixed blowup sources: every 3-uniform
+    hypergraph on 4 vertices and every 9-edge graph on 5 vertices."""
+    triples = list(itertools.combinations(range(4), 3))
+    pairs = list(itertools.combinations(range(5), 2))
+    return [
+        Hypergraph(3, 4, frozenset(frozenset(t) for i, t in enumerate(triples) if mask >> i & 1))
+        for mask in range(16)
+    ] + [graph(5, (e for e in pairs if e != missing)) for missing in pairs]
+
+
+def maximal_masks_by_scan(h):
+    """The maximal cliques as ascending masks: the scanned cliques that no
+    single vertex extends."""
+    cliques = set(clique_masks_by_scan(h))
+    return sorted(m for m in cliques if not any(m | 1 << v in cliques and not m >> v & 1
+                                                for v in range(h.vertex_count)))
 
 
 def skewed_hypergraph(rng, arity, vertices):
@@ -264,7 +277,29 @@ class TestBlowup:
         monkeypatch.setattr(hypergraphs, "_maximal_clique_masks",
                             lambda g: searched.append(g) or engine(g))
         assert realize_check(blowup_pullback(witness, h, grouping), h)
-        assert searched == [h, blown, h]  # the last is the realize_check above
+        # the blowup's cliques are derived from h's; the last is the realize_check above
+        assert searched == [h, h]
+
+    def test_derived_cliques_are_the_blowups_maximal_cliques(self):
+        # the block unions of h's maximal cliques plus the transversals of
+        # its non-edges: against the subset scan where the blowup has at most
+        # 12 vertices, and against the clique search on the larger ones
+        rng = random.Random(61)
+        sources = fixed_blowup_sources()
+        for arity, most in ((2, 5), (3, 4), (4, 4)):
+            for vertices in range(most + 1):
+                every = itertools.combinations(range(vertices), arity)
+                sources.append(Hypergraph(arity, vertices, frozenset()))
+                sources.append(Hypergraph(arity, vertices, frozenset(map(frozenset, every))))
+                if vertices > arity:
+                    sources += [random_hypergraph(rng, arity, vertices, rng.random()) for _ in range(4)]
+        for h in sources:
+            blown, grouping, maximal = hypergraphs._blowup(h, None)
+            derived = sorted(hypergraphs._blowup_cliques(h, grouping, maximal))
+            if blown.vertex_count <= 12:
+                assert derived == maximal_masks_by_scan(blown), h
+            else:
+                assert derived == sorted(hypergraphs._maximal_clique_masks(blown)), h
 
     def test_pullback_precondition(self):
         h = graph(2, [])

@@ -7,6 +7,7 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
+from patterna import patterns
 from patterna import (
     CnfFormula,
     Condition,
@@ -28,7 +29,9 @@ from patterna import (
     tp1_pattern,
     validate_pattern,
 )
+from patterna.bounds import ENV_VAR
 from patterna.errors import (
+    BoundExceeded,
     DuplicateCondition,
     EmptyCondition,
     IndexOutOfRange,
@@ -37,7 +40,7 @@ from patterna.errors import (
 )
 from patterna.rand import random_consistency_pattern
 
-from conftest import disjoint_conditions
+from conftest import complete_conditions, disjoint_conditions
 
 
 def cond(pos, neg=()):
@@ -231,6 +234,63 @@ class TestGenerators:
     def test_unknown_kind(self):
         with pytest.raises(UnsupportedParams):
             gen_divline("nope", n=1)
+
+    def test_complete_splits_in_canonical_order(self):
+        for n in range(9):
+            assert patterns.complete_conditions(n) == sorted(complete_conditions(n))
+
+
+def index_total(p):
+    return sum(len(c.pos) + len(c.neg) for c in p.conditions)
+
+
+class TestOutputBound:
+    SMALL = (
+        [("op", {"n": n}) for n in range(6)]
+        + [(kind, {"n": n}) for kind in ("ip", "cm", "sop") for n in range(1, 7)]
+        + [("cooper", {"n": n}) for n in (1, 2, 3)] + [("pmchar", {"n": n}) for n in range(4)]
+        + [("tp1", {"b": b, "d": d}) for b in (1, 2, 3) for d in range(4)]
+        + [(kind, {"b": b, "d": d, "k": k}) for kind in ("ktp", "ktp2")
+           for b in (2, 3, 4) for d in range(4) for k in range(2, b + 1)]
+    )
+    HUGE = [
+        ("ip", {"n": 24}), ("cm", {"n": 24}), ("op", {"n": 200000}), ("sop", {"n": 10**9}),
+        ("tp1", {"b": 2, "d": 11}), ("ktp", {"b": 4095, "d": 1, "k": 2}),
+        ("ktp2", {"b": 4096, "d": 1, "k": 2}),
+    ]
+
+    def test_counts_are_the_emitted_indices(self, monkeypatch):
+        counted = []
+        check = patterns._require_output
+        monkeypatch.setattr(patterns, "_require_output", lambda total: counted.append(total) or check(total))
+        for kind, params in self.SMALL:
+            counted.clear()
+            p = gen_divline(kind, **params)
+            assert counted == [index_total(p)], (kind, params)
+
+    @pytest.mark.parametrize("kind, params", HUGE)
+    def test_refused_before_enumerating(self, monkeypatch, kind, params):
+        monkeypatch.delenv(ENV_VAR, raising=False)
+
+        def enumerated(*args):
+            raise AssertionError("enumerated before the output bound was checked")
+
+        for name in ("Condition", "complete_conditions", "_tree_paths"):
+            monkeypatch.setattr(patterns, name, enumerated)
+        with pytest.raises(BoundExceeded, match="exceed the pattern output bound 2\\*\\*20"):
+            gen_divline(kind, **params)
+
+    def test_defaults_keep_the_largest_subset_patterns(self, monkeypatch):
+        monkeypatch.delenv(ENV_VAR, raising=False)
+        assert index_total(cooper_pattern(4)) == 2**20
+        assert index_total(ip_pattern(16)) == 2**20
+
+    def test_env_sets_the_exponent(self, monkeypatch):
+        monkeypatch.setenv(ENV_VAR, "5")
+        assert index_total(op_pattern(5)) == 25
+        for kind, params in (("op", {"n": 6}), ("cooper", {"n": 5}), ("pmchar", {"n": 5})):
+            with pytest.raises(BoundExceeded, match="2\\*\\*5"):
+                gen_divline(kind, **params)
 
 
 class TestPatternFromCnf:

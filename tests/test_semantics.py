@@ -22,7 +22,7 @@ from patterna import (
 from patterna.errors import ArityMismatch, IndexOutOfRange, MalformedUnionMap
 from patterna.rand import random_pattern
 
-from conftest import NO_POINT, UNION_SPLIT
+from conftest import NO_POINT, UNION_SPLIT, complete_conditions
 
 
 def fam(universe, *sets):
@@ -148,6 +148,24 @@ class TestFullyCompleteExtension:
             ext = fully_complete_extension(f)
             assert classify(ext).fully_complete
             assert check_exhibits(f, ext).ok
+
+    def test_matches_pattern_built_from_sorted_splits(self):
+        # the splits, built in canonical order and kept as built, against
+        # the complete splits by size sorted into a Pattern
+        rng = random.Random(17)
+        for _ in range(60):
+            m, n, density = rng.randint(1, 80), rng.randint(0, 9), rng.random()
+            f = fam(m, *({x for x in range(m) if rng.random() < density} for _ in range(n)))
+            realized = realized_types(f)
+            splits = complete_conditions(n)
+            expected = Pattern(
+                n,
+                tuple(c for c in splits if frozenset(c.pos) in realized),
+                tuple(c for c in splits if frozenset(c.pos) not in realized),
+            ) if n else Pattern(0)
+            ext = fully_complete_extension(f)
+            assert ext == expected and hash(ext) == hash(expected)
+            assert repr(ext) == repr(expected)
 
     def test_extension_refines_every_exhibited_pattern(self):
         rng = random.Random(13)

@@ -148,6 +148,33 @@ def test_hypergraph_encoding_and_realization():
     assert outcomes == {(True, True), (True, False), (False, False)}
 
 
+def test_blowup_witness_encoding():
+    # realization witnesses of arity-3 and arity-4 blowups, padded, and
+    # copies with one used point flipped in some of their sets or dropped
+    # from some of them (a dropped point can only stop edges from meeting)
+    rng = random.Random(4105)
+    outcomes = set()
+    for _ in range(40):
+        arity = rng.choice((2, 3))
+        vertices = rng.randint(0, 6 - arity)
+        density = rng.random()
+        edges = [e for e in itertools.combinations(range(vertices), arity) if rng.random() < density]
+        blown = blowup(Hypergraph(arity, vertices, frozenset(map(frozenset, edges))))[0]
+        witness = padded(realization_witness(blown), rng, rng.randint(0, 50))
+        point = rng.choice(sorted(frozenset().union(*witness.sets)) or [0])
+        flipped, dropped = (
+            SetFamily(witness.universe_size, tuple(
+                change(s) if rng.random() < 0.4 else s for s in witness.sets
+            ))
+            for change in (lambda s: s ^ {point}, lambda s: s - {point})
+        )
+        for fam in (witness, flipped, dropped):
+            encodes = encodes_by_scan(fam, blown)
+            assert encodes_hypergraph(fam, blown) == encodes, (fam, blown)
+            outcomes.add(encodes)
+    assert outcomes == {True, False}
+
+
 def test_blowup_pullback_meets_blocks():
     rng = random.Random(4103)
     for _ in range(20):
