@@ -16,10 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bounds import BRUTE_FORCE_N, enumeration_bound
+from .bounds import BRUTE_FORCE_N, PATTERN_INDICES_LOG2, enumeration_bound
 from .errors import BoundExceeded, WitnessVerificationFailure
 from .patterns import Condition, Pattern, subset_index
-from .sat import CnfFormula, CompiledCnf, Literal, _normal_codes, sat_solve
+from .sat import CnfFormula, CompiledCnf, Literal, sat_solve
 from .semantics import SetFamily, check_exhibits
 
 #: Sentinel for the "universe is nonempty" instance solved when C = ∅.  Not a
@@ -45,10 +45,10 @@ def _literals(cond: Condition) -> list[Literal]:
 def _clause_codes(p: Pattern) -> list[tuple[int, ...]]:
     """p's inconsistency clauses as normal-form literal codes: (Z+, Z-) gives
     (OR of not-i for i in Z+) or (OR of j for j in Z-), and is dropped as a
-    tautology when its parts overlap, since its trace is always empty."""
-    return _normal_codes(
-        [2 * i + 1 for i in z.pos] + [2 * j for j in z.neg] for z in p.inconsistency
-    )
+    tautology when its parts overlap, since its trace is always empty.  A
+    canonical side gives distinct clauses, so sorting is all that is left."""
+    return sorted(tuple(sorted([2 * i + 1 for i in z.pos] + [2 * j for j in z.neg]))
+                  for z in p.inconsistency if set(z.pos).isdisjoint(z.neg))
 
 
 def condition_cnf(p: Pattern, cond: Condition = EMPTY_CONDITION) -> CnfFormula:
@@ -93,7 +93,11 @@ def decide_exhibitable(p: Pattern) -> Decision:
     satisfiable, so the first failing condition is the first unsatisfiable
     one.  The witness universe is the set of chosen complete types, one
     point each.  Deterministic end to end; nothing is kept between calls.
+    More than 2**PATTERN_INDICES_LOG2 indices (the witness's sets) are refused.
     """
+    limit = enumeration_bound(PATTERN_INDICES_LOG2)
+    if p.n > 2**limit:
+        raise BoundExceeded(f"n={p.n} exceeds the pattern index bound 2**{limit}")
     shared = CompiledCnf(p.n, _clause_codes(p))
     types = []
     for cond in _targets(p):

@@ -28,7 +28,7 @@ from .errors import (
     UnsupportedParams,
     VerificationFailure,
 )
-from .patterns import Condition, Pattern, _bits, classify, subset_index
+from .patterns import Pattern, _bits, classify, subset_index
 from .semantics import SetFamily, _trace_mask, check_exhibits, encodes_hypergraph
 
 
@@ -147,12 +147,9 @@ def pattern_from_hypergraph(h: Hypergraph, bound: int | None = None) -> Pattern:
     limit = enumeration_bound(CLIQUE_VERTICES) if bound is None else bound
     if h.vertex_count > limit:
         raise BoundExceeded(f"{h.vertex_count} vertices exceed clique-enumeration bound {limit}")
-    consistency = tuple(Condition(_bits(mask), ()) for mask in _submasks(_maximal_clique_masks(h)))
-    inconsistency = tuple(
-        Condition(combo, ())
-        for combo in itertools.combinations(range(h.vertex_count), h.arity)
-        if frozenset(combo) not in h.edges
-    )
+    consistency = tuple((_bits(mask), ()) for mask in _submasks(_maximal_clique_masks(h)))
+    inconsistency = tuple((c, ()) for c in itertools.combinations(range(h.vertex_count), h.arity)
+                          if frozenset(c) not in h.edges)
     return Pattern(h.vertex_count, consistency, inconsistency)
 
 

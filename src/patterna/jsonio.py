@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 
 from .decide import Decision
-from .errors import ParseError
+from .errors import ParseError, PatternaError
 from .hypergraphs import Embedding, Hypergraph, WitnessStructure
 from .patterns import Pattern, PatternFlags, validate_pattern
 from .semantics import SetFamily
@@ -43,13 +43,17 @@ def pattern_to_dict(p: Pattern) -> dict:
 
 
 def pattern_from_dict(data, *, strict: bool = True) -> Pattern:
+    """validate_pattern's one pass; only a document that fails it is walked
+    for non-integer leaves, which are reported first, wherever they are."""
     if not isinstance(data, dict) or "n" not in data:
         raise ParseError("pattern document must be an object with an 'n' key")
-    for key in ("n", "consistency", "inconsistency"):
-        _require_integers(data.get(key, []), key)
     try:
         return validate_pattern(data, strict=strict)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, PatternaError) as exc:
+        for key in ("n", "consistency", "inconsistency"):
+            _require_integers(data.get(key, []), key)
+        if isinstance(exc, PatternaError):
+            raise
         raise ParseError(f"malformed pattern document: {exc}") from exc
 
 

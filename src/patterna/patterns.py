@@ -49,26 +49,66 @@ class Condition:
         return frozenset(self.pos) | frozenset(self.neg)
 
 
-def _coerce_condition(raw) -> Condition:
-    if isinstance(raw, Condition):
-        return raw
-    pos, neg = raw
-    return Condition(tuple(pos), tuple(neg))
+def _canonical(cls, *values):
+    """A Pattern (or Condition) from field values that are already canonical
+    (sorted, duplicate-free, in range), built without re-checking them."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(zip(cls.__dataclass_fields__, values))
+    return obj
 
 
-def _canonical_side(raw_conditions, n: int, side: str) -> tuple[Condition, ...]:
-    """The side deduplicated and sorted by the (pos, neg) keys that order
-    Conditions, without calling the dataclass's Python-level hash and __lt__."""
+def _condition(pos, neg) -> Condition:
+    """_canonical(Condition, pos, neg), faster, with no instance __dict__."""
+    cond = object.__new__(Condition)
+    object.__setattr__(cond, "pos", pos)
+    object.__setattr__(cond, "neg", neg)
+    return cond
+
+
+def _canonical_side(raw, n: int, side: str, strict: bool) -> tuple[Condition, ...]:
+    """One side of a pattern, checked and canonicalised in one pass.
+
+    n must be an int >= 0 and the side a list or tuple.  Each item is a
+    Condition, whose fields are taken as they are, or a raw (pos, neg) pair
+    of lists or tuples, sorted and deduplicated here.  Every index must be an
+    int in [0, n) and no condition may be (∅, ∅); a repeated condition raises
+    DuplicateCondition when strict and is dropped otherwise.  The side comes
+    back sorted by the (pos, neg) keys that order Conditions.
+    """
+    if type(n) is not int or n < 0:
+        raise IndexOutOfRange(f"index count must be a nonnegative integer, got {n!r}")
     conditions = {}
-    for raw in raw_conditions:
-        cond = _coerce_condition(raw)
-        if not cond.pos and not cond.neg:
+    for item in raw:
+        if isinstance(item, Condition):
+            pos, neg = key = item.pos, item.neg
+        else:
+            p, q = item
+            pos, neg = tuple(p), tuple(q)
+            if len(pos) > 1:  # parts of fewer than two indices are canonical
+                pos = tuple(sorted(set(pos)))
+            if len(neg) > 1:
+                neg = tuple(sorted(set(neg)))
+            key = pos, neg
+            if type(p) not in (list, tuple) or type(q) not in (list, tuple):
+                raise TypeError(f"a raw condition is a pair of lists or tuples, got {p!r}, {q!r}")
+            item = None
+        if not pos and not neg:
             raise EmptyCondition(f"{side} contains the empty condition (∅, ∅)")
-        for i in cond.indices:
+        for i in pos + neg:
+            if type(i) is not int:
+                hash(i)  # a list index fails as set() would on a longer part
+                raise IndexOutOfRange(f"index {i!r} is not an integer")
             if not 0 <= i < n:
                 raise IndexOutOfRange(f"index {i} in {side} outside [0, {n})")
-        conditions.setdefault((cond.pos, cond.neg), cond)
-    return tuple(conditions[key] for key in sorted(conditions))
+        if key in conditions:
+            if strict:
+                raise DuplicateCondition(f"duplicate {side} condition {pos}/{neg}")
+            continue
+        conditions[key] = item
+    # sides and parts are type-checked after use: a non-iterable fails as iterating it does
+    if type(raw) not in (list, tuple):
+        raise TypeError(f"a pattern side is a list or tuple, got {type(raw).__name__}")
+    return tuple([conditions[key] or _condition(*key) for key in sorted(conditions)])
 
 
 @dataclass(frozen=True)
@@ -81,26 +121,13 @@ class Pattern:
     inconsistency: tuple[Condition, ...] = ()
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 0:
-            raise IndexOutOfRange(f"index count must be a nonnegative integer, got {self.n!r}")
-        object.__setattr__(
-            self, "consistency", _canonical_side(self.consistency, self.n, "consistency")
-        )
-        object.__setattr__(
-            self, "inconsistency", _canonical_side(self.inconsistency, self.n, "inconsistency")
-        )
+        for side in ("consistency", "inconsistency"):
+            raw = getattr(self, side)
+            object.__setattr__(self, side, _canonical_side(raw, self.n, side, strict=False))
 
     @property
     def conditions(self) -> tuple[Condition, ...]:
         return self.consistency + self.inconsistency
-
-
-def _canonical(cls, *values):
-    """A Condition or Pattern from field values that are already canonical
-    (sorted, duplicate-free, in range), built without re-checking them."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(zip(cls.__dataclass_fields__, values))
-    return obj
 
 
 def validate_pattern(data, *, strict: bool = True) -> Pattern:
@@ -114,24 +141,11 @@ def validate_pattern(data, *, strict: bool = True) -> Pattern:
     if isinstance(data, Pattern):
         return data  # already canonical by construction
     try:
-        n = data["n"]
-        raw_c = data.get("consistency", ())
-        raw_i = data.get("inconsistency", ())
+        n, raw_c, raw_i = data["n"], data.get("consistency", ()), data.get("inconsistency", ())
     except (TypeError, KeyError) as exc:
         raise IndexOutOfRange(f"pattern data must provide n/consistency/inconsistency: {exc}") from exc
-    sides = []
-    for side, raw in (("consistency", raw_c), ("inconsistency", raw_i)):
-        conditions, seen = [], set()
-        for item in raw:
-            cond = _coerce_condition(item)
-            if strict:
-                key = (cond.pos, cond.neg)
-                if key in seen:
-                    raise DuplicateCondition(f"duplicate {side} condition {cond.pos}/{cond.neg}")
-                seen.add(key)
-            conditions.append(cond)
-        sides.append(tuple(conditions))
-    return Pattern(n, *sides)
+    return _canonical(Pattern, n, _canonical_side(raw_c, n, "consistency", strict),
+                      _canonical_side(raw_i, n, "inconsistency", strict))
 
 
 @dataclass(frozen=True)
@@ -206,14 +220,14 @@ def complete_conditions(n: int) -> list[Condition]:
         # the splits of [i, n): ((), [i, n)), then those with i in pos, then the rest
         without = [(pos, (i,) + neg) for pos, neg in splits]
         splits = without[:1] + [((i,) + pos, neg) for pos, neg in splits] + without[1:]
-    return [_canonical(Condition, pos, neg) for pos, neg in splits]
+    return [_condition(pos, neg) for pos, neg in splits]
 
 
 def op_pattern(n: int) -> Pattern:
     """Order property: C = {({i..n-1}, {0..i-1}) : i < n}, I = ∅."""
     _require(n >= 0, "n must be nonnegative")
     _require_output(n * n)
-    return Pattern(n, tuple(Condition(range(i, n), range(0, i)) for i in range(n)))
+    return Pattern(n, tuple((tuple(range(i, n)), tuple(range(i))) for i in range(n)))
 
 
 def ip_pattern(n: int) -> Pattern:
@@ -234,11 +248,8 @@ def sop_pattern(n: int) -> Pattern:
     """Strict order property: C = {({i+1},{i})}, I = {({i},{i+1})} for i < n-1."""
     _require(n >= 0, "n must be nonnegative")
     _require_output(4 * max(n - 1, 0))
-    return Pattern(
-        n,
-        tuple(Condition((i + 1,), (i,)) for i in range(n - 1)),
-        tuple(Condition((i,), (i + 1,)) for i in range(n - 1)),
-    )
+    return Pattern(n, tuple(((i + 1,), (i,)) for i in range(n - 1)),
+                   tuple(((i,), (i + 1,)) for i in range(n - 1)))
 
 
 def _tree_nodes(branching: int, depth: int):
@@ -256,10 +267,8 @@ def _tree_nodes(branching: int, depth: int):
 
 
 def _tree_paths(branching, depth, index):
-    paths = []
-    for leaf in itertools.product(range(branching), repeat=depth):
-        paths.append(tuple(index[leaf[:length]] for length in range(depth + 1)))
-    return paths
+    return [tuple(index[leaf[:length]] for length in range(depth + 1))
+            for leaf in itertools.product(range(branching), repeat=depth)]
 
 
 def ktp_pattern(branching: int, depth: int, k: int) -> Pattern:
@@ -274,14 +283,9 @@ def ktp_pattern(branching: int, depth: int, k: int) -> Pattern:
     nodes, index = _tree_nodes(branching, depth)
     leaves = branching**depth
     _require_output(leaves * (depth + 1) + (len(nodes) - leaves) * math.comb(branching, k) * k)
-    consistency = [Condition(path, ()) for path in _tree_paths(branching, depth, index)]
-    inconsistency = []
-    for node in nodes:
-        if len(node) == depth:
-            continue
-        children = [index[node + (c,)] for c in range(branching)]
-        for combo in itertools.combinations(children, k):
-            inconsistency.append(Condition(combo, ()))
+    consistency = [(path, ()) for path in _tree_paths(branching, depth, index)]
+    inconsistency = [(combo, ()) for node in nodes if len(node) < depth for combo in
+                     itertools.combinations([index[node + (c,)] for c in range(branching)], k)]
     return Pattern(len(nodes), tuple(consistency), tuple(inconsistency))
 
 
@@ -291,11 +295,9 @@ def tp1_pattern(branching: int, depth: int) -> Pattern:
     # a node of length l is comparable with its l proper prefixes
     incomparable = math.comb(len(nodes), 2) - sum(map(len, nodes))
     _require_output(branching**depth * (depth + 1) + 2 * incomparable)
-    consistency = [Condition(path, ()) for path in _tree_paths(branching, depth, index)]
-    inconsistency = []
-    for a, b in itertools.combinations(nodes, 2):
-        if a != b[: len(a)] and b != a[: len(b)]:
-            inconsistency.append(Condition((index[a], index[b]), ()))
+    consistency = [(path, ()) for path in _tree_paths(branching, depth, index)]
+    inconsistency = [((index[a], index[b]), ()) for a, b in itertools.combinations(nodes, 2)
+                     if a != b[: len(a)] and b != a[: len(b)]]
     return Pattern(len(nodes), tuple(consistency), tuple(inconsistency))
 
 
@@ -312,16 +314,10 @@ def ktp2_pattern(branching: int, depth: int, k: int) -> Pattern:
     if branching**depth > enumeration_bound(TREE_NODES):
         raise UnsupportedParams(f"{branching}**{depth} choice functions exceed the bound")
     _require_output(branching**depth * depth + depth * math.comb(branching, k) * k)
-    consistency = [
-        Condition(tuple(i * branching + f[i] for i in range(depth)), ())
-        for f in itertools.product(range(branching), repeat=depth)
-        if depth > 0
-    ]
-    inconsistency = []
-    for i in range(depth):
-        row = range(i * branching, (i + 1) * branching)
-        for combo in itertools.combinations(row, k):
-            inconsistency.append(Condition(combo, ()))
+    consistency = [(tuple(i * branching + f[i] for i in range(depth)), ())
+                   for f in itertools.product(range(branching), repeat=depth) if depth > 0]
+    inconsistency = [(combo, ()) for i in range(depth)
+                     for combo in itertools.combinations(range(i * branching, (i + 1) * branching), k)]
     return Pattern(branching * depth, tuple(consistency), tuple(inconsistency))
 
 
@@ -382,8 +378,7 @@ def pmchar_pattern(n: int) -> Pattern:
         meet = full
         for e in _bits(mask):
             meet &= e  # a subset's encoding is its own membership mask
-        cond = Condition(_bits(mask), ())
-        (consistency if meet else inconsistency).append(cond)
+        (consistency if meet else inconsistency).append((_bits(mask), ()))
     return Pattern(count, tuple(consistency), tuple(inconsistency))
 
 
@@ -457,12 +452,9 @@ def pattern_from_cnf(formula: CnfFormula) -> Pattern:
     for clause in formula.clauses:
         if not clause:
             warnings.warn("empty clause: encoding is trivially non-exhibitable", stacklevel=2)
-            inconsistency.append(Condition((m,), ()))
-            continue
-        pos = tuple(lit.variable for lit in clause if lit.negated)
-        neg = tuple(lit.variable for lit in clause if not lit.negated)
-        inconsistency.append(Condition(pos, neg))
-    return Pattern(m + 1, (Condition((m,), ()),), tuple(inconsistency))
+        pos = [lit.variable for lit in clause if lit.negated] if clause else [m]
+        inconsistency.append((pos, [lit.variable for lit in clause if not lit.negated]))
+    return Pattern(m + 1, (((m,), ()),), tuple(inconsistency))
 
 
 def double_positive(p: Pattern) -> Pattern:
@@ -479,8 +471,6 @@ def double_positive(p: Pattern) -> Pattern:
     if not classify(p).reasonable:
         raise NotConsistencyPattern("input must be reasonable (disjoint pos/neg parts)")
     n = p.n
-    doubled = tuple(
-        Condition(c.pos + tuple(n + j for j in c.neg), ()) for c in p.consistency
-    )
-    pairs = tuple(Condition((i, i + n), ()) for i in range(n))
+    doubled = tuple((c.pos + tuple(n + j for j in c.neg), ()) for c in p.consistency)
+    pairs = tuple(((i, i + n), ()) for i in range(n))
     return Pattern(2 * n, doubled, pairs)

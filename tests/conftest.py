@@ -177,3 +177,54 @@ def trace_by_points(fam, cond) -> frozenset[int]:
         if all(point in fam.sets[i] for i in cond.pos)
         and not any(point in fam.sets[j] for j in cond.neg)
     )
+
+
+def reference_pattern(doc, *, strict=True):
+    """The canonical (n, consistency, inconsistency) of a pattern document,
+    worked out with plain set and sort calls, or None when the document is
+    malformed.
+
+    Well formed: a dict with an int n >= 0 whose sides (empty when absent)
+    are lists or tuples of (pos, neg) pairs; each pair and each of its parts
+    is a list or tuple, and each index an int in [0, n); no pair is empty on
+    both sides.  Each part becomes sorted(set(part)); each side is
+    deduplicated through a dict, where a repeat makes a strict document
+    malformed, and its keys are sorted.  A Condition counts as its pair."""
+    sequences = (list, tuple)
+    if not isinstance(doc, dict) or type(doc.get("n")) is not int or doc["n"] < 0:
+        return None
+    n, sides = doc["n"], []
+    for name in ("consistency", "inconsistency"):
+        raw = doc.get(name, [])
+        if type(raw) not in sequences:
+            return None
+        keys = {}
+        for item in raw:
+            if isinstance(item, Condition):
+                item = (item.pos, item.neg)
+            if type(item) not in sequences or len(item) != 2:
+                return None
+            if any(type(part) not in sequences for part in item):
+                return None
+            if any(type(i) is not int or not 0 <= i < n for part in item for i in part):
+                return None
+            key = (tuple(sorted(set(item[0]))), tuple(sorted(set(item[1]))))
+            if key == ((), ()) or (strict and key in keys):
+                return None
+            keys[key] = None
+        sides.append(tuple(sorted(keys)))
+    return (n, *sides)
+
+
+def assert_parsed_as(p, reference):
+    """p is the canonical Pattern of reference: its n, its conditions in
+    order, tuple fields throughout, and the repr and hash that follow."""
+    n, consistency, inconsistency = reference
+    assert p.n == n
+    for side, keys in ((p.consistency, consistency), (p.inconsistency, inconsistency)):
+        assert type(side) is tuple and [(c.pos, c.neg) for c in side] == list(keys)
+        assert all(type(c) is Condition and type(c.pos) is type(c.neg) is tuple for c in side)
+    conds = [tuple(Condition(pos, neg) for pos, neg in keys) for keys in (consistency, inconsistency)]
+    assert repr(p) == f"Pattern(n={n}, consistency={conds[0]!r}, inconsistency={conds[1]!r})"
+    expected = Pattern(n, *conds)
+    assert p == expected and hash(p) == hash(expected)

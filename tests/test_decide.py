@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -17,6 +20,7 @@ from patterna import (
     pattern_from_cnf,
     sat_solve,
 )
+from patterna.bounds import ENV_VAR
 from patterna.errors import BoundExceeded
 from patterna.rand import random_cnf, random_condition, random_pattern
 
@@ -299,3 +303,39 @@ class TestReduction:
                     p.n, p.consistency, p.inconsistency[:i] + p.inconsistency[i + 1 :]
                 )
                 assert decide_exhibitable(smaller).exhibitable
+
+
+class TestIndexBound:
+    def test_huge_n_refused_before_compiling(self, tmp_path):
+        # in a child process with its address space capped at 1.5 GB: the
+        # 2 * n occurrence lists for n = 10**8 would exceed it
+        (tmp_path / "p.json").write_text('{"n": 100000000}')
+        script = (
+            "import resource, sys\n"
+            "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, hard))\n"
+            "from patterna import Pattern, cli, decide_exhibitable\n"
+            "from patterna.errors import BoundExceeded\n"
+            "try:\n"
+            "    decide_exhibitable(Pattern(2**20 + 1))\n"
+            "except BoundExceeded as exc:\n"
+            "    print(exc)\n"
+            "sys.exit(cli.run(['decide', sys.argv[1]]))\n"
+        )
+        env = {k: v for k, v in os.environ.items() if k != ENV_VAR}
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "p.json")],
+            capture_output=True, text=True, timeout=60,
+            env={**env, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert done.returncode == 2, done.stderr
+        assert done.stdout == "n=1048577 exceeds the pattern index bound 2**20\n"
+        assert "n=100000000 exceeds the pattern index bound 2**20" in done.stderr
+        assert "MemoryError" not in done.stderr
+
+    def test_bound_follows_the_env_exponent(self, monkeypatch):
+        monkeypatch.setenv(ENV_VAR, "4")
+        decision = decide_exhibitable(Pattern(16, (cond([15], [0]),)))
+        assert decision.exhibitable and decision.witness.universe_size == 1
+        with pytest.raises(BoundExceeded, match=r"n=17 exceeds the pattern index bound 2\*\*4"):
+            decide_exhibitable(Pattern(17))

@@ -1,12 +1,16 @@
 import random
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from patterna import jsonio
 from patterna.decide import decide_exhibitable
-from patterna.errors import ParseError
+from patterna.errors import DuplicateCondition, EmptyCondition, IndexOutOfRange, ParseError, PatternaError
 from patterna.hypergraphs import Embedding, build_witness_structure
 from patterna.rand import random_hypergraph, random_pattern, random_reasonable_positive
+
+from conftest import assert_parsed_as, reference_pattern
 
 
 def test_pattern_round_trip():
@@ -76,3 +80,133 @@ def test_malformed_documents():
     for maps in ([1], {"e0": embedding}, {"e0": embedding, "e1": [1]}):
         with pytest.raises(ParseError):
             jsonio.maps_from_dict(maps)
+
+
+#: Malformed pattern documents with one fault each, and the exact
+#: (exception class, message) pattern_from_dict raises for them.  A
+#: non-integer leaf is reported before any other fault of the document.
+PATTERN_FAULTS = [
+    ([1, 2], ParseError, "pattern document must be an object with an 'n' key"),
+    (None, ParseError, "pattern document must be an object with an 'n' key"),
+    ({"consistency": []}, ParseError, "pattern document must be an object with an 'n' key"),
+    ({"n": -1}, IndexOutOfRange, "index count must be a nonnegative integer, got -1"),
+    ({"n": [3]}, IndexOutOfRange, "index count must be a nonnegative integer, got [3]"),
+    ({"n": 1.5}, ParseError, "n must hold integers, got 1.5"),
+    ({"n": True}, ParseError, "n must hold integers, got true"),
+    ({"n": 2, "consistency": [[[0.5], []]]}, ParseError, "consistency must hold integers, got 0.5"),
+    ({"n": 2, "consistency": [[[1.0], []]]}, ParseError, "consistency must hold integers, got 1.0"),
+    ({"n": 2, "inconsistency": [[[], [False]]]}, ParseError,
+     "inconsistency must hold integers, got false"),
+    ({"n": 2, "consistency": [[["a", 0], []]]}, ParseError, 'consistency must hold integers, got "a"'),
+    ({"n": 2, "consistency": [[[None], []]]}, ParseError, "consistency must hold integers, got null"),
+    ({"n": 2, "consistency": [[[[0]], []]]}, ParseError,
+     "malformed pattern document: unhashable type: 'list'"),
+    ({"n": 2, "consistency": None}, ParseError, "consistency must hold integers, got null"),
+    ({"n": 2, "consistency": {}}, ParseError, "consistency must hold integers, got {}"),
+    ({"n": 2, "consistency": [["", [0]]]}, ParseError, 'consistency must hold integers, got ""'),
+    ({"n": 2, "consistency": [[{}, [0]]]}, ParseError, "consistency must hold integers, got {}"),
+    ({"n": 2, "consistency": 5}, ParseError,
+     "malformed pattern document: 'int' object is not iterable"),
+    ({"n": 2, "consistency": [5]}, ParseError,
+     "malformed pattern document: cannot unpack non-iterable int object"),
+    ({"n": 2, "consistency": [[0, []]]}, ParseError,
+     "malformed pattern document: 'int' object is not iterable"),
+    ({"n": 2, "consistency": [[[0]]]}, ParseError,
+     "malformed pattern document: not enough values to unpack (expected 2, got 1)"),
+    ({"n": 2, "consistency": [[[0], [], [1]]]}, ParseError,
+     "malformed pattern document: too many values to unpack (expected 2)"),
+    ({"n": 2, "consistency": [[[], []]]}, EmptyCondition,
+     "consistency contains the empty condition (∅, ∅)"),
+    ({"n": 2, "inconsistency": [[[], []]]}, EmptyCondition,
+     "inconsistency contains the empty condition (∅, ∅)"),
+    ({"n": 2, "consistency": [[[2], []]]}, IndexOutOfRange, "index 2 in consistency outside [0, 2)"),
+    ({"n": 2, "inconsistency": [[[], [-1]]]}, IndexOutOfRange,
+     "index -1 in inconsistency outside [0, 2)"),
+    ({"n": 2, "consistency": [[[0], []], [[0], []]]}, DuplicateCondition,
+     "duplicate consistency condition (0,)/()"),
+    ({"n": 2, "inconsistency": [[[1], [0]], [[1], [0]]]}, DuplicateCondition,
+     "duplicate inconsistency condition (1,)/(0,)"),
+    ({"n": 2, "consistency": [[[1, 0], []], [[0, 1, 1], []]]}, DuplicateCondition,
+     "duplicate consistency condition (0, 1)/()"),
+]
+
+
+@pytest.mark.parametrize("doc, error, message", PATTERN_FAULTS)
+def test_pattern_fault_contract(doc, error, message):
+    with pytest.raises(error) as caught:
+        jsonio.pattern_from_dict(doc)
+    assert type(caught.value) is error and str(caught.value) == message
+    if error is not DuplicateCondition:  # lenient parsing only forgives repeats
+        with pytest.raises(error, match=re.escape(message)):
+            jsonio.pattern_from_dict(doc, strict=False)
+
+
+#: Documents with two faults.  A non-integer leaf comes first wherever it is;
+#: then n; then each side in order, each condition in order, its own faults
+#: in the order shape, empty, index type and range, repeat.
+PATTERN_MULTI_FAULTS = [
+    ({"n": -1, "consistency": [[[0.5], []]]}, ParseError, "consistency must hold integers, got 0.5"),
+    ({"n": 2, "consistency": [[[0], []], [[0], []]], "inconsistency": [[[0.5], []]]}, ParseError,
+     "inconsistency must hold integers, got 0.5"),
+    ({"n": -1, "consistency": [[[0], []], [[0], []]]}, IndexOutOfRange,
+     "index count must be a nonnegative integer, got -1"),
+    ({"n": 2, "consistency": [[[7], []]], "inconsistency": [[[0], []], [[0], []]]}, IndexOutOfRange,
+     "index 7 in consistency outside [0, 2)"),
+    ({"n": 2, "consistency": [[[5], []], [[0], []], [[0], []]]}, IndexOutOfRange,
+     "index 5 in consistency outside [0, 2)"),
+    ({"n": 2, "consistency": [[[0], []], [[0], []], [[5], []]]}, DuplicateCondition,
+     "duplicate consistency condition (0,)/()"),
+    ({"n": 2, "consistency": [[[0], []], [[0], []], [[1]]]}, DuplicateCondition,
+     "duplicate consistency condition (0,)/()"),
+    ({"n": 2, "consistency": [[[], []], [[7], []]]}, EmptyCondition,
+     "consistency contains the empty condition (∅, ∅)"),
+    ({"n": 2, "consistency": [[[9], [-3]]]}, IndexOutOfRange, "index 9 in consistency outside [0, 2)"),
+]
+
+
+@pytest.mark.parametrize("doc, error, message", PATTERN_MULTI_FAULTS)
+def test_pattern_fault_precedence(doc, error, message):
+    with pytest.raises(error) as caught:
+        jsonio.pattern_from_dict(doc)
+    assert type(caught.value) is error and str(caught.value) == message
+
+
+_leaf = (st.none() | st.booleans() | st.integers(-2, 5) | st.text(max_size=1)
+         | st.floats(allow_nan=False, allow_infinity=False))
+_json = st.recursive(
+    _leaf, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=1), inner, max_size=2),
+    max_leaves=6,
+)
+_part = st.lists(st.integers(0, 4), max_size=3)
+_side = st.lists(st.lists(_part, min_size=2, max_size=2), max_size=4)
+_well_formed = st.fixed_dictionaries(
+    {"n": st.integers(3, 6)}, optional={"consistency": _side, "inconsistency": _side})
+
+
+def _corrupt(doc, junk, rnd):
+    """doc with one value, chosen by rnd, replaced by junk."""
+    spots = [(doc, "n")]
+    for name in ("consistency", "inconsistency"):
+        spots += [(doc, name)] if name in doc else []
+        for cond in doc.get(name, ()):
+            spots += [(cond, 0), (cond, 1)] + [(part, i) for part in cond for i in range(len(part))]
+    holder, key = rnd.choice(spots)
+    holder[key] = junk
+    return doc
+
+
+_document = _well_formed | st.builds(_corrupt, _well_formed, _json, st.randoms()) | _json
+
+
+@settings(max_examples=150, deadline=None)
+@given(_document, st.booleans())
+def test_pattern_from_dict_matches_reference(doc, strict):
+    # either the reference pattern or a library error, never anything else
+    reference = reference_pattern(doc, strict=strict)
+    try:
+        p = jsonio.pattern_from_dict(doc, strict=strict)
+    except PatternaError:
+        assert reference is None
+    else:
+        assert reference is not None
+        assert_parsed_as(p, reference)

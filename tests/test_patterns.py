@@ -40,7 +40,7 @@ from patterna.errors import (
 )
 from patterna.rand import random_consistency_pattern
 
-from conftest import complete_conditions, disjoint_conditions
+from conftest import assert_parsed_as, complete_conditions, disjoint_conditions, reference_pattern
 
 
 def cond(pos, neg=()):
@@ -78,6 +78,64 @@ class TestValidate:
         p = Pattern(n, tuple(picks))
         assert validate_pattern(p) == p
         assert Pattern(p.n, p.consistency, p.inconsistency) == p
+
+
+def messy_document(rng):
+    """A well-formed pattern document in every raw form a caller may use:
+    unsorted and repeated indices within a pair, overlapping parts, list and
+    tuple pairs mixed with Conditions, and repeats of a condition written in
+    another order or form."""
+    n = rng.randint(1, 5)
+    doc = {"n": n}
+    for name in ("consistency", "inconsistency"):
+        keys = []
+        for _ in range(rng.randint(0, 6)):
+            pos = [rng.randrange(n) for _ in range(rng.randint(0, 4))]
+            neg = [rng.randrange(n) for _ in range(rng.randint(0 if pos else 1, 4))]
+            keys.append((pos, neg))
+        keys += [rng.choice(keys) for _ in range(rng.randint(0, 2))] if keys else []
+        items = []
+        for pos, neg in keys:
+            pos, neg = rng.sample(pos, len(pos)) + pos[:1], rng.sample(neg, len(neg))
+            form = rng.randrange(3)
+            items.append([pos, neg] if form == 0 else (tuple(pos), tuple(neg)) if form == 1
+                         else Condition(pos, neg))
+        rng.shuffle(items)
+        doc[name] = rng.choice((list, tuple))(items)
+    return doc
+
+
+class TestOnePassParse:
+    def test_matches_reference(self):
+        rng = random.Random(31)
+        repeats = 0
+        for _ in range(600):
+            doc = messy_document(rng)
+            lenient = reference_pattern(doc, strict=False)
+            assert_parsed_as(validate_pattern(doc, strict=False), lenient)
+            assert_parsed_as(Pattern(doc["n"], doc["consistency"], doc["inconsistency"]), lenient)
+            strict = reference_pattern(doc)
+            if strict is None:
+                repeats += 1
+                with pytest.raises(DuplicateCondition):
+                    validate_pattern(doc)
+            else:
+                assert_parsed_as(validate_pattern(doc), strict)
+        assert 0 < repeats < 600  # both branches are exercised
+
+    def test_non_integer_indices_rejected(self):
+        for bad, shown in ((0.5, "0.5"), (True, "True"), (1.0, "1.0"), ("1", "'1'")):
+            for sides in (((Condition((bad,), ()),), ()), ((), (((0,), (bad,)),))):
+                with pytest.raises(IndexOutOfRange) as caught:
+                    Pattern(2, *sides)
+                assert str(caught.value) == f"index {shown} is not an integer"
+        with pytest.raises(IndexOutOfRange, match="index count must be a nonnegative integer"):
+            Pattern(True)
+
+    def test_malformed_containers_rejected(self):
+        for side in ((({0}, ()),), ((("0",), ()),), (([0], "1"),), {((0,), ())}):
+            with pytest.raises((TypeError, IndexOutOfRange)):
+                Pattern(2, side)
 
 
 class TestClassify:
@@ -277,6 +335,9 @@ class TestOutputBound:
 
         for name in ("Condition", "complete_conditions", "_tree_paths"):
             monkeypatch.setattr(patterns, name, enumerated)
+        if kind not in ("tp1", "ktp"):  # these build their bounded node lists first
+            # op, sop and ktp2 enumerate raw tuples over ranges, so shadow range
+            monkeypatch.setattr(patterns, "range", enumerated, raising=False)
         with pytest.raises(BoundExceeded, match="exceed the pattern output bound 2\\*\\*20"):
             gen_divline(kind, **params)
 
