@@ -2,10 +2,13 @@
 
 Every exhaustive enumeration in the library is guarded by a size bound so a
 typo'd CLI argument cannot wedge the process.  The environment variable
-PATTERNA_MAX_N, when set to an integer, overrides all per-operation defaults.
+PATTERNA_MAX_N, when set to an integer, overrides all per-operation defaults;
+it is the only override.  check_bound is the one place that applies them.
 """
 
 import os
+
+from .errors import BoundExceeded
 
 ENV_VAR = "PATTERNA_MAX_N"
 
@@ -30,3 +33,16 @@ def enumeration_bound(default: int) -> int:
         return int(raw)
     except ValueError:
         return default
+
+
+def check_bound(size: int, default: int, message: str, *, log2: bool = False) -> None:
+    """Refuse an enumeration of `size` larger than its bound.
+
+    The bound is enumeration_bound(default), or 2 to that power when log2 (an
+    output bound kept as an exponent, so PATTERNA_MAX_N scales it as it scales
+    the other bounds' exponential enumerations).  Over it, raise BoundExceeded
+    with `message` formatted by the fields {size} and {limit}.
+    """
+    limit = enumeration_bound(default)
+    if size > (2**limit if log2 else limit):
+        raise BoundExceeded(message.format(size=size, limit=f"2**{limit}" if log2 else limit))

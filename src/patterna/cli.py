@@ -67,13 +67,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="replay a named construction and check it")
     p.add_argument("construction", choices=sorted(VERIFIERS))
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--vertices", type=int)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--exhaustive", action="store_true", default=None)
-    p.add_argument("--arity", type=int)
+    for name in sorted({name for procedure in VERIFIERS.values()
+                        for name in inspect.signature(procedure).parameters}):
+        p.add_argument(f"--{name}", type=int)  # every verifier parameter is an int
 
     p = sub.add_parser("amalgam", help="free amalgam of two structures over a base")
     p.add_argument("base_file")

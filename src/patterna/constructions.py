@@ -16,10 +16,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .bounds import IP_FAMILY_N, MEMBERSHIP_N, enumeration_bound
+from .bounds import IP_FAMILY_N, MEMBERSHIP_N, check_bound
 from .errors import (
     ArityMismatch,
-    BoundExceeded,
     CharacterizationPropertyViolated,
     NotFullyComplete,
     NotReasonablePositive,
@@ -118,12 +117,18 @@ def check_char_property(char_fam: SetFamily, k: int) -> bool:
     return True
 
 
-def pm_char_reduction(char_fam: SetFamily, p: Pattern, *, property_check_bound: int = 4) -> SetFamily:
+#: pm_char_reduction brute-forces the characterization for k <= this: 2**16
+#: families at k = 4.  A constant, not a bound: PATTERNA_MAX_N=20 would ask
+#: for 2**(2**20) families.
+CHAR_PROPERTY_CHECK_K = 4
+
+
+def pm_char_reduction(char_fam: SetFamily, p: Pattern) -> SetFamily:
     """Witness a reasonable positive pattern through a characterizing family.
 
     char_fam must be indexed by subsets of [0, k), k = |C|, and satisfy the
     intersection characterization (brute-force pre-checked up to
-    property_check_bound).  Set i is the family's set for the subset
+    CHAR_PROPERTY_CHECK_K).  Set i is the family's set for the subset
     {j : condition j's positive part contains i}.
     """
     flags = classify(p)
@@ -132,7 +137,7 @@ def pm_char_reduction(char_fam: SetFamily, p: Pattern, *, property_check_bound: 
     k = len(p.consistency)
     if char_fam.n != 1 << k:
         raise ArityMismatch(f"characterizing family needs {1 << k} sets, got {char_fam.n}")
-    if k <= property_check_bound and not check_char_property(char_fam, k):
+    if k <= CHAR_PROPERTY_CHECK_K and not check_char_property(char_fam, k):
         raise CharacterizationPropertyViolated(
             "family does not satisfy the intersection characterization"
         )
@@ -162,16 +167,14 @@ def cm_from_doubled_witness(witness: SetFamily, p: Pattern) -> SetFamily:
     return _self_check(fam, p, "doubling truncation")
 
 
-def ip_family(n: int, bound: int | None = None) -> SetFamily:
+def ip_family(n: int) -> SetFamily:
     """The full independence family: universe = all subsets of [0, n) in
     binary encoding, set i = the subsets containing i.
 
     Exhibits every reasonable consistency n-pattern: the trace of (pos, neg)
     contains the point encoding pos itself.
     """
-    limit = enumeration_bound(IP_FAMILY_N) if bound is None else bound
-    if n > limit:
-        raise BoundExceeded(f"n={n} exceeds independence-family bound {limit}")
+    check_bound(n, IP_FAMILY_N, "n={size} exceeds the independence-family bound {limit}")
     if n < 0:
         raise UnsupportedParams("n must be nonnegative")
     return SetFamily(
@@ -190,24 +193,22 @@ def first_primes(n: int) -> list[int]:
     return primes
 
 
-def disjoint_one1_family(n: int, flavor: str = "atoms") -> UnionClosedFamily:
+def disjoint_one1_family(n: int, naming: str = "atoms") -> UnionClosedFamily:
     """A union-closed family of n pairwise-disjoint singletons over [0, n).
 
-    Flavors label the same trace family two ways: "atoms" names the points
+    Two namings label the same trace family: "atoms" names the points
     a0..a(n-1) and each union by its atoms; "skolem" names point i by the
     i-th prime and each union by the product of its primes.  Labels are
     metadata only; check_one_n(result, 1) holds either way.
     """
     if n < 1:
         raise UnsupportedParams("n must be at least 1")
-    limit = enumeration_bound(IP_FAMILY_N)
-    if n > limit:
-        raise BoundExceeded(f"n={n} exceeds the bound {limit} on its 2**n unions")
-    if flavor not in ("atoms", "skolem"):
-        raise UnsupportedParams(f"unknown flavor {flavor!r}; choose atoms or skolem")
+    check_bound(n, IP_FAMILY_N, "n={size} exceeds the bound {limit} on its 2**n unions")
+    if naming not in ("atoms", "skolem"):
+        raise UnsupportedParams(f"unknown naming {naming!r}; choose atoms or skolem")
     singles = [frozenset({i}) for i in range(n)]
     # mask 2**i + m (m < 2**i) extends the label of m, built one bit earlier
-    if flavor == "atoms":
+    if naming == "atoms":
         point_labels = tuple(f"a{i}" for i in range(n))
         labels = ["0"]
         for atom in point_labels:
@@ -239,14 +240,12 @@ class MembershipStructure:
     relation: frozenset[tuple[int, int]]
 
 
-def membership_structure(n: int, bound: int | None = None) -> MembershipStructure:
+def membership_structure(n: int) -> MembershipStructure:
     """The full membership structure on n points: algebra = all 2**n subsets,
     relation = actual membership.  Self-checked: the induced map
     b -> {points related to b} must be a homomorphism of Boolean algebras and
     the singleton columns must form a disjoint union-closed family."""
-    limit = enumeration_bound(MEMBERSHIP_N) if bound is None else bound
-    if n > limit:
-        raise BoundExceeded(f"n={n} exceeds membership bound {limit}")
+    check_bound(n, MEMBERSHIP_N, "n={size} exceeds the membership bound {limit}")
     if n < 1:
         raise UnsupportedParams("n must be at least 1")
     elements = tuple(frozenset(_bits(mask)) for mask in range(1 << n))

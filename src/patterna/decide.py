@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bounds import BRUTE_FORCE_N, PATTERN_INDICES_LOG2, enumeration_bound
-from .errors import BoundExceeded, WitnessVerificationFailure
+from .bounds import BRUTE_FORCE_N, PATTERN_INDICES_LOG2, check_bound
+from .errors import WitnessVerificationFailure
 from .patterns import Condition, Pattern, subset_index
 from .sat import CnfFormula, CompiledCnf, Literal, sat_solve
 from .semantics import SetFamily, check_exhibits
@@ -95,9 +95,7 @@ def decide_exhibitable(p: Pattern) -> Decision:
     point each.  Deterministic end to end; nothing is kept between calls.
     More than 2**PATTERN_INDICES_LOG2 indices (the witness's sets) are refused.
     """
-    limit = enumeration_bound(PATTERN_INDICES_LOG2)
-    if p.n > 2**limit:
-        raise BoundExceeded(f"n={p.n} exceeds the pattern index bound 2**{limit}")
+    check_bound(p.n, PATTERN_INDICES_LOG2, "n={size} exceeds the pattern index bound {limit}", log2=True)
     shared = CompiledCnf(p.n, _clause_codes(p))
     types = []
     for cond in _targets(p):
@@ -110,13 +108,11 @@ def decide_exhibitable(p: Pattern) -> Decision:
     return _verified(p, types)
 
 
-def brute_force_exhibitable(p: Pattern, bound: int | None = None) -> Decision:
+def brute_force_exhibitable(p: Pattern) -> Decision:
     """Same contract as decide_exhibitable, by scanning all 2**n complete
     types per condition in ascending binary order.  The ground-truth oracle;
     shares no code with the SAT path."""
-    limit = enumeration_bound(BRUTE_FORCE_N) if bound is None else bound
-    if p.n > limit:
-        raise BoundExceeded(f"n={p.n} exceeds brute-force bound {limit}")
+    check_bound(p.n, BRUTE_FORCE_N, "n={size} exceeds the brute-force bound {limit}")
     forbidden = [(subset_index(z.pos), subset_index(z.neg)) for z in p.inconsistency]
     types = []
     for cond in _targets(p):

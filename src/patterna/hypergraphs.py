@@ -15,11 +15,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .bounds import CLIQUE_VERTICES, DOUBLING_VERTICES, enumeration_bound
+from .bounds import CLIQUE_VERTICES, DOUBLING_VERTICES, check_bound
 from .errors import (
     ArityMismatch,
     AxiomViolation,
-    BoundExceeded,
     IndexOutOfRange,
     NotAnEmbedding,
     NotReasonablePositive,
@@ -140,13 +139,12 @@ def _submasks(maximal) -> list[int]:
     return sorted(found)
 
 
-def pattern_from_hypergraph(h: Hypergraph, bound: int | None = None) -> Pattern:
+def pattern_from_hypergraph(h: Hypergraph) -> Pattern:
     """The realization pattern: every nonempty clique is consistent, every
     non-edge arity-subset is inconsistent.  Reasonable (a non-edge is never
     inside a clique), positive, and arity-bounded."""
-    limit = enumeration_bound(CLIQUE_VERTICES) if bound is None else bound
-    if h.vertex_count > limit:
-        raise BoundExceeded(f"{h.vertex_count} vertices exceed clique-enumeration bound {limit}")
+    check_bound(h.vertex_count, CLIQUE_VERTICES,
+                "{size} vertices exceed the clique-enumeration bound {limit}")
     consistency = tuple((_bits(mask), ()) for mask in _submasks(_maximal_clique_masks(h)))
     inconsistency = tuple((c, ()) for c in itertools.combinations(range(h.vertex_count), h.arity)
                           if frozenset(c) not in h.edges)
@@ -185,20 +183,18 @@ def realization_witness(h: Hypergraph) -> SetFamily:
 # ---------------------------------------------------------------------------
 
 
-def blowup(h: Hypergraph, bound: int | None = None):
+def blowup(h: Hypergraph):
     """Replace each vertex by a block of k+1 vertices; a (k+1)-subset of the
     new vertex set is an edge exactly when the blocks it touches form a clique
     of h.  In particular each block is an edge, and the union of the blocks of
     any h-clique is a clique of the blowup.  Returns (blown, grouping).
     """
-    return _blowup(h, bound)[:2]
+    return _blowup(h)[:2]
 
 
-def _blowup(h: Hypergraph, bound: int | None):
+def _blowup(h: Hypergraph):
     """blowup(h) plus the maximal clique masks of h it was built from."""
-    limit = enumeration_bound(CLIQUE_VERTICES) if bound is None else bound
-    if h.vertex_count > limit:
-        raise BoundExceeded(f"{h.vertex_count} vertices exceed blowup bound {limit}")
+    check_bound(h.vertex_count, CLIQUE_VERTICES, "{size} vertices exceed the blowup bound {limit}")
     k = h.arity
     n = h.vertex_count
     grouping = tuple(tuple(range(i * (k + 1), (i + 1) * (k + 1))) for i in range(n))
@@ -230,7 +226,7 @@ def _blowup_cliques(h: Hypergraph, grouping, maximal) -> list[int]:
 def blowup_pullback(fam: SetFamily, original: Hypergraph, grouping) -> SetFamily:
     """Collapse a family realizing blowup(original) back to the original:
     the set of vertex i is the intersection over its block.  Re-verified."""
-    blown, expected, maximal = _blowup(original, None)
+    blown, expected, maximal = _blowup(original)
     if tuple(tuple(b) for b in grouping) != expected:
         raise PreconditionFailure("grouping does not match the deterministic blowup grouping")
     cliques = _blowup_cliques(original, expected, maximal)
@@ -273,12 +269,6 @@ class WitnessStructure:
         object.__setattr__(self, "parameter_points", tuple(self.parameter_points))
         object.__setattr__(self, "r", frozenset((int(w), int(p)) for w, p in self.r))
         object.__setattr__(self, "hyperedges", frozenset(frozenset(e) for e in self.hyperedges))
-
-    def edges_by_arity(self) -> dict[int, frozenset[frozenset[int]]]:
-        out: dict[int, set[frozenset[int]]] = {}
-        for edge in self.hyperedges:
-            out.setdefault(len(edge), set()).add(edge)
-        return {k: frozenset(v) for k, v in sorted(out.items())}
 
 
 @dataclass(frozen=True)
@@ -333,28 +323,27 @@ def witness_trace_family(s: WitnessStructure) -> SetFamily:
     )
 
 
-def build_witness_structure(source, flavor: str | None = None) -> WitnessStructure:
+def build_witness_structure(source) -> WitnessStructure:
     """Build the finite witness structure for a reasonable positive pattern or
     a hypergraph.
 
-    Pattern flavor: one witness point per consistency condition, related to
-    exactly the parameters of its positive part; one hyperedge per
-    inconsistency condition.  Hypergraph flavor: the same applied to the
-    realization pattern — witnesses are the nonempty cliques and hyperedges
-    are the non-edges; all hyperedges share the hypergraph's arity.
+    A pattern builds the positive flavor: one witness point per consistency
+    condition, related to exactly the parameters of its positive part; one
+    hyperedge per inconsistency condition.  A hypergraph builds the k-uniform
+    flavor: the same applied to the realization pattern — witnesses are the
+    nonempty cliques and hyperedges are the non-edges; all hyperedges share
+    the hypergraph's arity.
     Reasonableness is exactly what makes the universal axiom hold; the output
     is checked and its relation columns must exhibit the source pattern.
     """
     if isinstance(source, Hypergraph):
         pattern = pattern_from_hypergraph(source)
-        resolved = UNIFORM_FLAVOR
+        flavor = UNIFORM_FLAVOR
     elif isinstance(source, Pattern):
         pattern = source
-        resolved = POSITIVE_FLAVOR
+        flavor = POSITIVE_FLAVOR
     else:
         raise UnsupportedParams(f"cannot build a witness structure from {type(source).__name__}")
-    if flavor is not None and flavor != resolved:
-        raise UnsupportedParams(f"{type(source).__name__} input builds the {resolved!r} flavor")
     flags = classify(pattern)
     if not (flags.reasonable and flags.positive):
         raise NotReasonablePositive("witness structures need a reasonable positive pattern")
@@ -364,7 +353,7 @@ def build_witness_structure(source, flavor: str | None = None) -> WitnessStructu
         (i, j) for i, cond in enumerate(pattern.consistency) for j in cond.pos
     )
     hyperedges = frozenset(frozenset(z.pos) for z in pattern.inconsistency)
-    structure = WitnessStructure(witnesses, parameters, relation, hyperedges, resolved)
+    structure = WitnessStructure(witnesses, parameters, relation, hyperedges, flavor)
     report = check_axioms(structure)
     if not report.ok:
         raise AxiomViolation(f"built structure violates its axioms: {report.violations}")
@@ -535,7 +524,7 @@ class TriangleFreeDoubling:
     family: SetFamily
 
 
-def triangle_free_double(g: Hypergraph, bound: int | None = None) -> TriangleFreeDoubling:
+def triangle_free_double(g: Hypergraph) -> TriangleFreeDoubling:
     """Realize a graph inside a triangle-free one.
 
     Each vertex v becomes a non-adjacent pair (b_v, c_v); each non-edge {v,w}
@@ -547,9 +536,7 @@ def triangle_free_double(g: Hypergraph, bound: int | None = None) -> TriangleFre
     """
     if g.arity != 2:
         raise ArityMismatch("doubling is defined for graphs (arity 2)")
-    limit = enumeration_bound(DOUBLING_VERTICES) if bound is None else bound
-    if g.vertex_count > limit:
-        raise BoundExceeded(f"{g.vertex_count} vertices exceed doubling bound {limit}")
+    check_bound(g.vertex_count, DOUBLING_VERTICES, "{size} vertices exceed the doubling bound {limit}")
     n = g.vertex_count
     clique_masks = _submasks(_maximal_clique_masks(g))
     total = 2 * n + len(clique_masks)
@@ -577,12 +564,7 @@ def triangle_free_double(g: Hypergraph, bound: int | None = None) -> TriangleFre
             common = (adjacency[u] & adjacency[v]).bit_length() - 1
             raise TriangleFound(f"triangle on {u}, {v}, {common}")
 
-    sets = tuple(
-        frozenset(
-            x for x in range(total) if adjacency[x] >> v & 1 and adjacency[x] >> (n + v) & 1
-        )
-        for v in range(n)
-    )
+    sets = tuple(frozenset(_bits(adjacency[v] & adjacency[n + v])) for v in range(n))
     family = SetFamily(total or 1, sets)
     if not realize_check(family, g):
         raise VerificationFailure("doubling's derived family fails to realize the graph")

@@ -16,9 +16,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .bounds import PATTERN_INDICES_LOG2, SUBSET_PATTERN_N, TREE_NODES, enumeration_bound
+from .bounds import PATTERN_INDICES_LOG2, SUBSET_PATTERN_N, TREE_NODES, check_bound
 from .errors import (
-    BoundExceeded,
     DuplicateCondition,
     EmptyCondition,
     IndexOutOfRange,
@@ -253,16 +252,18 @@ def sop_pattern(n: int) -> Pattern:
 
 
 def _tree_nodes(branching: int, depth: int):
-    """Strings over [0, branching) of length <= depth, in level order (root first)."""
+    """Strings over [0, branching) of length <= depth, in level order (root first).
+    Each level is refused before it is built if it would take the tree over
+    the node bound."""
     _require(branching >= 1, "branching must be >= 1")
     _require(depth >= 0, "depth must be >= 0")
     nodes = [()]
     level = [()]
     for _ in range(depth):
+        check_bound(len(nodes) + len(level) * branching, TREE_NODES,
+                    "a tree of at least {size} nodes exceeds the tree bound {limit}")
         level = [node + (c,) for node in level for c in range(branching)]
         nodes.extend(level)
-    if len(nodes) > enumeration_bound(TREE_NODES):
-        raise UnsupportedParams(f"tree with {len(nodes)} nodes exceeds the bound")
     return nodes, {node: i for i, node in enumerate(nodes)}
 
 
@@ -311,9 +312,11 @@ def ktp2_pattern(branching: int, depth: int, k: int) -> Pattern:
     _require(2 <= k, "k must be at least 2")
     _require(k <= branching, "k must not exceed the row width")
     _require(branching >= 1 and depth >= 0, "array dimensions must be nonnegative")
-    if branching**depth > enumeration_bound(TREE_NODES):
-        raise UnsupportedParams(f"{branching}**{depth} choice functions exceed the bound")
-    _require_output(branching**depth * depth + depth * math.comb(branching, k) * k)
+    choices = 1
+    for _ in itertools.repeat(None, depth):  # row by row, so a huge depth is refused at once
+        choices *= branching
+        check_bound(choices, TREE_NODES, "at least {size} choice functions exceed the tree bound {limit}")
+    _require_output(choices * depth + depth * math.comb(branching, k) * k)
     consistency = [(tuple(i * branching + f[i] for i in range(depth)), ())
                    for f in itertools.product(range(branching), repeat=depth) if depth > 0]
     inconsistency = [(combo, ()) for i in range(depth)
@@ -343,8 +346,7 @@ def cooper_pattern(n: int) -> Pattern:
     traced, i.e. a disjoint union-closed family.
     """
     _require(n >= 1, "n must be at least 1")
-    if n > enumeration_bound(SUBSET_PATTERN_N):
-        raise UnsupportedParams(f"2**(2**{n}) conditions exceed the bound")
+    check_bound(n, SUBSET_PATTERN_N, "n={size} exceeds the subset-pattern bound {limit}")
     count = 1 << n
     _require_output(count << count)
     up_masks = set()
@@ -368,8 +370,7 @@ def pmchar_pattern(n: int) -> Pattern:
     inconsistent otherwise.
     """
     _require(n >= 0, "n must be nonnegative")
-    if n > enumeration_bound(SUBSET_PATTERN_N):
-        raise UnsupportedParams(f"2**(2**{n}) conditions exceed the bound")
+    check_bound(n, SUBSET_PATTERN_N, "n={size} exceeds the subset-pattern bound {limit}")
     count = 1 << n
     _require_output(count << (count - 1))  # each index lies in half of the subsets
     full = (1 << n) - 1
@@ -424,9 +425,8 @@ def _require(ok: bool, message: str):
 
 def _require_output(indices: int):
     """Refuse a pattern holding more than 2**PATTERN_INDICES_LOG2 indices in all."""
-    limit = enumeration_bound(PATTERN_INDICES_LOG2)
-    if indices > 2**limit:
-        raise BoundExceeded(f"{indices} indices in all exceed the pattern output bound 2**{limit}")
+    check_bound(indices, PATTERN_INDICES_LOG2,
+                "{size} indices in all exceed the pattern output bound {limit}", log2=True)
 
 
 # ---------------------------------------------------------------------------

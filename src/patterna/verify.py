@@ -11,7 +11,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 
-from .bounds import GRAPH_SWEEP_VERTICES, SUBSET_PATTERN_N, enumeration_bound
+from .bounds import GRAPH_SWEEP_VERTICES, SUBSET_PATTERN_N, check_bound
 from .constructions import (
     atomless_pm_witness,
     canonical_char_family,
@@ -37,7 +37,7 @@ from .hypergraphs import (
     triangle_free_double,
     witness_trace_family,
 )
-from .errors import BoundExceeded, UnsupportedParams, VerificationFailure
+from .errors import UnsupportedParams, VerificationFailure
 from .patterns import (
     Condition,
     Pattern,
@@ -101,9 +101,7 @@ def _require_sizes(**sizes):
 def fully_complete_patterns(n: int):
     """All 2**(2**n) - 1 fully complete n-patterns (every nonempty choice of
     the consistent side)."""
-    limit = enumeration_bound(SUBSET_PATTERN_N)
-    if n > limit:
-        raise BoundExceeded(f"n={n} exceeds the fully-complete-pattern bound {limit}")
+    check_bound(n, SUBSET_PATTERN_N, "n={size} exceeds the fully-complete-pattern bound {limit}")
     splits = complete_conditions(n)
     for mask in range(1, 1 << len(splits)):
         cons = tuple(c for i, c in enumerate(splits) if mask >> i & 1)
@@ -187,17 +185,15 @@ def all_disjoint_conditions(n: int) -> list[Condition]:
     return out
 
 
-def verify_ip_family(n: int = 2, exhaustive: bool = True, samples: int = 100, seed: int = 0) -> Report:
+def verify_ip_family(n: int = 2, samples: int = 100, seed: int = 0) -> Report:
+    """Sweep every consistency n-pattern while they number at most 2**16
+    (3**n - 1 <= 16 conditions, so n <= 2); sample random ones above that."""
     fam = ip_family(n)
-    if not exhaustive:
+    if 3**n - 1 > 16:
         return _sampled("ip-family", "exhibits-random-consistency-patterns", samples, seed,
                         lambda rng: check_exhibits(fam, random_consistency_pattern(rng, n, 6)).ok,
                         f"random consistency {n}-patterns exhibited")
     conditions = all_disjoint_conditions(n)
-    if len(conditions) > 16:
-        raise UnsupportedParams(
-            f"exhaustive sweep over 2**{len(conditions)} patterns; use samples for n > 2"
-        )
     total = 1 << len(conditions)
     good = sum(
         check_exhibits(fam, Pattern(n, tuple(c for i, c in enumerate(conditions) if mask >> i & 1), ())).ok
@@ -214,11 +210,11 @@ def verify_ip_family(n: int = 2, exhaustive: bool = True, samples: int = 100, se
 
 def verify_one1(n: int = 4) -> Report:
     report = Report("one1")
-    for flavor in ("atoms", "skolem"):
-        fam = disjoint_one1_family(n, flavor)
-        report.add(f"{flavor}-threshold-1", check_one_n(fam, 1), f"n={n}")
+    for naming in ("atoms", "skolem"):
+        fam = disjoint_one1_family(n, naming)
+        report.add(f"{naming}-threshold-1", check_one_n(fam, 1), f"n={n}")
         if n >= 2:
-            report.add(f"{flavor}-not-threshold-2", not check_one_n(fam, 2), f"n={n}")
+            report.add(f"{naming}-not-threshold-2", not check_one_n(fam, 2), f"n={n}")
     return report
 
 
@@ -243,9 +239,7 @@ def verify_blowup_roundtrip(k: int = 2, vertices: int = 4, samples: int = 20, se
 
 
 def verify_triangle_free(vertices: int = 4) -> Report:
-    limit = enumeration_bound(GRAPH_SWEEP_VERTICES)
-    if vertices > limit:
-        raise BoundExceeded(f"{vertices} vertices exceed the all-graphs sweep bound {limit}")
+    check_bound(vertices, GRAPH_SWEEP_VERTICES, "{size} vertices exceed the all-graphs sweep bound {limit}")
     _require_sizes(vertices=(vertices, 0))
     report = Report("triangle-free")
     good = total = 0

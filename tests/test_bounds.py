@@ -1,8 +1,26 @@
 import pytest
 
-from patterna import Pattern, brute_force_exhibitable, ip_family
+from patterna import (
+    Hypergraph,
+    Pattern,
+    blowup,
+    brute_force_exhibitable,
+    cooper_pattern,
+    decide_exhibitable,
+    disjoint_one1_family,
+    ip_family,
+    ip_pattern,
+    ktp2_pattern,
+    ktp_pattern,
+    membership_structure,
+    pattern_from_hypergraph,
+    pmchar_pattern,
+    tp1_pattern,
+    triangle_free_double,
+)
 from patterna.bounds import ENV_VAR, enumeration_bound
 from patterna.errors import BoundExceeded
+from patterna.verify import fully_complete_patterns, verify_triangle_free
 
 
 def test_defaults_without_env(monkeypatch):
@@ -26,3 +44,57 @@ def test_env_can_tighten(monkeypatch):
     monkeypatch.setenv(ENV_VAR, "3")
     with pytest.raises(BoundExceeded):
         brute_force_exhibitable(Pattern(4))
+
+
+def edgeless(vertices):
+    return Hypergraph(2, vertices, frozenset())
+
+
+#: Every bounded entry point: PATTERNA_MAX_N, the call, an input exactly at the
+#: limit, the first input over it, and the limit as the message names it.
+#: cooper and pmchar run at the defaults: PATTERNA_MAX_N sets both their
+#: subset bound and the exponent of their output bound, and no n at a common
+#: value of the two passes both.
+BOUNDED = {
+    "decide_exhibitable": ("3", decide_exhibitable, Pattern(8), Pattern(9), "2**3"),
+    "brute_force_exhibitable": ("3", brute_force_exhibitable, Pattern(3), Pattern(4), "3"),
+    "tree_nodes": ("3", lambda bd: tp1_pattern(*bd), (2, 1), (2, 2), "3"),
+    "ktp2_choice_functions": ("3", lambda bdk: ktp2_pattern(*bdk), (3, 1, 3), (2, 2, 2), "3"),
+    "cooper_pattern": (None, cooper_pattern, 4, 5, "4"),
+    "pmchar_pattern": (None, pmchar_pattern, 4, 5, "4"),
+    "pattern_output": ("3", ip_pattern, 2, 3, "2**3"),
+    "pattern_from_hypergraph": ("3", pattern_from_hypergraph, edgeless(3), edgeless(4), "3"),
+    "blowup": ("3", blowup, edgeless(3), edgeless(4), "3"),
+    "triangle_free_double": ("3", triangle_free_double, edgeless(3), edgeless(4), "3"),
+    "ip_family": ("3", ip_family, 3, 4, "3"),
+    "disjoint_one1_family": ("3", disjoint_one1_family, 3, 4, "3"),
+    "membership_structure": ("3", membership_structure, 3, 4, "3"),
+    "fully_complete_patterns": ("3", lambda n: list(fully_complete_patterns(n)), 3, 4, "3"),
+    "verify_triangle_free": ("3", verify_triangle_free, 3, 4, "3"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDED))
+def test_every_bound_refuses_over_and_accepts_at_its_limit(monkeypatch, name):
+    env, call, at_limit, over, limit = BOUNDED[name]
+    if env is None:
+        monkeypatch.delenv(ENV_VAR, raising=False)
+    else:
+        monkeypatch.setenv(ENV_VAR, env)
+    with pytest.raises(BoundExceeded) as refused:
+        call(over)
+    assert f"bound {limit}" in str(refused.value)
+    call(at_limit)
+
+
+def test_trees_refused_level_by_level(monkeypatch):
+    # a tree is refused at the first level that takes it over the bound, and
+    # ktp2's choice functions at the first row, so a huge depth or branching
+    # costs no more than a tree at the bound
+    monkeypatch.delenv(ENV_VAR, raising=False)
+    with pytest.raises(BoundExceeded, match="tree of at least 8191 nodes exceeds the tree bound 4096"):
+        tp1_pattern(2, 10**6)
+    with pytest.raises(BoundExceeded, match=f"tree of at least {2**40 + 1} nodes"):
+        ktp_pattern(2**40, 1, 2)
+    with pytest.raises(BoundExceeded, match="at least 6561 choice functions exceed the tree bound 4096"):
+        ktp2_pattern(3, 10**8, 2)

@@ -16,6 +16,11 @@ from patterna.patterns import pattern_from_cnf
 from conftest import NO_POINT, UNION_SPLIT
 
 
+#: One integer flag per verifier parameter, as the verify subparser builds them.
+VERIFY_FLAGS = sorted({f"--{name}" for procedure in VERIFIERS.values()
+                       for name in inspect.signature(procedure).parameters})
+
+
 def invoke(argv):
     out, err = io.StringIO(), io.StringIO()
     code = run(argv, stdout=out, stderr=err)
@@ -217,10 +222,12 @@ class TestVerifyCommand:
     def test_forwarded_flags_are_the_verifier_parameters(self, monkeypatch):
         from patterna.verify import VERIFIERS, Report
 
-        every_flag = ["--n", "1", "--k", "1", "--vertices", "1", "--samples", "1",
-                      "--seed", "1", "--arity", "1", "--exhaustive"]
+        every_flag = [word for flag in VERIFY_FLAGS for word in (flag, "1")]
         for name, procedure in list(VERIFIERS.items()):
-            parameters = set(inspect.signature(procedure).parameters)
+            signature = inspect.signature(procedure)
+            parameters = set(signature.parameters)
+            # the subparser parses every flag as an int
+            assert all(type(p.default) is int for p in signature.parameters.values()), name
             for flags, expected in (([], set()), (every_flag, parameters)):
                 seen = {}
 
@@ -228,10 +235,20 @@ class TestVerifyCommand:
                     seen.update(kwargs)
                     return Report(name)
 
-                record.__signature__ = inspect.signature(procedure)
+                record.__signature__ = signature
                 monkeypatch.setitem(VERIFIERS, name, record)
                 code, _, _ = invoke(["verify", name, *flags])
                 assert code == 0 and set(seen) == expected, (name, flags)
+
+    def test_ip_family_samples_above_two(self):
+        code, out, err = invoke(["verify", "ip-family", "--n", "3", "--samples", "10"])
+        assert code == 0, err
+        assert json.loads(out)["checks"][0]["detail"] == "10/10 random consistency 3-patterns exhibited"
+
+    def test_ip_family_answers_at_fifteen(self):
+        # 3**15 - 1 conditions: the size rule picks sampling before any is built
+        code, out, err = invoke(["verify", "ip-family", "--n", "15"])
+        assert code == 0 and json.loads(out)["ok"], err
 
     def test_unbounded_sweeps_rejected(self, monkeypatch):
         monkeypatch.delenv(ENV_VAR, raising=False)
@@ -257,10 +274,11 @@ class TestVerifyCommand:
     (["blowup-roundtrip", "--k", "-1"], "k"),
     (["free-amalgam", "--samples", "0"], "samples"),
     (["ip-family", "--samples", "0"], None),
+    (["ip-family", "--n", "3", "--samples", "0"], "samples"),
 ])
 def test_verify_rejects_senseless_sizes(argv, name):
     # a vacuous 0/0 PASS, a FAIL on 0/-1 or a raw Python message before;
-    # ip-family sweeps exhaustively by default and ignores --samples
+    # ip-family sweeps every pattern for n <= 2 and ignores --samples there
     code, out, err = invoke(["verify", *argv])
     if name is None:
         assert code == 0 and json.loads(out)["ok"]
@@ -422,11 +440,10 @@ FUZZ = {
     "dimacs": ([], ["--condition"], 1),
     "hypergraph": (["pattern", "blowup", "double", "witness-structure"], [], 1),
     "generate": (sorted(GEN_KINDS), ["--n", "--b", "--d", "--k"], 0),
-    "verify": (sorted(VERIFIERS), ["--n", "--k", "--vertices", "--samples", "--seed", "--arity",
-                                   "--exhaustive"], 0),
+    "verify": (sorted(VERIFIERS), VERIFY_FLAGS, 0),
     "amalgam": ([], [], 4),
 }
-SWITCHES = {"--witness", "--oracle", "--exhaustive"}
+SWITCHES = {"--witness", "--oracle"}
 
 
 @pytest.mark.parametrize("command", sorted(FUZZ))

@@ -204,10 +204,12 @@ class TestBruteForce:
         d2 = brute_force_exhibitable(Pattern(2))
         assert d2.exhibitable and all(not s for s in d2.witness.sets)
 
-    def test_bound(self):
+    def test_bound(self, monkeypatch):
+        monkeypatch.delenv(ENV_VAR, raising=False)
         with pytest.raises(BoundExceeded):
             brute_force_exhibitable(Pattern(17))
-        assert brute_force_exhibitable(Pattern(17), bound=17).exhibitable
+        monkeypatch.setenv(ENV_VAR, "17")
+        assert brute_force_exhibitable(Pattern(17)).exhibitable
 
     def test_random_agreement_up_to_six(self):
         rng = random.Random(6)

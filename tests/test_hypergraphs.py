@@ -294,7 +294,7 @@ class TestBlowup:
                 if vertices > arity:
                     sources += [random_hypergraph(rng, arity, vertices, rng.random()) for _ in range(4)]
         for h in sources:
-            blown, grouping, maximal = hypergraphs._blowup(h, None)
+            blown, grouping, maximal = hypergraphs._blowup(h)
             derived = sorted(hypergraphs._blowup_cliques(h, grouping, maximal))
             if blown.vertex_count <= 12:
                 assert derived == maximal_masks_by_scan(blown), h
