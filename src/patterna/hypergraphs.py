@@ -13,7 +13,7 @@ construction.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .bounds import CLIQUE_VERTICES, DOUBLING_VERTICES, check_bound
 from .errors import (
@@ -28,27 +28,30 @@ from .errors import (
     VerificationFailure,
 )
 from .patterns import Pattern, _bits, classify, subset_index
-from .semantics import SetFamily, _trace_mask, check_exhibits, encodes_hypergraph
+from .semantics import SetFamily, _meeting_subsets, _trace_mask, check_exhibits, encodes_hypergraph
 
 
 @dataclass(frozen=True)
 class Hypergraph:
-    """A k-uniform hypergraph on vertices [0, vertex_count)."""
+    """A k-uniform hypergraph on vertices [0, vertex_count).  Only `blowup` sets `_cliques`."""
 
     arity: int
     vertex_count: int
     edges: frozenset[frozenset[int]]
+    _cliques: tuple[int, ...] | None = field(init=False, compare=False, repr=False, default=None)
 
     def __post_init__(self):
         if type(self.arity) is not int or self.arity < 2:
             raise UnsupportedParams(f"arity {self.arity!r} is not an int of at least 2")
         if type(self.vertex_count) is not int or self.vertex_count < 0:
             raise UnsupportedParams(f"vertex count {self.vertex_count!r} is not a nonnegative int")
-        coerced = frozenset(frozenset(e) for e in self.edges)
+        coerced = frozenset(map(frozenset, self.edges))
         for edge in coerced:
             if len(edge) != self.arity:
                 raise ArityMismatch(f"edge {sorted(edge)} is not a {self.arity}-subset")
             for v in edge:
+                if type(v) is not int:
+                    raise IndexOutOfRange(f"vertex {v!r} is not an integer")
                 if not 0 <= v < self.vertex_count:
                     raise IndexOutOfRange(f"vertex {v} outside [0, {self.vertex_count})")
         object.__setattr__(self, "edges", coerced)
@@ -166,9 +169,9 @@ def realize_check(fam: SetFamily, h: Hypergraph) -> bool:
 def realization_witness(h: Hypergraph) -> SetFamily:
     """A family realizing h: one point per maximal clique (ordered by sorted
     members), set v = the maximal cliques through v.  Sub-cliques inherit the
-    point of any maximal extension; a non-edge lies in no clique at all.
-    Self-verified as realize_check does, on the same cliques."""
-    cliques = sorted(_maximal_clique_masks(h), key=_bits)
+    point of any maximal extension; a non-edge lies in no clique at all.  The
+    cliques a blowup carries are used, others searched; self-verified on them."""
+    cliques = sorted(_maximal_clique_masks(h) if h._cliques is None else h._cliques, key=_bits)
     sets = tuple(
         frozenset(idx for idx, m in enumerate(cliques) if m >> v & 1) for v in range(h.vertex_count)
     )
@@ -183,32 +186,32 @@ def realization_witness(h: Hypergraph) -> SetFamily:
 # ---------------------------------------------------------------------------
 
 
+def _grouping(h: Hypergraph):
+    """The blowup's blocks: vertex i becomes k+1 consecutive new vertices."""
+    check_bound(h.vertex_count, CLIQUE_VERTICES, "{size} vertices exceed the blowup bound {limit}")
+    k = h.arity
+    return tuple(tuple(range(i * (k + 1), (i + 1) * (k + 1))) for i in range(h.vertex_count))
+
+
 def blowup(h: Hypergraph):
     """Replace each vertex by a block of k+1 vertices; a (k+1)-subset of the
     new vertex set is an edge exactly when the blocks it touches form a clique
     of h.  In particular each block is an edge, and the union of the blocks of
     any h-clique is a clique of the blowup.  Returns (blown, grouping).
-    """
-    return _blowup(h)[:2]
-
-
-def _blowup(h: Hypergraph):
-    """blowup(h) plus the maximal clique masks of h it was built from."""
-    check_bound(h.vertex_count, CLIQUE_VERTICES, "{size} vertices exceed the blowup bound {limit}")
+    An edge grows vertex by vertex while its blocks form a clique of h, and
+    blown carries its maximal cliques, derived from h's."""
+    grouping = _grouping(h)
     k = h.arity
-    n = h.vertex_count
-    grouping = tuple(tuple(range(i * (k + 1), (i + 1) * (k + 1))) for i in range(n))
-    block_of = [i for i in range(n) for _ in range(k + 1)]
     maximal = _maximal_clique_masks(h)
     cliques = set(_submasks(maximal))
-    edges = []
-    for combo in itertools.combinations(range((k + 1) * n), k + 1):
-        spanned = 0
-        for v in combo:
-            spanned |= 1 << block_of[v]
-        if spanned in cliques:
-            edges.append(frozenset(combo))
-    return Hypergraph(k + 1, (k + 1) * n, frozenset(edges)), grouping, maximal
+    prefixes = [((), 0, 0)]  # (new vertices, mask of their blocks, next new vertex)
+    for _ in range(k + 1):
+        prefixes = [(combo + (v,), span, v + 1) for combo, spanned, start in prefixes
+                    for v in range(start, (k + 1) * h.vertex_count)
+                    if (span := spanned | 1 << v // (k + 1)) in cliques]
+    blown = Hypergraph(k + 1, (k + 1) * h.vertex_count, [combo for combo, _, _ in prefixes])
+    object.__setattr__(blown, "_cliques", tuple(_blowup_cliques(h, grouping, maximal)))
+    return blown, grouping
 
 
 def _blowup_cliques(h: Hypergraph, grouping, maximal) -> list[int]:
@@ -225,12 +228,23 @@ def _blowup_cliques(h: Hypergraph, grouping, maximal) -> list[int]:
 
 def blowup_pullback(fam: SetFamily, original: Hypergraph, grouping) -> SetFamily:
     """Collapse a family realizing blowup(original) back to the original:
-    the set of vertex i is the intersection over its block.  Re-verified."""
-    blown, expected, maximal = _blowup(original)
+    the set of vertex i is the intersection over its block.  Re-verified.
+    The precondition is checked without the blowup: (a) every meeting (k+1)-set
+    of new vertices has blocks forming a clique of original, and (b) every
+    maximal clique of the blowup, which every edge lies in, has a common point."""
+    expected = _grouping(original)
     if tuple(tuple(b) for b in grouping) != expected:
         raise PreconditionFailure("grouping does not match the deterministic blowup grouping")
+    maximal = _maximal_clique_masks(original)
     cliques = _blowup_cliques(original, expected, maximal)
-    if fam.n != blown.vertex_count or not _realizes(fam, blown, cliques):
+    # the blocks m touches, as their last vertices: in m, or carried into by adding low
+    top = sum(1 << block[-1] for block in expected)
+    low = sum(1 << v for block in expected for v in block[:-1])
+    spans = {sum(1 << expected[i][-1] for i in _bits(c)) for c in _submasks(maximal)}
+    if (fam.n != len(expected) * (original.arity + 1)
+            or not all(_trace_mask(fam, _bits(c), ()) for c in cliques)
+            or not all(((m & low) + low | m) & top in spans
+                       for m in _meeting_subsets(fam, original.arity + 1))):
         raise PreconditionFailure("family does not realize the blowup")
     sets = tuple(frozenset(_bits(_trace_mask(fam, block, ()))) for block in expected)
     result = SetFamily(fam.universe_size, sets)

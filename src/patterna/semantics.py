@@ -215,23 +215,24 @@ def check_one_n(ufam: UnionClosedFamily, n: int) -> bool:
     return True
 
 
-def encodes_hypergraph(fam: SetFamily, hg) -> bool:
-    """True iff for every arity-sized vertex subset S: the sets of S
-    intersect <=> S is a hyperedge.  S grows from its prefix's meet, so an
-    empty meet prunes every extension; as many S as edges may meet."""
-    if fam.n != hg.vertex_count:
-        raise ArityMismatch(f"family has {fam.n} sets, hypergraph has {hg.vertex_count} vertices")
-    masks, n = fam.masks, hg.vertex_count
-    edges = set(map(subset_index, hg.edges))
-    prefixes = [((1 << fam.universe_size) - 1, 0, 0)]  # (meet, vertex mask, next vertex)
-    for _ in range(hg.arity - 1):
+def _meeting_subsets(fam: SetFamily, size: int):
+    """Every size-subset of fam's indices whose sets meet, as an index mask,
+    grown from its prefix's meet: an empty meet prunes every extension."""
+    masks, n = fam.masks, fam.n
+    prefixes = [((1 << fam.universe_size) - 1, 0, 0)]  # (meet, index mask, next index)
+    for _ in range(size - 1):
         prefixes = [(meet & masks[v], members | 1 << v, v + 1)
                     for meet, members, start in prefixes for v in range(start, n) if meet & masks[v]]
-    meeting = 0
     for meet, members, start in prefixes:
         for v in range(start, n):
             if meet & masks[v]:
-                if members | 1 << v not in edges:
-                    return False
-                meeting += 1
-    return meeting == len(edges)
+                yield members | 1 << v
+
+
+def encodes_hypergraph(fam: SetFamily, hg) -> bool:
+    """True iff the arity-sized vertex subsets whose sets intersect are
+    exactly the hyperedges; the walk stops one subset past the edge count."""
+    if fam.n != hg.vertex_count:
+        raise ArityMismatch(f"family has {fam.n} sets, hypergraph has {hg.vertex_count} vertices")
+    edges = set(map(subset_index, hg.edges))
+    return set(itertools.islice(_meeting_subsets(fam, hg.arity), len(edges) + 1)) == edges

@@ -30,6 +30,10 @@ HYPERGRAPHS = {
     "k3pair5": {"k": 3, "vertices": 5, "edges": [[0, 1, 2], [2, 3, 4]]},
 }
 
+#: Pinned for blowup only: the complete 3-uniform hypergraph on 4 vertices,
+#: whose blowup is a single 16-vertex clique.
+K3_FULL4 = {"k": 3, "vertices": 4, "edges": [list(t) for t in itertools.combinations(range(4), 3)]}
+
 PATTERNS = {
     "op4": ("op", {"n": 4}),
     "sop4": ("sop", {"n": 4}),
@@ -95,11 +99,15 @@ def _cnf_document(variables, clauses):
 def corpus(directory):
     """(name, argv) for every pinned command; input files go to directory."""
     commands = [(f"verify {name}", ["verify", name]) for name in sorted(VERIFIERS)]
+    commands.append(("verify blowup-roundtrip --k 3", ["verify", "blowup-roundtrip", "--k", "3"]))
     for name, doc in HYPERGRAPHS.items():
         path = directory / f"{name}.json"
         path.write_text(json.dumps(doc))
         for action in ("pattern", "blowup", "double", "witness-structure"):
             commands.append((f"hypergraph {action} {name}", ["hypergraph", action, str(path)]))
+    path = directory / "k3full4.json"
+    path.write_text(json.dumps(K3_FULL4))
+    commands.append(("hypergraph blowup k3full4", ["hypergraph", "blowup", str(path)]))
     for name, (kind, params) in PATTERNS.items():
         path = directory / f"{name}.json"
         path.write_text(jsonio.dumps_canonical(jsonio.pattern_to_dict(gen_divline(kind, **params))))
@@ -132,6 +140,7 @@ PINNED = {
     "verify pm-char": [0, "05a18a1117ee8ccae9ee5980bc0c103bfea66042ffe70d4c9a42b301619b58e8"],
     "verify powerset-sm": [0, "eac10d7a5d7577f1bf85e8abf625c1ee53df2ff7d11983fe6137bfc7e25c5656"],
     "verify triangle-free": [0, "bc7c24f6ef4c66aa3dc8b901324af2474737038b846c5860c327659ea6302d5c"],
+    "verify blowup-roundtrip --k 3": [0, "ac0d2c6a38ad88edb592af95accd9ec91744c21236ac2a1c25949f86fcb216d8"],
     "hypergraph pattern path3": [0, "2064564b4ddb26ddad152f37bd3dd37450f9322f7ba9f53e007ae6d3dd23a447"],
     "hypergraph blowup path3": [0, "0d9fe59f65b221ff6e4bc2211d009b1e15e0edc99ee764c0d6803b881a8d9be6"],
     "hypergraph double path3": [0, "8bfae0e6314952b7f6a44cfebf089e9e4c30631849ccde4877dbb648abbcb73b"],
@@ -156,6 +165,7 @@ PINNED = {
     "hypergraph blowup k3pair5": [0, "6c5ae9a85c40f833b1eb2b5d565f8219b96c7e07bdbc842d14dc8263becdfc98"],
     "hypergraph double k3pair5": [2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"],
     "hypergraph witness-structure k3pair5": [0, "c7c6cb82ea2bb9e2b0e5210694310263e285c6354ff4eb231fe0c00cc4581b5e"],
+    "hypergraph blowup k3full4": [0, "c50d03fdfd951d9912c1c62dcc9712f7a62549488aa0bd671f4ff89967686552"],
     "decide op4": [0, "d35cacf253d2de4e0ec4a02c9a8e70ad1feb98bacdc58e5d5d89c975b4ad2b75"],
     "classify op4": [0, "cf20464291c986b1819035b3a2c2f85d3b47821625ed5a3e06c624a8f9a42cc5"],
     "decide sop4": [0, "48b3b5b08d8e7bb3c2aa6c880167afe95c061601fffe5a59b4efcf46c1e443df"],

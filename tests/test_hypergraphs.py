@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -32,6 +33,7 @@ from patterna import (
 from patterna.errors import (
     ArityMismatch,
     BoundExceeded,
+    IndexOutOfRange,
     NotAnEmbedding,
     NotReasonablePositive,
     PreconditionFailure,
@@ -54,6 +56,12 @@ def fam(universe, *sets):
 def test_non_integer_sizes_rejected(arity, vertex_count):
     with pytest.raises(UnsupportedParams):
         Hypergraph(arity, vertex_count, frozenset())
+
+
+@pytest.mark.parametrize("vertex", [0.5, 1.0, True])
+def test_non_integer_vertices_rejected(vertex):
+    with pytest.raises(IndexOutOfRange, match=re.escape(f"vertex {vertex!r} is not an integer")):
+        Hypergraph(2, 3, frozenset({frozenset({vertex, 2})}))
 
 
 class TestPatternFromHypergraph:
@@ -269,21 +277,32 @@ class TestBlowup:
         assert realize_check(pulled, h)
 
     def test_pullback_searches_each_hypergraph_once(self, monkeypatch):
-        h = graph(3, [(0, 1), (1, 2)])
-        blown, grouping = blowup(h)
-        witness = realization_witness(blown)
+        # a round trip searches the source alone: the blowup carries the
+        # cliques it derived, which the witness takes, and the pullback
+        # derives them again; the last search is the realize_check
+        rng = random.Random(67)
+        sources = fixed_blowup_sources() + [
+            random_hypergraph(rng, arity, rng.randint(0, most), rng.random())
+            for arity, most in ((2, 5), (3, 4), (4, 4)) for _ in range(8)
+        ]
         searched = []
         engine = hypergraphs._maximal_clique_masks
         monkeypatch.setattr(hypergraphs, "_maximal_clique_masks",
                             lambda g: searched.append(g) or engine(g))
-        assert realize_check(blowup_pullback(witness, h, grouping), h)
-        # the blowup's cliques are derived from h's; the last is the realize_check above
-        assert searched == [h, h]
+        for h in sources:
+            searched.clear()
+            blown, grouping = blowup(h)
+            witness = realization_witness(blown)
+            assert realize_check(blowup_pullback(witness, h, grouping), h)
+            assert searched == [h, h, h]
+            # a caller-built copy carries no cliques and is searched
+            assert realization_witness(Hypergraph(blown.arity, blown.vertex_count, blown.edges)) == witness
 
     def test_derived_cliques_are_the_blowups_maximal_cliques(self):
         # the block unions of h's maximal cliques plus the transversals of
         # its non-edges: against the subset scan where the blowup has at most
-        # 12 vertices, and against the clique search on the larger ones
+        # 12 vertices, and against the clique search on the larger ones; the
+        # edges are the (k+1)-sets whose blocks form a scanned clique of h
         rng = random.Random(61)
         sources = fixed_blowup_sources()
         for arity, most in ((2, 5), (3, 4), (4, 4)):
@@ -294,12 +313,19 @@ class TestBlowup:
                 if vertices > arity:
                     sources += [random_hypergraph(rng, arity, vertices, rng.random()) for _ in range(4)]
         for h in sources:
-            blown, grouping, maximal = hypergraphs._blowup(h)
-            derived = sorted(hypergraphs._blowup_cliques(h, grouping, maximal))
+            blown, _ = blowup(h)
+            derived = sorted(blown._cliques)
             if blown.vertex_count <= 12:
                 assert derived == maximal_masks_by_scan(blown), h
             else:
                 assert derived == sorted(hypergraphs._maximal_clique_masks(blown)), h
+            cliques = set(clique_masks_by_scan(h))
+            width = h.arity + 1
+            assert blown.edges == {
+                frozenset(combo)
+                for combo in itertools.combinations(range(blown.vertex_count), width)
+                if sum({1 << v // width for v in combo}) in cliques
+            }, h
 
     def test_pullback_precondition(self):
         h = graph(2, [])

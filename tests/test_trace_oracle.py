@@ -30,6 +30,7 @@ from patterna import (
     realized_types,
     union_representable,
 )
+from patterna.errors import PreconditionFailure
 
 from conftest import clique_masks_by_scan, trace_by_points
 
@@ -188,6 +189,45 @@ def test_blowup_pullback_meets_blocks():
         assert pulled.sets == tuple(
             trace_by_points(witness, Condition(block, ())) for block in grouping
         )
+
+
+def test_blowup_pullback_precondition():
+    # padded realization witnesses of arity-3 and arity-4 blowups, copies
+    # with a used point flipped in or dropped from some of their sets, and
+    # families of the wrong size: the pullback refuses exactly the families
+    # that the scan says do not realize the blowup
+    rng = random.Random(4106)
+    outcomes = set()
+    for _ in range(40):
+        arity = rng.choice((2, 3))
+        vertices = rng.randint(0, 6 - arity)
+        density = rng.random()
+        edges = [e for e in itertools.combinations(range(vertices), arity) if rng.random() < density]
+        h = Hypergraph(arity, vertices, frozenset(map(frozenset, edges)))
+        blown, grouping = blowup(h)
+        witness = padded(realization_witness(blown), rng, rng.randint(0, 50))
+        point = rng.choice(sorted(frozenset().union(*witness.sets)) or [0])
+        flipped, dropped = (
+            SetFamily(witness.universe_size, tuple(
+                change(s) if rng.random() < 0.4 else s for s in witness.sets
+            ))
+            for change in (lambda s: s ^ {point}, lambda s: s - {point})
+        )
+        resized = SetFamily(witness.universe_size, witness.sets[:-1] or ({point},))
+        scanned = set(clique_masks_by_scan(blown))
+        cliques = [members(m) for m in scanned  # the scanned cliques no vertex extends
+                   if not any(m | 1 << v in scanned for v in range(blown.vertex_count) if not m >> v & 1)]
+        for fam in (witness, flipped, dropped, resized):
+            encodes = fam.n == blown.vertex_count and encodes_by_scan(fam, blown)
+            realizes = encodes and all(trace_by_points(fam, Condition(c, ())) for c in cliques)
+            try:
+                blowup_pullback(fam, h, grouping)
+                refused = False
+            except PreconditionFailure:
+                refused = True
+            assert refused == (not realizes), (fam, h)
+            outcomes.add((realizes, encodes))
+    assert outcomes == {(True, True), (False, True), (False, False)}
 
 
 def one_n_by_scan(singles, universe, threshold):
