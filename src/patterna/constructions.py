@@ -26,7 +26,7 @@ from .errors import (
     UnsupportedParams,
     VerificationFailure,
 )
-from .patterns import Pattern, _bits, classify, double_positive, subset_index
+from .patterns import Pattern, _bits, classify, double_positive
 from .semantics import SetFamily, UnionClosedFamily, _trace_mask, check_exhibits, check_one_n
 
 
@@ -52,18 +52,22 @@ def powerset_sm_witness(p: Pattern) -> SetFamily:
     """
     if not classify(p).fully_complete:
         raise NotFullyComplete("input pattern is not fully complete")
-    splits = [frozenset(c.pos) for c in p.consistency]
-    k = len(splits)
-    fresh_atom, non_atom = k, k + 1
-    empty_forbidden = any(not z.pos for z in p.inconsistency)
-    sets = []
-    for i in range(p.n):
-        atoms = frozenset(j for j in range(k) if i in splits[j])
-        if empty_forbidden and i in splits[0]:
-            atoms |= {fresh_atom, non_atom}
-        sets.append(atoms)
-    fam = SetFamily(k + 2, tuple(sets))
-    return _self_check(fam, p, "powerset witness")
+    masks = _atom_masks(p)
+    k = len(p.consistency)
+    if any(not z.pos for z in p.inconsistency):  # (∅, everything) is forbidden
+        for i in p.consistency[0].pos:
+            masks[i] |= 0b11 << k  # the fresh atom k and the non-atom point k + 1
+    return _self_check(SetFamily._of_masks(k + 2, masks), p, "powerset witness")
+
+
+def _atom_masks(p: Pattern) -> list[int]:
+    """Per index i, the mask of the consistency conditions whose positive
+    part contains i, one point per condition."""
+    masks = [0] * p.n
+    for j, cond in enumerate(p.consistency):
+        for i in cond.pos:
+            masks[i] |= 1 << j
+    return masks
 
 
 def atomless_pm_witness(p: Pattern) -> SetFamily:
@@ -77,16 +81,7 @@ def atomless_pm_witness(p: Pattern) -> SetFamily:
     flags = classify(p)
     if not (flags.reasonable and flags.positive):
         raise NotReasonablePositive("input pattern must be reasonable and positive")
-    if not p.consistency:
-        fam = SetFamily(1, tuple(frozenset() for _ in range(p.n)))
-    else:
-        fam = SetFamily(
-            len(p.consistency),
-            tuple(
-                frozenset(j for j, c in enumerate(p.consistency) if i in c.pos)
-                for i in range(p.n)
-            ),
-        )
+    fam = SetFamily._of_masks(max(len(p.consistency), 1), _atom_masks(p))
     return _self_check(fam, p, "disjoint-pieces witness")
 
 
@@ -98,7 +93,7 @@ def canonical_char_family(k: int) -> SetFamily:
     """
     if k < 0:
         raise UnsupportedParams("k must be nonnegative")
-    return SetFamily(max(k, 1), tuple(frozenset(_bits(e)) for e in range(1 << k)))
+    return SetFamily._of_masks(max(k, 1), range(1 << k))
 
 
 def check_char_property(char_fam: SetFamily, k: int) -> bool:
@@ -141,11 +136,8 @@ def pm_char_reduction(char_fam: SetFamily, p: Pattern) -> SetFamily:
         raise CharacterizationPropertyViolated(
             "family does not satisfy the intersection characterization"
         )
-    sets = tuple(
-        char_fam.sets[subset_index(j for j, c in enumerate(p.consistency) if i in c.pos)]
-        for i in range(p.n)
-    )
-    fam = SetFamily(char_fam.universe_size, sets)
+    fam = SetFamily._of_masks(char_fam.universe_size,
+                              (char_fam.masks[x] for x in _atom_masks(p)))
     report = check_exhibits(fam, p)
     if not report.ok:
         raise CharacterizationPropertyViolated(
@@ -163,7 +155,7 @@ def cm_from_doubled_witness(witness: SetFamily, p: Pattern) -> SetFamily:
     doubled = double_positive(p)
     if witness.n != doubled.n or not check_exhibits(witness, doubled).ok:
         raise PreconditionFailure("family does not exhibit the doubled pattern")
-    fam = SetFamily(witness.universe_size, witness.sets[: p.n])
+    fam = SetFamily._of_masks(witness.universe_size, witness.masks[: p.n])
     return _self_check(fam, p, "doubling truncation")
 
 
@@ -177,10 +169,9 @@ def ip_family(n: int) -> SetFamily:
     check_bound(n, IP_FAMILY_N, "n={size} exceeds the independence-family bound {limit}")
     if n < 0:
         raise UnsupportedParams("n must be nonnegative")
-    return SetFamily(
-        1 << n,
-        tuple(frozenset(e for e in range(1 << n) if e >> i & 1) for i in range(n)),
-    )
+    # bit e of set i is bit i of e: blocks of 2**i zeros and 2**i ones, from bit 0 up
+    return SetFamily._of_masks(1 << n, (int(("1" * (1 << i) + "0" * (1 << i)) * (1 << (n - i - 1)), 2)
+                                        for i in range(n)))
 
 
 def first_primes(n: int) -> list[int]:

@@ -71,10 +71,11 @@ def _targets(p: Pattern):
 def _verified(p: Pattern, types) -> Decision:
     """The witness with one point per distinct type, re-verified."""
     universe = sorted(set(types), key=sorted)
-    sets = tuple(
-        frozenset(point for point, t in enumerate(universe) if i in t) for i in range(p.n)
-    )
-    witness = SetFamily(len(universe), sets)
+    masks = [0] * p.n
+    for point, t in enumerate(universe):
+        for i in t:
+            masks[i] |= 1 << point
+    witness = SetFamily._of_masks(len(universe), masks)
     report = check_exhibits(witness, p)
     if not report.ok:
         raise WitnessVerificationFailure(

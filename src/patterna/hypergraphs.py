@@ -27,13 +27,14 @@ from .errors import (
     UnsupportedParams,
     VerificationFailure,
 )
-from .patterns import Pattern, _bits, classify, subset_index
+from .patterns import Pattern, _bits, _canonical, classify, subset_index
 from .semantics import SetFamily, _meeting_subsets, _trace_mask, check_exhibits, encodes_hypergraph
 
 
 @dataclass(frozen=True)
 class Hypergraph:
-    """A k-uniform hypergraph on vertices [0, vertex_count).  Only `blowup` sets `_cliques`."""
+    """A k-uniform hypergraph on vertices [0, vertex_count).  Only `blowup`
+    sets `_cliques`, on a hypergraph it builds without re-checking its edges."""
 
     arity: int
     vertex_count: int
@@ -172,10 +173,11 @@ def realization_witness(h: Hypergraph) -> SetFamily:
     point of any maximal extension; a non-edge lies in no clique at all.  The
     cliques a blowup carries are used, others searched; self-verified on them."""
     cliques = sorted(_maximal_clique_masks(h) if h._cliques is None else h._cliques, key=_bits)
-    sets = tuple(
-        frozenset(idx for idx, m in enumerate(cliques) if m >> v & 1) for v in range(h.vertex_count)
-    )
-    fam = SetFamily(max(len(cliques), 1), sets)  # no vertices: one point in no set
+    masks = [0] * h.vertex_count
+    for idx, clique in enumerate(cliques):
+        for v in _bits(clique):
+            masks[v] |= 1 << idx
+    fam = SetFamily._of_masks(max(len(cliques), 1), masks)  # no vertices: one point in no set
     if not _realizes(fam, h, cliques):
         raise VerificationFailure("maximal-clique witness failed realization check")
     return fam
@@ -209,8 +211,9 @@ def blowup(h: Hypergraph):
         prefixes = [(combo + (v,), span, v + 1) for combo, spanned, start in prefixes
                     for v in range(start, (k + 1) * h.vertex_count)
                     if (span := spanned | 1 << v // (k + 1)) in cliques]
-    blown = Hypergraph(k + 1, (k + 1) * h.vertex_count, [combo for combo, _, _ in prefixes])
-    object.__setattr__(blown, "_cliques", tuple(_blowup_cliques(h, grouping, maximal)))
+    blown = _canonical(Hypergraph, k + 1, (k + 1) * h.vertex_count,
+                       frozenset(frozenset(combo) for combo, _, _ in prefixes),
+                       tuple(_blowup_cliques(h, grouping, maximal)))
     return blown, grouping
 
 
@@ -246,8 +249,7 @@ def blowup_pullback(fam: SetFamily, original: Hypergraph, grouping) -> SetFamily
             or not all(((m & low) + low | m) & top in spans
                        for m in _meeting_subsets(fam, original.arity + 1))):
         raise PreconditionFailure("family does not realize the blowup")
-    sets = tuple(frozenset(_bits(_trace_mask(fam, block, ()))) for block in expected)
-    result = SetFamily(fam.universe_size, sets)
+    result = SetFamily._of_masks(fam.universe_size, (_trace_mask(fam, block, ()) for block in expected))
     if not _realizes(result, original, maximal):
         raise VerificationFailure("pullback failed to realize the original hypergraph")
     return result
@@ -565,7 +567,7 @@ def triangle_free_double(g: Hypergraph) -> TriangleFreeDoubling:
         for v in _bits(mask):
             edges.add(frozenset((witness, v)))
             edges.add(frozenset((witness, n + v)))
-    doubled = Hypergraph(2, total, frozenset(edges))
+    doubled = _canonical(Hypergraph, 2, total, frozenset(edges))
 
     adjacency = [0] * total
     for edge in doubled.edges:
@@ -578,8 +580,7 @@ def triangle_free_double(g: Hypergraph) -> TriangleFreeDoubling:
             common = (adjacency[u] & adjacency[v]).bit_length() - 1
             raise TriangleFound(f"triangle on {u}, {v}, {common}")
 
-    sets = tuple(frozenset(_bits(adjacency[v] & adjacency[n + v])) for v in range(n))
-    family = SetFamily(total or 1, sets)
+    family = SetFamily._of_masks(total or 1, (adjacency[v] & adjacency[n + v] for v in range(n)))
     if not realize_check(family, g):
         raise VerificationFailure("doubling's derived family fails to realize the graph")
     return TriangleFreeDoubling(

@@ -12,7 +12,7 @@ import json
 from .decide import Decision
 from .errors import ParseError, PatternaError
 from .hypergraphs import Embedding, Hypergraph, WitnessStructure
-from .patterns import Pattern, PatternFlags, validate_pattern
+from .patterns import Pattern, PatternFlags, _bits, validate_pattern
 from .semantics import SetFamily
 
 
@@ -72,7 +72,7 @@ def flags_to_dict(flags: PatternFlags) -> dict:
 
 
 def family_to_dict(fam: SetFamily) -> dict:
-    return {"universe": fam.universe_size, "sets": [sorted(s) for s in fam.sets]}
+    return {"universe": fam.universe_size, "sets": [list(_bits(mask)) for mask in fam.masks]}
 
 
 def family_from_dict(data) -> SetFamily:

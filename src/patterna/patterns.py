@@ -49,8 +49,8 @@ class Condition:
 
 
 def _canonical(cls, *values):
-    """A Pattern (or Condition) from field values that are already canonical
-    (sorted, duplicate-free, in range), built without re-checking them."""
+    """A frozen dataclass instance (Pattern, Condition, SetFamily, Hypergraph)
+    from field values that are already canonical and valid, not re-checked."""
     obj = object.__new__(cls)
     obj.__dict__.update(zip(cls.__dataclass_fields__, values))
     return obj
@@ -333,7 +333,13 @@ def subset_index(subset) -> int:
 
 
 def _bits(mask: int):
-    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+    """The set bits of a nonnegative mask, ascending, one step per set bit."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 def cooper_pattern(n: int) -> Pattern:

@@ -11,50 +11,65 @@ procedures implement.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ArityMismatch, IndexOutOfRange, MalformedUnionMap
 from .patterns import Condition, Pattern, _bits, _canonical, complete_conditions, subset_index
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class SetFamily:
     """universe_size points [0, m) and one subset per index.
 
     The universe is mandatorily nonempty: first-order structures are, and
     that single fact is what makes e.g. I = {({0},∅), (∅,{0})} non-exhibitable.
-    The frozensets are the public view; traces are computed on `masks`, one
-    int per index with bit p set iff point p is in the set.
+    The state is `masks`, one int per index with bit p set iff point p is in
+    the set; equality and hashing are on (universe_size, masks), and traces
+    are computed on the masks.  `sets`, the frozensets, is a read-only view:
+    SetFamily(m, sets) checks every point and fills it at once, while the
+    library builds the families it computes with _of_masks, which checks
+    nothing and leaves the view to be built on first read.
     """
 
     universe_size: int
-    sets: tuple[frozenset[int], ...]
-    masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    masks: tuple[int, ...]
 
-    def __post_init__(self):
-        if type(self.universe_size) is not int:
-            raise IndexOutOfRange(f"universe size {self.universe_size!r} is not an integer")
-        if self.universe_size < 1:
+    def __init__(self, universe_size: int, sets):
+        if type(universe_size) is not int:
+            raise IndexOutOfRange(f"universe size {universe_size!r} is not an integer")
+        if universe_size < 1:
             raise ValueError("universe must be nonempty")
-        coerced = tuple(frozenset(s) for s in self.sets)
+        coerced = tuple(frozenset(s) for s in sets)
         masks = []
         for s in coerced:
             mask = 0
             for point in s:
                 if type(point) is not int:
                     raise IndexOutOfRange(f"point {point!r} is not an integer")
-                if not 0 <= point < self.universe_size:
-                    raise IndexOutOfRange(
-                        f"point {point} outside universe [0, {self.universe_size})"
-                    )
+                if not 0 <= point < universe_size:
+                    raise IndexOutOfRange(f"point {point} outside universe [0, {universe_size})")
                 mask |= 1 << point
             masks.append(mask)
-        object.__setattr__(self, "sets", coerced)
-        object.__setattr__(self, "masks", tuple(masks))
+        self.__dict__.update(universe_size=universe_size, masks=tuple(masks), sets=coerced)
+
+    @classmethod
+    def _of_masks(cls, universe_size: int, masks) -> SetFamily:
+        """A family from point masks the library has just computed, each below
+        1 << universe_size; nothing is re-checked."""
+        return _canonical(cls, universe_size, tuple(masks))
+
+    @cached_property
+    def sets(self) -> tuple[frozenset[int], ...]:
+        return tuple(frozenset(_bits(mask)) for mask in self.masks)
+
+    def __repr__(self) -> str:
+        return f"SetFamily(universe_size={self.universe_size!r}, sets={self.sets!r})"
 
     @property
     def n(self) -> int:
-        return len(self.sets)
+        return len(self.masks)
 
     @property
     def universe(self) -> frozenset[int]:
@@ -181,13 +196,12 @@ class UnionClosedFamily:
     @classmethod
     def from_singletons(cls, universe_size, singletons, point_labels=None, set_labels=None):
         """Build the family with B_X = union of the given singleton sets."""
-        singles = [frozenset(s) for s in singletons]
-        k = len(singles)
-        sets = [frozenset()]
-        for mask in range(1, 1 << k):
-            low = mask & -mask
-            sets.append(sets[mask ^ low] | singles[low.bit_length() - 1])
-        return cls(k, SetFamily(universe_size, tuple(sets)), point_labels, set_labels)
+        singles = SetFamily(universe_size, tuple(singletons)).masks
+        masks = [0]
+        for x in range(1, 1 << len(singles)):
+            low = x & -x
+            masks.append(masks[x ^ low] | singles[low.bit_length() - 1])
+        return cls(len(singles), SetFamily._of_masks(universe_size, masks), point_labels, set_labels)
 
 
 def union_representable(ufam: UnionClosedFamily) -> bool:
@@ -202,17 +216,18 @@ def union_representable(ufam: UnionClosedFamily) -> bool:
 def check_one_n(ufam: UnionClosedFamily, n: int) -> bool:
     """The finite intersection-threshold check behind the maximality property:
     unions are traced (re-verified), and for every nonempty Y of base indices
-    the intersection of the base sets is empty iff |Y| > n."""
+    the intersection of the base sets is empty iff |Y| > n.  Meeting is
+    downward closed, so with t = min(n, k) this is a meet walk: all C(k, t)
+    t-subsets meet, and no (t+1)-subset does unless t = k."""
     if n < 1:
         raise MalformedUnionMap("threshold must be at least 1")
     if not union_representable(ufam):
         return False
-    base = [1 << i for i in range(ufam.index_count)]  # family indices of B_{i}
-    for size in range(1, len(base) + 1):
-        for combo in itertools.combinations(base, size):
-            if bool(_trace_mask(ufam.family, combo, ())) != (size <= n):
-                return False
-    return True
+    k = ufam.index_count
+    base = SetFamily._of_masks(ufam.family.universe_size, [ufam.family.masks[1 << i] for i in range(k)])
+    t = min(n, k)
+    return k == 0 or (sum(1 for _ in _meeting_subsets(base, t)) == math.comb(k, t)
+                      and (t == k or next(_meeting_subsets(base, t + 1), None) is None))
 
 
 def _meeting_subsets(fam: SetFamily, size: int):

@@ -9,6 +9,7 @@ from patterna import (
     Pattern,
     SetFamily,
     UnionClosedFamily,
+    canonical_char_family,
     check_exhibits,
     check_one_n,
     classify,
@@ -16,6 +17,7 @@ from patterna import (
     decide_exhibitable,
     encodes_hypergraph,
     fully_complete_extension,
+    ip_family,
     realized_types,
     union_representable,
 )
@@ -100,6 +102,44 @@ class TestExhibits:
         # raised a bare TypeError from the float shift
         with pytest.raises(IndexOutOfRange, match="not an integer"):
             SetFamily(size, (frozenset({0}),))
+
+
+class TestSetFamilyState:
+    """Masks are the state; sets is a view, filled at once by the public
+    constructor and on first read for a family built from masks."""
+
+    def test_mask_built_equals_public_built(self):
+        public = fam(3, {0, 2}, set(), {1})
+        built = SetFamily._of_masks(3, (0b101, 0, 0b10))
+        assert built == public and hash(built) == hash(public)
+        assert built.sets == public.sets and built.masks == public.masks == (5, 0, 2)
+        assert built != SetFamily._of_masks(4, (0b101, 0, 0b10))
+        assert built != SetFamily._of_masks(3, (0b101, 0))
+
+    @pytest.mark.parametrize("build, text", [
+        (lambda: fam(3, {0, 2}, set(), {1}),
+         "SetFamily(universe_size=3, sets=(frozenset({0, 2}), frozenset(), frozenset({1})))"),
+        (lambda: SetFamily._of_masks(3, (0b101, 0, 0b10)),
+         "SetFamily(universe_size=3, sets=(frozenset({0, 2}), frozenset(), frozenset({1})))"),
+        (lambda: SetFamily(1, ()), "SetFamily(universe_size=1, sets=())"),
+        (lambda: ip_family(2),
+         "SetFamily(universe_size=4, sets=(frozenset({1, 3}), frozenset({2, 3})))"),
+        (lambda: canonical_char_family(0), "SetFamily(universe_size=1, sets=(frozenset(),))"),
+        (lambda: UnionClosedFamily.from_singletons(2, [{0}, {1}]),
+         "UnionClosedFamily(index_count=2, family=SetFamily(universe_size=2, sets=(frozenset(), "
+         "frozenset({0}), frozenset({1}), frozenset({0, 1}))), point_labels=None, set_labels=None)"),
+    ])
+    def test_repr_unchanged(self, build, text):
+        # the strings were printed by the frozenset-state SetFamily
+        assert repr(build()) == text
+
+    @pytest.mark.parametrize("name", ["universe_size", "masks", "sets"])
+    def test_fields_cannot_be_assigned(self, name):
+        for family in (fam(2, {0}), SetFamily._of_masks(2, (1,)), ip_family(3)):
+            for _ in range(2):  # before and after the view is read
+                with pytest.raises(AttributeError):
+                    setattr(family, name, getattr(family, name))
+                assert family.sets
 
 
 class TestRealizedTypes:
@@ -194,6 +234,9 @@ class TestUnionClosed:
     def test_shared_point_fails_threshold_one(self):
         shared = UnionClosedFamily.from_singletons(1, [{0}, {0}])
         assert not check_one_n(shared, 1)
+
+    def test_no_base_sets_holds_vacuously(self):
+        assert check_one_n(UnionClosedFamily.from_singletons(1, []), 1)
 
     def test_malformed_count(self):
         with pytest.raises(MalformedUnionMap):

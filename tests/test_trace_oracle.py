@@ -15,22 +15,33 @@ from patterna import (
     Pattern,
     SetFamily,
     UnionClosedFamily,
+    atomless_pm_witness,
     blowup,
     blowup_pullback,
+    brute_force_exhibitable,
     canonical_char_family,
     check_char_property,
     check_exhibits,
     check_one_n,
     classify,
+    cm_from_doubled_witness,
     condition_trace,
+    decide_exhibitable,
+    double_positive,
     encodes_hypergraph,
     fully_complete_extension,
+    ip_family,
+    pattern_from_hypergraph,
+    pm_char_reduction,
+    powerset_sm_witness,
     realization_witness,
     realize_check,
     realized_types,
+    triangle_free_double,
     union_representable,
 )
 from patterna.errors import PreconditionFailure
+from patterna.rand import random_consistency_pattern, random_graph, random_pattern
 
 from conftest import clique_masks_by_scan, trace_by_points
 
@@ -278,6 +289,30 @@ def test_union_closed_threshold_checks():
             representable and one_n_by_scan(base, universe, threshold)
         )
     assert outcomes == {True, False}
+    # planted: one point per t-subset of k <= 10 base indices, so exactly the
+    # subsets of size <= t meet, sometimes plus one point on a (t+1)-subset.
+    # Per threshold 1..12 (up to k+2): t at the threshold (True), one point
+    # too many or t elsewhere (False), then two random t.
+    by_threshold = {}
+    for threshold in range(1, 13):
+        for variant in range(4):
+            k = rng.randint(max(2, threshold - 2), 10)
+            t, extra = min(threshold, k), variant == 1
+            if variant == 1 and t == k:
+                t, extra = rng.randint(1, k - 1), rng.random() < 0.5
+            elif variant > 1:
+                t = rng.randint(1, k)
+                extra = t < k and rng.random() < 0.5
+            tops = list(itertools.combinations(range(k), t))
+            if extra:
+                tops.append(tuple(sorted(rng.sample(range(k), t + 1))))
+            rng.shuffle(tops)
+            universe = len(tops) + rng.randint(0, 3)
+            singles = [frozenset(p for p, top in enumerate(tops) if i in top) for i in range(k)]
+            expected = one_n_by_scan(singles, universe, threshold)
+            assert check_one_n(UnionClosedFamily.from_singletons(universe, singles), threshold) == expected
+            by_threshold.setdefault(threshold, set()).add(expected)
+    assert all(seen == {True, False} for seen in by_threshold.values())
 
 
 def char_property_by_scan(fam, k):
@@ -359,3 +394,61 @@ def test_realized_types_match_point_scan():
             frozenset(i for i, s in enumerate(fam.sets) if point in s)
             for point in range(fam.universe_size)
         }
+
+
+def assert_as_public(fam):
+    """A family the library built from masks, unchecked, is the family the
+    public constructor builds from its sets: every mask inside the universe,
+    and the same masks, sets, hash and repr."""
+    assert all(0 <= mask < 1 << fam.universe_size for mask in fam.masks)
+    public = SetFamily(fam.universe_size, fam.sets)
+    assert (public.masks, public.sets) == (fam.masks, fam.sets)
+    assert public == fam and hash(public) == hash(fam) and repr(public) == repr(fam)
+
+
+def assert_hypergraph_as_public(h):
+    public = Hypergraph(h.arity, h.vertex_count, h.edges)
+    assert (public.arity, public.vertex_count, public.edges) == (h.arity, h.vertex_count, h.edges)
+
+
+def test_mask_built_families_match_the_public_constructor():
+    rng = random.Random(4111)
+    for n in range(9):
+        assert_as_public(ip_family(n))
+        assert_as_public(canonical_char_family(n))
+    for _ in range(40):
+        universe = rng.randint(1, 200)
+        density = rng.choice((0.01, 0.1, 0.5))
+        singles = [frozenset(p for p in range(universe) if rng.random() < density)
+                   for _ in range(rng.randint(0, 6))]
+        ufam = UnionClosedFamily.from_singletons(universe, singles)
+        assert_as_public(ufam.family)
+        assert ufam.family.sets == tuple(frozenset().union(*(singles[i] for i in members(x)))
+                                         for x in range(1 << len(singles)))
+    for _ in range(60):
+        # dense families realize every type but ∅, so (∅, everything) is forbidden
+        fam = random_family(rng, rng.randint(1, 6), rng.choice((3, 80)))
+        assert_as_public(powerset_sm_witness(fully_complete_extension(fam)))
+    for _ in range(80):
+        p = random_pattern(rng, rng.randint(1, 6), 8)
+        for decision in (decide_exhibitable(p), brute_force_exhibitable(p)):
+            if decision.exhibitable:
+                assert_as_public(decision.witness)
+        q = random_consistency_pattern(rng, rng.randint(0, 5), 6)
+        assert_as_public(cm_from_doubled_witness(decide_exhibitable(double_positive(q)).witness, q))
+    for _ in range(60):
+        h = random_hypergraph(rng)
+        assert_as_public(realization_witness(h))
+        blown, grouping = blowup(h)
+        assert_hypergraph_as_public(blown)
+        witness = realization_witness(blown)
+        assert_as_public(witness)
+        assert_as_public(blowup_pullback(witness, h, grouping))
+        p = pattern_from_hypergraph(h)
+        assert_as_public(atomless_pm_witness(p))
+        if len(p.consistency) <= 8:
+            assert_as_public(pm_char_reduction(canonical_char_family(len(p.consistency)), p))
+    for _ in range(40):
+        doubling = triangle_free_double(random_graph(rng, rng.randint(0, 6), rng.random()))
+        assert_hypergraph_as_public(doubling.graph)
+        assert_as_public(doubling.family)
