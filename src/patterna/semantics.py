@@ -217,29 +217,35 @@ def check_one_n(ufam: UnionClosedFamily, n: int) -> bool:
     """The finite intersection-threshold check behind the maximality property:
     unions are traced (re-verified), and for every nonempty Y of base indices
     the intersection of the base sets is empty iff |Y| > n.  Meeting is
-    downward closed, so with t = min(n, k) this is a meet walk: all C(k, t)
-    t-subsets meet, and no (t+1)-subset does unless t = k."""
+    downward closed, so with t = min(n, k) this is one meet walk to level t:
+    all C(k, t) t-subsets meet, and none extends to a meeting (t+1)-subset."""
     if n < 1:
         raise MalformedUnionMap("threshold must be at least 1")
     if not union_representable(ufam):
         return False
     k = ufam.index_count
-    base = SetFamily._of_masks(ufam.family.universe_size, [ufam.family.masks[1 << i] for i in range(k)])
-    t = min(n, k)
-    return k == 0 or (sum(1 for _ in _meeting_subsets(base, t)) == math.comb(k, t)
-                      and (t == k or next(_meeting_subsets(base, t + 1), None) is None))
+    masks = [ufam.family.masks[1 << i] for i in range(k)]
+    level = _meeting_prefixes(masks, ufam.family.universe_size, min(n, k))
+    return len(level) == math.comb(k, min(n, k)) and not any(
+        meet & masks[v] for meet, _, start in level for v in range(start, k))
+
+
+def _meeting_prefixes(masks, universe_size: int, size: int) -> list:
+    """(meet, index mask, next index) of every size-subset of indices whose
+    masks meet, grown from each prefix's meet: an empty meet prunes its extensions."""
+    level = [((1 << universe_size) - 1, 0, 0)]
+    for _ in range(size):
+        level = [(meet & masks[v], members | 1 << v, v + 1)
+                 for meet, members, start in level for v in range(start, len(masks)) if meet & masks[v]]
+    return level
 
 
 def _meeting_subsets(fam: SetFamily, size: int):
-    """Every size-subset of fam's indices whose sets meet, as an index mask,
-    grown from its prefix's meet: an empty meet prunes every extension."""
-    masks, n = fam.masks, fam.n
-    prefixes = [((1 << fam.universe_size) - 1, 0, 0)]  # (meet, index mask, next index)
-    for _ in range(size - 1):
-        prefixes = [(meet & masks[v], members | 1 << v, v + 1)
-                    for meet, members, start in prefixes for v in range(start, n) if meet & masks[v]]
-    for meet, members, start in prefixes:
-        for v in range(start, n):
+    """Every size-subset of fam's indices whose sets meet, as an index mask;
+    the last level is walked lazily, so a caller can stop early."""
+    masks = fam.masks
+    for meet, members, start in _meeting_prefixes(masks, fam.universe_size, size - 1):
+        for v in range(start, fam.n):
             if meet & masks[v]:
                 yield members | 1 << v
 

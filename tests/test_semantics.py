@@ -128,10 +128,20 @@ class TestSetFamilyState:
         (lambda: UnionClosedFamily.from_singletons(2, [{0}, {1}]),
          "UnionClosedFamily(index_count=2, family=SetFamily(universe_size=2, sets=(frozenset(), "
          "frozenset({0}), frozenset({1}), frozenset({0, 1}))), point_labels=None, set_labels=None)"),
+        (lambda: UnionClosedFamily.from_singletons(20, [{9}, {1}]).family,  # 1 and 9 collide
+         "SetFamily(universe_size=20, sets=(frozenset(), frozenset({9}), frozenset({1}), frozenset({1, 9})))"),
     ])
     def test_repr_unchanged(self, build, text):
         # the strings were printed by the frozenset-state SetFamily
         assert repr(build()) == text
+
+    def test_view_inserts_points_ascending(self):
+        # 1 and 9 share a slot in a small frozenset's table, so it prints them
+        # in insertion order; the view inserts each set's points ascending,
+        # whatever order the unions that made the mask came in.
+        family = UnionClosedFamily.from_singletons(20, [{1}, {9}]).family
+        assert repr(family.sets[3]) == "frozenset({1, 9})"
+        assert family == fam(20, set(), {1}, {9}, {9, 1})
 
     @pytest.mark.parametrize("name", ["universe_size", "masks", "sets"])
     def test_fields_cannot_be_assigned(self, name):

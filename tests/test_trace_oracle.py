@@ -399,11 +399,11 @@ def test_realized_types_match_point_scan():
 def assert_as_public(fam):
     """A family the library built from masks, unchecked, is the family the
     public constructor builds from its sets: every mask inside the universe,
-    and the same masks, sets, hash and repr."""
+    and the same masks, sets and hash."""
     assert all(0 <= mask < 1 << fam.universe_size for mask in fam.masks)
     public = SetFamily(fam.universe_size, fam.sets)
     assert (public.masks, public.sets) == (fam.masks, fam.sets)
-    assert public == fam and hash(public) == hash(fam) and repr(public) == repr(fam)
+    assert public == fam and hash(public) == hash(fam)
 
 
 def assert_hypergraph_as_public(h):
