@@ -181,13 +181,13 @@ def _cmd_hypergraph(args, stdout, stderr) -> int:
 
 def _cmd_verify(args, stdout, stderr) -> int:
     procedure = VERIFIERS[args.construction]
-    kwargs = {
-        name: getattr(args, name)
-        for name in inspect.signature(procedure).parameters
-        if getattr(args, name) is not None
-    }
+    signature = inspect.signature(procedure)
+    kwargs = {name: getattr(args, name) for name in signature.parameters
+              if getattr(args, name) is not None}
     report = procedure(**kwargs)
-    stdout.write(dumps_canonical(report.to_dict()))
+    bound = signature.bind(**kwargs)
+    bound.apply_defaults()  # the report names every argument it ran with, defaults included
+    stdout.write(dumps_canonical({**report.to_dict(), "parameters": dict(bound.arguments)}))
     for check in report.checks:
         marker = "PASS" if check.ok else "FAIL"
         stderr.write(f"{marker} {report.construction}/{check.name} {check.detail}\n")

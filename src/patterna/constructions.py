@@ -26,8 +26,8 @@ from .errors import (
     UnsupportedParams,
     VerificationFailure,
 )
-from .patterns import Pattern, _bits, classify, double_positive
-from .semantics import SetFamily, UnionClosedFamily, _trace_mask, check_exhibits, check_one_n
+from .patterns import Pattern, _bits, _subset_families, _up_masks, classify, double_positive
+from .semantics import SetFamily, UnionClosedFamily, _columns, _trace_mask, check_exhibits, check_one_n
 
 
 def _self_check(fam: SetFamily, p: Pattern, what: str) -> SetFamily:
@@ -42,32 +42,15 @@ def powerset_sm_witness(p: Pattern) -> SetFamily:
 
     The universe holds one point per consistency condition (its "atom"), one
     extra fresh atom, and one non-atom point.  With C enumerated canonically
-    as splits (A_j, rest):
-
-    * if (∅, everything) is not forbidden, set i traces the atoms of the
-      conditions containing i;
-    * otherwise the sets for i in A_0 flip to the complement-style trace
-      (same atoms plus the fresh atom and the non-atom point), which is what
-      keeps every stray point's type equal to A_0, a consistent one.
+    as splits (A_j, rest), atom j has type A_j.  The two stray points have
+    type ∅ if (∅, everything) is not forbidden, and otherwise type A_0, a
+    consistent one.
     """
     if not classify(p).fully_complete:
         raise NotFullyComplete("input pattern is not fully complete")
-    masks = _atom_masks(p)
-    k = len(p.consistency)
-    if any(not z.pos for z in p.inconsistency):  # (∅, everything) is forbidden
-        for i in p.consistency[0].pos:
-            masks[i] |= 0b11 << k  # the fresh atom k and the non-atom point k + 1
-    return _self_check(SetFamily._of_masks(k + 2, masks), p, "powerset witness")
-
-
-def _atom_masks(p: Pattern) -> list[int]:
-    """Per index i, the mask of the consistency conditions whose positive
-    part contains i, one point per condition."""
-    masks = [0] * p.n
-    for j, cond in enumerate(p.consistency):
-        for i in cond.pos:
-            masks[i] |= 1 << j
-    return masks
+    stray = p.consistency[0].pos if any(not z.pos for z in p.inconsistency) else ()
+    types = [cond.pos for cond in p.consistency] + [stray, stray]
+    return _self_check(SetFamily._of_types(p.n, types), p, "powerset witness")
 
 
 def atomless_pm_witness(p: Pattern) -> SetFamily:
@@ -81,7 +64,7 @@ def atomless_pm_witness(p: Pattern) -> SetFamily:
     flags = classify(p)
     if not (flags.reasonable and flags.positive):
         raise NotReasonablePositive("input pattern must be reasonable and positive")
-    fam = SetFamily._of_masks(max(len(p.consistency), 1), _atom_masks(p))
+    fam = SetFamily._of_types(p.n, [cond.pos for cond in p.consistency])
     return _self_check(fam, p, "disjoint-pieces witness")
 
 
@@ -101,15 +84,8 @@ def check_char_property(char_fam: SetFamily, k: int) -> bool:
     of subsets of [0, k), the traces of Z intersect iff the subsets of Z do."""
     if char_fam.n != 1 << k:
         raise ArityMismatch(f"need {1 << k} sets for k={k}, got {char_fam.n}")
-    full = (1 << k) - 1
-    for family_mask in range(1, 1 << (1 << k)):
-        members = _bits(family_mask)
-        meet_subsets = full
-        for e in members:
-            meet_subsets &= e
-        if bool(_trace_mask(char_fam, members, ())) != bool(meet_subsets):
-            return False
-    return True
+    return all(bool(_trace_mask(char_fam, members, ())) == meets
+               for members, meets in _subset_families(k))
 
 
 #: pm_char_reduction brute-forces the characterization for k <= this: 2**16
@@ -136,8 +112,8 @@ def pm_char_reduction(char_fam: SetFamily, p: Pattern) -> SetFamily:
         raise CharacterizationPropertyViolated(
             "family does not satisfy the intersection characterization"
         )
-    fam = SetFamily._of_masks(char_fam.universe_size,
-                              (char_fam.masks[x] for x in _atom_masks(p)))
+    atoms = SetFamily._of_types(p.n, [cond.pos for cond in p.consistency])
+    fam = SetFamily._of_masks(char_fam.universe_size, (char_fam.masks[x] for x in atoms.masks))
     report = check_exhibits(fam, p)
     if not report.ok:
         raise CharacterizationPropertyViolated(
@@ -169,9 +145,7 @@ def ip_family(n: int) -> SetFamily:
     check_bound(n, IP_FAMILY_N, "n={size} exceeds the independence-family bound {limit}")
     if n < 0:
         raise UnsupportedParams("n must be nonnegative")
-    # bit e of set i is bit i of e: blocks of 2**i zeros and 2**i ones, from bit 0 up
-    return SetFamily._of_masks(1 << n, (int(("1" * (1 << i) + "0" * (1 << i)) * (1 << (n - i - 1)), 2)
-                                        for i in range(n)))
+    return SetFamily._of_masks(1 << n, _up_masks(n))
 
 
 def first_primes(n: int) -> list[int]:
@@ -255,13 +229,10 @@ def membership_structure(n: int) -> MembershipStructure:
 def membership_column_family(structure: MembershipStructure) -> UnionClosedFamily:
     """The relation's columns, bundled as a union-closed family over the point
     sort (set for subset X = column of the element encoding X)."""
+    if structure.s_size < 1:
+        raise ValueError("universe must be nonempty")
     count = len(structure.algebra_elements)
-    k = count.bit_length() - 1
-    columns = tuple(
-        frozenset(i for i in range(structure.s_size) if (i, idx) in structure.relation)
-        for idx in range(count)
-    )
-    return UnionClosedFamily(k, SetFamily(structure.s_size, columns))
+    return UnionClosedFamily(count.bit_length() - 1, _columns(structure.s_size, count, structure.relation))
 
 
 def check_membership_structure(structure: MembershipStructure) -> list[str]:
@@ -283,10 +254,7 @@ def check_membership_structure(structure: MembershipStructure) -> list[str]:
     for point, idx in structure.relation:
         if not 0 <= point < structure.s_size or not 0 <= idx < len(elements):
             problems.append(f"relation pair ({point}, {idx}) out of range")
-    column = [
-        frozenset(i for i in range(structure.s_size) if (i, idx) in structure.relation)
-        for idx in range(len(elements))
-    ]
+    column = _columns(structure.s_size, len(elements), structure.relation).sets
     for idx, element in enumerate(elements):
         if column[idx] != element:
             problems.append(f"relation disagrees with membership on element #{idx}")

@@ -70,12 +70,7 @@ def _targets(p: Pattern):
 
 def _verified(p: Pattern, types) -> Decision:
     """The witness with one point per distinct type, re-verified."""
-    universe = sorted(set(types), key=sorted)
-    masks = [0] * p.n
-    for point, t in enumerate(universe):
-        for i in t:
-            masks[i] |= 1 << point
-    witness = SetFamily._of_masks(len(universe), masks)
+    witness = SetFamily._of_types(p.n, sorted(set(types), key=sorted))
     report = check_exhibits(witness, p)
     if not report.ok:
         raise WitnessVerificationFailure(

@@ -28,7 +28,7 @@ from .errors import (
     VerificationFailure,
 )
 from .patterns import Pattern, _bits, _canonical, classify, subset_index
-from .semantics import SetFamily, _meeting_subsets, _trace_mask, check_exhibits, encodes_hypergraph
+from .semantics import SetFamily, _columns, _meeting_subsets, _trace_mask, check_exhibits, encodes_hypergraph
 
 
 @dataclass(frozen=True)
@@ -143,6 +143,13 @@ def _submasks(maximal) -> list[int]:
     return sorted(found)
 
 
+def _non_edges(h: Hypergraph):
+    """The arity-subsets of h's vertices that are not edges, as ascending
+    tuples in lexicographic order."""
+    return (c for c in itertools.combinations(range(h.vertex_count), h.arity)
+            if frozenset(c) not in h.edges)
+
+
 def pattern_from_hypergraph(h: Hypergraph) -> Pattern:
     """The realization pattern: every nonempty clique is consistent, every
     non-edge arity-subset is inconsistent.  Reasonable (a non-edge is never
@@ -150,8 +157,7 @@ def pattern_from_hypergraph(h: Hypergraph) -> Pattern:
     check_bound(h.vertex_count, CLIQUE_VERTICES,
                 "{size} vertices exceed the clique-enumeration bound {limit}")
     consistency = tuple((_bits(mask), ()) for mask in _submasks(_maximal_clique_masks(h)))
-    inconsistency = tuple((c, ()) for c in itertools.combinations(range(h.vertex_count), h.arity)
-                          if frozenset(c) not in h.edges)
+    inconsistency = tuple((c, ()) for c in _non_edges(h))
     return Pattern(h.vertex_count, consistency, inconsistency)
 
 
@@ -173,11 +179,7 @@ def realization_witness(h: Hypergraph) -> SetFamily:
     point of any maximal extension; a non-edge lies in no clique at all.  The
     cliques a blowup carries are used, others searched; self-verified on them."""
     cliques = sorted(_maximal_clique_masks(h) if h._cliques is None else h._cliques, key=_bits)
-    masks = [0] * h.vertex_count
-    for idx, clique in enumerate(cliques):
-        for v in _bits(clique):
-            masks[v] |= 1 << idx
-    fam = SetFamily._of_masks(max(len(cliques), 1), masks)  # no vertices: one point in no set
+    fam = SetFamily._of_types(h.vertex_count, map(_bits, cliques))
     if not _realizes(fam, h, cliques):
         raise VerificationFailure("maximal-clique witness failed realization check")
     return fam
@@ -223,9 +225,8 @@ def _blowup_cliques(h: Hypergraph, grouping, maximal) -> list[int]:
     vertex from each block of a non-edge of h, which no vertex extends."""
     blocks = [subset_index(block) for block in grouping]
     out = [sum(blocks[i] for i in _bits(m)) for m in maximal]
-    for combo in itertools.combinations(range(h.vertex_count), h.arity):
-        if frozenset(combo) not in h.edges:
-            out.extend(map(subset_index, itertools.product(*(grouping[i] for i in combo))))
+    for combo in _non_edges(h):
+        out.extend(map(subset_index, itertools.product(*(grouping[i] for i in combo))))
     return out
 
 
@@ -316,9 +317,13 @@ def check_axioms(s: WitnessStructure) -> AxiomReport:
                 problems.append(f"hyperedge {sorted(edge)} leaves the parameter sort")
     if s.flavor == UNIFORM_FLAVOR and len(arities) > 1:
         problems.append(f"uniform structure carries mixed arities {sorted(arities)}")
+    related = [set() for _ in range(nw)]  # each witness's type, out-of-sort parameters kept
+    for w, p in s.r:
+        if 0 <= w < nw:
+            related[w].add(p)
     for edge in sorted(s.hyperedges, key=sorted):
         for w in range(nw):
-            if all((w, p) in s.r for p in edge):
+            if edge <= related[w]:
                 problems.append(
                     f"witness {w} is related to all of hyperedge {sorted(edge)}"
                 )
@@ -327,16 +332,10 @@ def check_axioms(s: WitnessStructure) -> AxiomReport:
 
 def witness_trace_family(s: WitnessStructure) -> SetFamily:
     """The relation's columns over the witness sort: one set per parameter
-    point.  A dummy one-point universe stands in when there are no witnesses
-    (set families must have nonempty universes)."""
-    universe = max(1, len(s.witness_points))
-    return SetFamily(
-        universe,
-        tuple(
-            frozenset(w for w in range(len(s.witness_points)) if (w, p) in s.r)
-            for p in range(len(s.parameter_points))
-        ),
-    )
+    point, built from each witness's type.  A dummy one-point universe stands
+    in when there are no witnesses (set families must have nonempty
+    universes).  Pairs outside the two sorts are skipped."""
+    return _columns(len(s.witness_points), len(s.parameter_points), s.r)
 
 
 def build_witness_structure(source) -> WitnessStructure:
@@ -558,10 +557,8 @@ def triangle_free_double(g: Hypergraph) -> TriangleFreeDoubling:
     total = 2 * n + len(clique_masks)
 
     edges = set()
-    for v in range(n):
-        for w in range(n):
-            if v != w and frozenset((v, w)) not in g.edges:
-                edges.add(frozenset((v, n + w)))
+    for v, w in _non_edges(g):
+        edges.update((frozenset((v, n + w)), frozenset((w, n + v))))
     for t, mask in enumerate(clique_masks):
         witness = 2 * n + t
         for v in _bits(mask):

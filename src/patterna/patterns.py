@@ -342,6 +342,26 @@ def _bits(mask: int):
     return tuple(out)
 
 
+def _up_masks(n: int) -> list[int]:
+    """The principal up-sets ↑{i} = {X ⊆ n : i ∈ X}, i < n, as masks over
+    the subset codes: bit e of mask i is bit i of e, so blocks of 2**i zeros
+    and 2**i ones alternate from bit 0 up."""
+    return [int(("1" * (1 << i) + "0" * (1 << i)) * (1 << (n - i - 1)), 2) for i in range(n)]
+
+
+def _subset_families(k: int):
+    """Each nonempty family Z of subsets of [0, k), as the ascending codes of
+    its members, with whether the members have a common element.  Z itself
+    is encoded as a subset of [0, 2**k), in ascending order."""
+    full = (1 << k) - 1
+    for family in range(1, 1 << (1 << k)):
+        members = _bits(family)
+        meet = full
+        for e in members:
+            meet &= e  # a subset's code is its own membership mask
+        yield members, meet != 0
+
+
 def cooper_pattern(n: int) -> Pattern:
     """The fully complete 2**n-pattern whose consistent complete types are
     exactly the principal up-sets ↑{i} = {X ⊆ n : i ∈ X}.
@@ -355,13 +375,7 @@ def cooper_pattern(n: int) -> Pattern:
     check_bound(n, SUBSET_PATTERN_N, "n={size} exceeds the subset-pattern bound {limit}")
     count = 1 << n
     _require_output(count << count)
-    up_masks = set()
-    for i in range(n):
-        mask = 0
-        for e in range(count):
-            if e >> i & 1:
-                mask |= 1 << e
-        up_masks.add(mask)
+    up_masks = set(_up_masks(n))
     consistency, inconsistency = [], []
     for cond in complete_conditions(count):
         (consistency if subset_index(cond.pos) in up_masks else inconsistency).append(cond)
@@ -379,13 +393,9 @@ def pmchar_pattern(n: int) -> Pattern:
     check_bound(n, SUBSET_PATTERN_N, "n={size} exceeds the subset-pattern bound {limit}")
     count = 1 << n
     _require_output(count << (count - 1))  # each index lies in half of the subsets
-    full = (1 << n) - 1
     consistency, inconsistency = [], []
-    for mask in range(1, 1 << count):
-        meet = full
-        for e in _bits(mask):
-            meet &= e  # a subset's encoding is its own membership mask
-        (consistency if meet else inconsistency).append((_bits(mask), ()))
+    for members, meets in _subset_families(n):
+        (consistency if meets else inconsistency).append((members, ()))
     return Pattern(count, tuple(consistency), tuple(inconsistency))
 
 

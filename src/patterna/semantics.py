@@ -60,6 +60,19 @@ class SetFamily:
         1 << universe_size; nothing is re-checked."""
         return _canonical(cls, universe_size, tuple(masks))
 
+    @classmethod
+    def _of_types(cls, n: int, types) -> SetFamily:
+        """The family with one point per type, in order: point p is in set i
+        iff i is in types[p].  No types give one point in no set, since the
+        universe is nonempty.  Indices are trusted to lie in [0, n)."""
+        masks = [0] * n
+        bit = 1  # the next point's bit
+        for t in types:
+            for i in t:
+                masks[i] |= bit
+            bit <<= 1
+        return cls._of_masks(max(bit.bit_length() - 1, 1), masks)
+
     @cached_property
     def sets(self) -> tuple[frozenset[int], ...]:
         return tuple(frozenset(_bits(mask)) for mask in self.masks)
@@ -74,6 +87,17 @@ class SetFamily:
     @property
     def universe(self) -> frozenset[int]:
         return frozenset(range(self.universe_size))
+
+
+def _columns(point_count: int, n: int, pairs) -> SetFamily:
+    """The columns of a relation from points [0, point_count) to indices
+    [0, n), built from each point's type: set i holds the points related to
+    i.  Pairs outside the two ranges are skipped."""
+    types = [[] for _ in range(point_count)]
+    for point, i in pairs:
+        if 0 <= point < point_count and 0 <= i < n:
+            types[point].append(i)
+    return SetFamily._of_types(n, types)
 
 
 def _trace_mask(fam: SetFamily, pos, neg) -> int:

@@ -240,6 +240,17 @@ class TestVerifyCommand:
                 code, _, _ = invoke(["verify", name, *flags])
                 assert code == 0 and set(seen) == expected, (name, flags)
 
+    def test_reports_name_their_arguments(self):
+        from patterna.verify import VERIFIERS
+
+        for name, procedure in VERIFIERS.items():
+            defaults = {key: p.default for key, p in inspect.signature(procedure).parameters.items()}
+            code, out, _ = invoke(["verify", name])
+            assert code == 0 and json.loads(out)["parameters"] == defaults, name
+        code, out, _ = invoke(["verify", "blowup-roundtrip", "--k", "3", "--samples", "2"])
+        assert code == 0
+        assert json.loads(out)["parameters"] == {"k": 3, "vertices": 4, "samples": 2, "seed": 0}
+
     def test_ip_family_samples_above_two(self):
         code, out, err = invoke(["verify", "ip-family", "--n", "3", "--samples", "10"])
         assert code == 0, err

@@ -45,6 +45,10 @@ PATTERNS = {
 }
 
 
+#: generate arguments pinned by their output bytes
+GENERATED = ("cooper --n 2", "pmchar --n 2", "pmchar --n 3", "ip --n 3")
+
+
 def _pigeonhole(holes):
     """PHP(holes + 1, holes), unsatisfiable; variable i * holes + j + 1 puts
     pigeon i in hole j."""
@@ -117,6 +121,8 @@ def corpus(directory):
         path = directory / f"{name}.json"
         path.write_text(_cnf_document(variables, clauses))
         commands.append((f"decide {name}", ["decide", str(path), "--witness"]))
+    for args in GENERATED:
+        commands.append((f"generate {args}", ["generate", *args.split()]))
     return commands
 
 
@@ -128,19 +134,19 @@ def digest(argv):
 
 #: name -> [exit code, sha256 of stdout]
 PINNED = {
-    "verify atomless-pm": [0, "425c4b6e0d97175a4b09200ed3afb84e891857b91479acee39458d5cd848927d"],
-    "verify blowup-roundtrip": [0, "ac0d2c6a38ad88edb592af95accd9ec91744c21236ac2a1c25949f86fcb216d8"],
-    "verify cm-doubling": [0, "3a9ed3738d10d30df879ebb57c45d73353073d7c18262eea38d35b6692e93aea"],
-    "verify cooper-claim": [0, "7e0cbd7c325292dc5a858ffd57b0be0512bdade6d261f05462aa7c11546feebd"],
-    "verify free-amalgam": [0, "bebac159d50edb53106992d4a9b6181c227017257fc35c72df36b99b5f66b20b"],
-    "verify hypergraph-dictionary": [0, "31648777a7664488dc4d1cf8ae836f2a82c74638429e4266e9946541616454fb"],
-    "verify ip-family": [0, "bca5bc392a6709c32c22bf7046193cf538aabb8f2ecf48131096dc638d256717"],
-    "verify membership": [0, "0d6c14edc49ebc3bab63a86b2e21e0a8eb651a5aa9f724c8544c8c6a922cf752"],
-    "verify one1": [0, "2f046ad7958ed779d7535c64242dfc15940a4b981caa6fb5ccc28321cc9a6e9a"],
-    "verify pm-char": [0, "05a18a1117ee8ccae9ee5980bc0c103bfea66042ffe70d4c9a42b301619b58e8"],
-    "verify powerset-sm": [0, "eac10d7a5d7577f1bf85e8abf625c1ee53df2ff7d11983fe6137bfc7e25c5656"],
-    "verify triangle-free": [0, "bc7c24f6ef4c66aa3dc8b901324af2474737038b846c5860c327659ea6302d5c"],
-    "verify blowup-roundtrip --k 3": [0, "ac0d2c6a38ad88edb592af95accd9ec91744c21236ac2a1c25949f86fcb216d8"],
+    "verify atomless-pm": [0, "4b0d023c7becff408015d60e39b70f2f80119ad033564412aac8850f440ae252"],
+    "verify blowup-roundtrip": [0, "cef7bfbf6abbd7442a0d83eb42277e6d7ce2897fe7f9edfb4852edc4ab8e93ba"],
+    "verify cm-doubling": [0, "1f71b4542d6309c08631f5f2de1a1a9d0f90229950cee6bc2baabb4727c9597b"],
+    "verify cooper-claim": [0, "26243183b0bfb18dadd38a90e9d77f45fa72bc53cb4f2271da115e54a8c88259"],
+    "verify free-amalgam": [0, "0dc1571d2a0d198494f926fe7005561ded4d48a71bbe53afb986416489f348fd"],
+    "verify hypergraph-dictionary": [0, "b236762fcccb66bdca497c114450b80cce8ee28f053eddc06fcd63a208678fd3"],
+    "verify ip-family": [0, "9894bcb7834e5a080809546ee34e3116eac7de3c02b7c8f602808e2f94bde85e"],
+    "verify membership": [0, "0d774524bbb618cd8f8d1a109b908752eace3000f3c98d54e63aa225889ff660"],
+    "verify one1": [0, "bd7eb62e7bfd24d3cd880c12865cc6ef1e0132cf592fd44c96fec3a6cc0d97c4"],
+    "verify pm-char": [0, "0d49ad89bb33e6179d838c513da3518b85060b37ec4906a5c752ac179464aed1"],
+    "verify powerset-sm": [0, "f5ed42533f57684243954013505f7edbf1aec209b4d7276901f88d1991664745"],
+    "verify triangle-free": [0, "374d152efeea74a1069459dfd16f0e62f3d0a1b9b9bec8ad06cdc1c1877964cc"],
+    "verify blowup-roundtrip --k 3": [0, "2441746ca6e7535d8c8759d172a8ba73b3db99ecfa0283ea0cfd87de6e946cb3"],
     "hypergraph pattern path3": [0, "2064564b4ddb26ddad152f37bd3dd37450f9322f7ba9f53e007ae6d3dd23a447"],
     "hypergraph blowup path3": [0, "0d9fe59f65b221ff6e4bc2211d009b1e15e0edc99ee764c0d6803b881a8d9be6"],
     "hypergraph double path3": [0, "8bfae0e6314952b7f6a44cfebf089e9e4c30631849ccde4877dbb648abbcb73b"],
@@ -184,7 +190,16 @@ PINNED = {
     "decide xor200": [0, "ce418cfb1915458669596faf2b9804596d06dadda782c51bbfc7669f732509a0"],
     "decide implies150": [0, "0b1732a6f4686fb4508edcb9ea58059be2425d2b7a09254bef437036d2bcecc5"],
     "decide planted40": [0, "7d26894a9501a1e3bff9cdb10c0649e9b90f452ecc61921ed06babae34c5497e"],
+    "generate cooper --n 2": [0, "7a0dfa91ee174fca3e25c6528d30b46c0edeee856a30641daef16f999c80526a"],
+    "generate pmchar --n 2": [0, "b4e9dad1c8f0c964a49aaf60932cbce7016c1efeb95550c618d41e88c47f477a"],
+    "generate pmchar --n 3": [0, "f4485e5c7a5ef4d2440c454e20690770427b901441488679e6b73b2e1ae6cbb0"],
+    "generate ip --n 3": [0, "d1345d0d465da76e646dd7dbf63f6688cfde6a5cda771e57a3c0255469240661"],
 }
+
+
+def test_verify_reports_differ_by_their_arguments():
+    # each verify report names its arguments, so a non-default flag shows
+    assert PINNED["verify blowup-roundtrip --k 3"] != PINNED["verify blowup-roundtrip"]
 
 
 def test_corpus_matches_pins(tmp_path):

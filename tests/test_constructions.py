@@ -248,6 +248,22 @@ class TestMembership:
         with pytest.raises(BoundExceeded):
             membership_structure(9)
 
+    def test_columns_skip_pairs_outside_the_sorts(self):
+        # structures are not validated on construction: a pair naming no
+        # point or no element, negative ones included, is reported as out of
+        # range and adds nothing to any column
+        s = membership_structure(2)
+        stray = {(2, 1), (-1, 1), (0, 4), (0, -1)}
+        corrupted = MembershipStructure(s.s_size, s.algebra_elements, s.relation | stray)
+        assert membership_column_family(corrupted) == membership_column_family(s)
+        problems = check_membership_structure(corrupted)
+        assert sorted(problems) == sorted(f"relation pair ({i}, {idx}) out of range" for i, idx in stray)
+
+    def test_columns_need_a_point(self):
+        empty = MembershipStructure(0, (frozenset(),), frozenset({(0, 0)}))
+        with pytest.raises(ValueError):
+            membership_column_family(empty)
+
 
 class TestPrincipalUpsets:
     def test_powerset_witness_is_disjoint_union_closed(self):

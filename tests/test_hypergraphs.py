@@ -362,6 +362,32 @@ class TestWitnessStructures:
         with pytest.raises(NotReasonablePositive):
             build_witness_structure(Pattern(2, (cond([0], [1]),)))
 
+    def test_trace_family_skips_pairs_outside_the_sorts(self):
+        # structures are not validated on construction: a pair naming no
+        # witness or no parameter, negative ones included, adds no point
+        stray = {(2, 0), (-1, 1), (0, 5), (1, -1)}
+        s = WitnessStructure(("w0", "w1"), ("p0", "p1"), frozenset({(0, 0), (1, 1)} | stray), ())
+        assert witness_trace_family(s) == SetFamily(2, ({0}, {1}))
+        none = WitnessStructure((), ("p0", "p1"), frozenset({(0, 0), (-1, 1)}), ())
+        assert witness_trace_family(none) == SetFamily(1, ((), ()))
+
+    def test_axioms_read_the_relation_as_given(self):
+        # a pair outside the sorts is reported, and still counts towards a
+        # witness being related to all of a hyperedge that leaves the sorts
+        s = WitnessStructure(("w0", "w1"), ("p0", "p1"), frozenset({(0, 0), (0, 3), (2, 0), (1, 1), (-1, 0)}),
+                             frozenset({frozenset({0, 3}), frozenset(), frozenset({1})}))
+        assert check_axioms(s).violations == (
+            "relation pair (-1,0) has no witness point -1",
+            "relation pair (0,3) has no parameter point 3",
+            "relation pair (2,0) has no witness point 2",
+            "empty hyperedge",
+            "hyperedge [0, 3] leaves the parameter sort",
+            "witness 0 is related to all of hyperedge []",
+            "witness 1 is related to all of hyperedge []",
+            "witness 0 is related to all of hyperedge [0, 3]",
+            "witness 1 is related to all of hyperedge [1]",
+        )
+
     def test_hypergraph_flavor(self):
         h = graph(3, [(0, 1)])
         s = build_witness_structure(h)

@@ -19,6 +19,7 @@ from patterna import (
     blowup,
     blowup_pullback,
     brute_force_exhibitable,
+    build_witness_structure,
     canonical_char_family,
     check_char_property,
     check_exhibits,
@@ -31,6 +32,8 @@ from patterna import (
     encodes_hypergraph,
     fully_complete_extension,
     ip_family,
+    membership_column_family,
+    membership_structure,
     pattern_from_hypergraph,
     pm_char_reduction,
     powerset_sm_witness,
@@ -39,9 +42,10 @@ from patterna import (
     realized_types,
     triangle_free_double,
     union_representable,
+    witness_trace_family,
 )
 from patterna.errors import PreconditionFailure
-from patterna.rand import random_consistency_pattern, random_graph, random_pattern
+from patterna.rand import random_consistency_pattern, random_graph, random_pattern, random_reasonable_positive
 
 from conftest import clique_masks_by_scan, trace_by_points
 
@@ -416,6 +420,8 @@ def test_mask_built_families_match_the_public_constructor():
     for n in range(9):
         assert_as_public(ip_family(n))
         assert_as_public(canonical_char_family(n))
+    for n in range(1, 7):
+        assert_as_public(membership_column_family(membership_structure(n)).family)
     for _ in range(40):
         universe = rng.randint(1, 200)
         density = rng.choice((0.01, 0.1, 0.5))
@@ -444,6 +450,7 @@ def test_mask_built_families_match_the_public_constructor():
         witness = realization_witness(blown)
         assert_as_public(witness)
         assert_as_public(blowup_pullback(witness, h, grouping))
+        assert_as_public(witness_trace_family(build_witness_structure(h)))
         p = pattern_from_hypergraph(h)
         assert_as_public(atomless_pm_witness(p))
         if len(p.consistency) <= 8:
@@ -452,3 +459,22 @@ def test_mask_built_families_match_the_public_constructor():
         doubling = triangle_free_double(random_graph(rng, rng.randint(0, 6), rng.random()))
         assert_hypergraph_as_public(doubling.graph)
         assert_as_public(doubling.family)
+    for _ in range(40):
+        p = random_reasonable_positive(rng, rng.randint(0, 6), 6, 4)
+        assert_as_public(witness_trace_family(build_witness_structure(p)))
+
+
+def test_families_of_types_realize_exactly_those_types():
+    rng = random.Random(4112)
+    for _ in range(200):
+        n = rng.randint(0, 8)
+        types = [[i for i in range(n) if rng.random() < 0.5] for _ in range(rng.randint(1, 70))]
+        fam = SetFamily._of_types(n, types)
+        assert_as_public(fam)
+        assert fam.universe_size == len(types)
+        assert realized_types(fam) == set(map(frozenset, types))
+
+
+def test_no_types_give_one_point_in_no_set():
+    for n in range(4):
+        assert SetFamily._of_types(n, []) == SetFamily(1, [()] * n)
