@@ -143,39 +143,25 @@ def _cmd_hypergraph(args, stdout, stderr) -> int:
     data = jsonio.load_json(args.file)
     if args.action == "witness-structure" and "consistency" in data:
         source = jsonio.pattern_from_dict(data)
-        structure = build_witness_structure(source)
-        stdout.write(dumps_canonical(jsonio.structure_to_dict(structure)))
-        return 0
-    h = jsonio.hypergraph_from_dict(data)
-    if args.action == "pattern":
-        stdout.write(dumps_canonical(jsonio.pattern_to_dict(_hyper_pattern(h))))
-    elif args.action == "blowup":
-        blown, grouping = blowup(h)
-        stdout.write(
-            dumps_canonical(
-                {
-                    "hypergraph": jsonio.hypergraph_to_dict(blown),
-                    "grouping": [list(block) for block in grouping],
-                }
-            )
-        )
-    elif args.action == "double":
-        result = triangle_free_double(h)
-        stdout.write(
-            dumps_canonical(
-                {
-                    "graph": jsonio.hypergraph_to_dict(result.graph),
-                    "pairs": [list(pair) for pair in result.pairs],
-                    "clique_witnesses": [
-                        {"vertex": v, "clique": sorted(s)} for v, s in result.clique_witnesses
-                    ],
-                    "family": jsonio.family_to_dict(result.family),
-                }
-            )
-        )
     else:
-        structure = build_witness_structure(h)
-        stdout.write(dumps_canonical(jsonio.structure_to_dict(structure)))
+        source = jsonio.hypergraph_from_dict(data)
+    if args.action == "witness-structure":
+        payload = jsonio.structure_to_dict(build_witness_structure(source))
+    elif args.action == "pattern":
+        payload = jsonio.pattern_to_dict(_hyper_pattern(source))
+    elif args.action == "blowup":
+        blown, grouping = blowup(source)
+        payload = {"hypergraph": jsonio.hypergraph_to_dict(blown),
+                   "grouping": [list(block) for block in grouping]}
+    else:
+        result = triangle_free_double(source)
+        payload = {
+            "graph": jsonio.hypergraph_to_dict(result.graph),
+            "pairs": [list(pair) for pair in result.pairs],
+            "clique_witnesses": [{"vertex": v, "clique": sorted(s)} for v, s in result.clique_witnesses],
+            "family": jsonio.family_to_dict(result.family),
+        }
+    stdout.write(dumps_canonical(payload))
     return 0
 
 

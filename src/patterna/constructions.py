@@ -26,7 +26,7 @@ from .errors import (
     UnsupportedParams,
     VerificationFailure,
 )
-from .patterns import Pattern, _bits, _subset_families, _up_masks, classify, double_positive
+from .patterns import Pattern, _bits, _subset_families, _up_masks, classify, double_positive, subset_index
 from .semantics import SetFamily, UnionClosedFamily, _columns, _trace_mask, check_exhibits, check_one_n
 
 
@@ -48,8 +48,8 @@ def powerset_sm_witness(p: Pattern) -> SetFamily:
     """
     if not classify(p).fully_complete:
         raise NotFullyComplete("input pattern is not fully complete")
-    stray = p.consistency[0].pos if any(not z.pos for z in p.inconsistency) else ()
-    types = [cond.pos for cond in p.consistency] + [stray, stray]
+    stray = subset_index(p.consistency[0].pos) if any(not z.pos for z in p.inconsistency) else 0
+    types = [subset_index(cond.pos) for cond in p.consistency] + [stray, stray]
     return _self_check(SetFamily._of_types(p.n, types), p, "powerset witness")
 
 
@@ -64,7 +64,7 @@ def atomless_pm_witness(p: Pattern) -> SetFamily:
     flags = classify(p)
     if not (flags.reasonable and flags.positive):
         raise NotReasonablePositive("input pattern must be reasonable and positive")
-    fam = SetFamily._of_types(p.n, [cond.pos for cond in p.consistency])
+    fam = SetFamily._of_types(p.n, [subset_index(cond.pos) for cond in p.consistency])
     return _self_check(fam, p, "disjoint-pieces witness")
 
 
@@ -112,7 +112,7 @@ def pm_char_reduction(char_fam: SetFamily, p: Pattern) -> SetFamily:
         raise CharacterizationPropertyViolated(
             "family does not satisfy the intersection characterization"
         )
-    atoms = SetFamily._of_types(p.n, [cond.pos for cond in p.consistency])
+    atoms = SetFamily._of_types(p.n, [subset_index(cond.pos) for cond in p.consistency])
     fam = SetFamily._of_masks(char_fam.universe_size, (char_fam.masks[x] for x in atoms.masks))
     report = check_exhibits(fam, p)
     if not report.ok:
@@ -237,37 +237,34 @@ def membership_column_family(structure: MembershipStructure) -> UnionClosedFamil
 
 def check_membership_structure(structure: MembershipStructure) -> list[str]:
     """Verify algebra closure, membership agreement, and the homomorphism
-    property of b -> {points related to b}.  Returns human-readable
-    violations; empty means pass."""
-    problems = []
-    elements = structure.algebra_elements
-    lookup = {element: idx for idx, element in enumerate(elements)}
-    points = frozenset(range(structure.s_size))
-    if points not in lookup:
+    property of b -> {points related to b}, on element and column masks.  An
+    element that is not a set of points is reported once and left out of the
+    other checks.  Returns human-readable violations; empty means pass."""
+    size, elements = structure.s_size, structure.algebra_elements
+    masks = {a: subset_index(element) for a, element in enumerate(elements)
+             if all(type(i) is int and 0 <= i < size for i in element)}
+    problems = [f"algebra element #{a} leaves the point sort" for a in range(len(elements)) if a not in masks]
+    lookup = {mask: a for a, mask in masks.items()}
+    full = (1 << max(size, 0)) - 1
+    column = _columns(size, len(elements), structure.relation).masks
+    # each meet and complement is looked up once, for closure and for preservation
+    meets = [(a, b, lookup.get(masks[a] & masks[b]))
+             for a, b in itertools.combinations_with_replacement(masks, 2)]
+    complements = [(a, lookup.get(full ^ mask)) for a, mask in masks.items()]
+    if full not in lookup:
         problems.append("algebra does not contain the full point set")
-    for a, b in itertools.combinations_with_replacement(range(len(elements)), 2):
-        if elements[a] & elements[b] not in lookup:
-            problems.append(f"algebra not closed under intersection of #{a} and #{b}")
-    for a in range(len(elements)):
-        if points - elements[a] not in lookup:
-            problems.append(f"algebra not closed under complement of #{a}")
-    for point, idx in structure.relation:
-        if not 0 <= point < structure.s_size or not 0 <= idx < len(elements):
-            problems.append(f"relation pair ({point}, {idx}) out of range")
-    column = _columns(structure.s_size, len(elements), structure.relation).sets
-    for idx, element in enumerate(elements):
-        if column[idx] != element:
-            problems.append(f"relation disagrees with membership on element #{idx}")
+    problems += [f"algebra not closed under intersection of #{a} and #{b}"
+                 for a, b, meet in meets if meet is None]
+    problems += [f"algebra not closed under complement of #{a}" for a, comp in complements if comp is None]
+    problems += [f"relation pair ({point}, {idx}) out of range" for point, idx in structure.relation
+                 if not 0 <= point < size or not 0 <= idx < len(elements)]
+    problems += [f"relation disagrees with membership on element #{a}"
+                 for a, mask in masks.items() if column[a] != mask]
     # homomorphism surrogate for the term-agreement axioms
-    full_idx = lookup.get(points)
-    if full_idx is not None and column[full_idx] != points:
+    if full in lookup and column[lookup[full]] != full:
         problems.append("image of the top element is not the full point set")
-    for a, b in itertools.combinations_with_replacement(range(len(elements)), 2):
-        meet = lookup.get(elements[a] & elements[b])
-        if meet is not None and column[meet] != column[a] & column[b]:
-            problems.append(f"map fails to preserve intersection of #{a} and #{b}")
-    for a in range(len(elements)):
-        comp = lookup.get(points - elements[a])
-        if comp is not None and column[comp] != points - column[a]:
-            problems.append(f"map fails to preserve complement of #{a}")
+    problems += [f"map fails to preserve intersection of #{a} and #{b}" for a, b, meet in meets
+                 if meet is not None and column[meet] != column[a] & column[b]]
+    problems += [f"map fails to preserve complement of #{a}" for a, comp in complements
+                 if comp is not None and column[comp] != full ^ column[a]]
     return problems

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .bounds import BRUTE_FORCE_N, PATTERN_INDICES_LOG2, check_bound
 from .errors import WitnessVerificationFailure
-from .patterns import Condition, Pattern, subset_index
+from .patterns import Condition, Pattern, _bits, subset_index
 from .sat import CnfFormula, CompiledCnf, Literal, sat_solve
 from .semantics import SetFamily, check_exhibits
 
@@ -69,8 +69,8 @@ def _targets(p: Pattern):
 
 
 def _verified(p: Pattern, types) -> Decision:
-    """The witness with one point per distinct type, re-verified."""
-    witness = SetFamily._of_types(p.n, sorted(set(types), key=sorted))
+    """The witness with one point per distinct type mask, in lexicographic index order, re-verified."""
+    witness = SetFamily._of_types(p.n, sorted(set(types), key=_bits))
     report = check_exhibits(witness, p)
     if not report.ok:
         raise WitnessVerificationFailure(
@@ -93,14 +93,15 @@ def decide_exhibitable(p: Pattern) -> Decision:
     """
     check_bound(p.n, PATTERN_INDICES_LOG2, "n={size} exceeds the pattern index bound {limit}", log2=True)
     shared = CompiledCnf(p.n, _clause_codes(p))
-    types = []
+    types = []  # as masks
     for cond in _targets(p):
-        if any(t.issuperset(cond.pos) and t.isdisjoint(cond.neg) for t in types):
+        want, avoid = subset_index(cond.pos), subset_index(cond.neg)
+        if any(t & want == want and not t & avoid for t in types):
             continue
         assignment = sat_solve(shared, assumptions=_literals(cond))
         if assignment is None:
             return Decision(False, None, cond)
-        types.append(frozenset(i for i in range(p.n) if assignment[i]))
+        types.append(subset_index(i for i in range(p.n) if assignment[i]))
     return _verified(p, types)
 
 
@@ -123,5 +124,5 @@ def brute_force_exhibitable(p: Pattern) -> Decision:
             break
         if found is None:
             return Decision(False, None, cond)
-        types.append(frozenset(i for i in range(p.n) if found >> i & 1))
+        types.append(found)
     return _verified(p, types)

@@ -28,7 +28,8 @@ from .errors import (
     VerificationFailure,
 )
 from .patterns import Pattern, _bits, _canonical, classify, subset_index
-from .semantics import SetFamily, _columns, _meeting_subsets, _trace_mask, check_exhibits, encodes_hypergraph
+from .semantics import (SetFamily, _columns, _meeting_subsets, _trace_mask, _types, check_exhibits,
+                        encodes_hypergraph)
 
 
 @dataclass(frozen=True)
@@ -128,7 +129,7 @@ def _maximal_clique_masks(h: Hypergraph) -> list[int]:
 def maximal_cliques(h: Hypergraph) -> list[frozenset[int]]:
     """All maximal cliques (vertex sets whose arity-subsets are all edges and
     that no vertex extends), sorted by their sorted members."""
-    return sorted((frozenset(_bits(m)) for m in _maximal_clique_masks(h)), key=sorted)
+    return [frozenset(_bits(m)) for m in sorted(_maximal_clique_masks(h), key=_bits)]
 
 
 def _submasks(maximal) -> list[int]:
@@ -179,7 +180,7 @@ def realization_witness(h: Hypergraph) -> SetFamily:
     point of any maximal extension; a non-edge lies in no clique at all.  The
     cliques a blowup carries are used, others searched; self-verified on them."""
     cliques = sorted(_maximal_clique_masks(h) if h._cliques is None else h._cliques, key=_bits)
-    fam = SetFamily._of_types(h.vertex_count, map(_bits, cliques))
+    fam = SetFamily._of_types(h.vertex_count, cliques)
     if not _realizes(fam, h, cliques):
         raise VerificationFailure("maximal-clique witness failed realization check")
     return fam
@@ -420,11 +421,13 @@ def embedding_problems(a: WitnessStructure, b: WitnessStructure, e: Embedding) -
             problems.append(f"{name} map is not injective")
     if problems:
         return problems
-    for w in range(len(a.witness_points)):
-        for p in range(len(a.parameter_points)):
-            if ((w, p) in a.r) != ((e.witness_map[w], e.parameter_map[p]) in b.r):
-                problems.append(f"relation not preserved/reflected at ({w},{p})")
+    # each source witness's type against its image's, read back through the parameter map
     param_image = {v: i for i, v in enumerate(e.parameter_map)}
+    ta = _types(len(a.witness_points), len(a.parameter_points), a.r)
+    tb = _types(len(b.witness_points), len(b.parameter_points), b.r)
+    for w, image in enumerate(e.witness_map):
+        pulled = subset_index(param_image[v] for v in _bits(tb[image]) if v in param_image)
+        problems.extend(f"relation not preserved/reflected at ({w},{p})" for p in _bits(ta[w] ^ pulled))
     for edge in a.hyperedges:
         if frozenset(e.parameter_map[p] for p in edge) not in b.hyperedges:
             problems.append(f"hyperedge {sorted(edge)} not preserved")

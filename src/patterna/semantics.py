@@ -62,13 +62,13 @@ class SetFamily:
 
     @classmethod
     def _of_types(cls, n: int, types) -> SetFamily:
-        """The family with one point per type, in order: point p is in set i
-        iff i is in types[p].  No types give one point in no set, since the
-        universe is nonempty.  Indices are trusted to lie in [0, n)."""
+        """The family with one point per type mask, in order: point p is in
+        set i iff bit i of types[p] is set, each mask trusted to be below
+        1 << n.  No types give one point in no set: the universe is nonempty."""
         masks = [0] * n
         bit = 1  # the next point's bit
         for t in types:
-            for i in t:
+            for i in _bits(t):
                 masks[i] |= bit
             bit <<= 1
         return cls._of_masks(max(bit.bit_length() - 1, 1), masks)
@@ -89,15 +89,20 @@ class SetFamily:
         return frozenset(range(self.universe_size))
 
 
-def _columns(point_count: int, n: int, pairs) -> SetFamily:
-    """The columns of a relation from points [0, point_count) to indices
-    [0, n), built from each point's type: set i holds the points related to
-    i.  Pairs outside the two ranges are skipped."""
-    types = [[] for _ in range(point_count)]
+def _types(point_count: int, n: int, pairs) -> list[int]:
+    """Each point's type under a relation from points [0, point_count) to
+    indices [0, n), as a mask: bit i is set iff the point is related to i.
+    Pairs outside the two ranges are skipped."""
+    types = [0] * point_count
     for point, i in pairs:
         if 0 <= point < point_count and 0 <= i < n:
-            types[point].append(i)
-    return SetFamily._of_types(n, types)
+            types[point] |= 1 << i
+    return types
+
+
+def _columns(point_count: int, n: int, pairs) -> SetFamily:
+    """The columns of a relation, from its points' types: set i holds the points related to i."""
+    return SetFamily._of_types(n, _types(point_count, n, pairs))
 
 
 def _trace_mask(fam: SetFamily, pos, neg) -> int:

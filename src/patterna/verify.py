@@ -41,6 +41,7 @@ from .errors import UnsupportedParams, VerificationFailure
 from .patterns import (
     Condition,
     Pattern,
+    _bits,
     classify,
     complete_conditions,
     cooper_pattern,
@@ -103,10 +104,9 @@ def fully_complete_patterns(n: int):
     the consistent side)."""
     check_bound(n, SUBSET_PATTERN_N, "n={size} exceeds the fully-complete-pattern bound {limit}")
     splits = complete_conditions(n)
-    for mask in range(1, 1 << len(splits)):
-        cons = tuple(c for i, c in enumerate(splits) if mask >> i & 1)
-        incons = tuple(c for i, c in enumerate(splits) if not mask >> i & 1)
-        yield Pattern(n, cons, incons)
+    full = (1 << len(splits)) - 1
+    for mask in range(1, full + 1):
+        yield Pattern(n, tuple(splits[i] for i in _bits(mask)), tuple(splits[i] for i in _bits(full ^ mask)))
 
 
 def verify_powerset_sm(n: int = 2) -> Report:
@@ -196,7 +196,7 @@ def verify_ip_family(n: int = 2, samples: int = 100, seed: int = 0) -> Report:
     conditions = all_disjoint_conditions(n)
     total = 1 << len(conditions)
     good = sum(
-        check_exhibits(fam, Pattern(n, tuple(c for i, c in enumerate(conditions) if mask >> i & 1), ())).ok
+        check_exhibits(fam, Pattern(n, tuple(conditions[i] for i in _bits(mask)), ())).ok
         for mask in range(total)
     )
     report = Report("ip-family")
@@ -247,7 +247,7 @@ def verify_triangle_free(vertices: int = 4) -> Report:
         pairs = list(itertools.combinations(range(n), 2))
         for mask in range(1 << len(pairs)):
             total += 1
-            g = graph(n, (pairs[i] for i in range(len(pairs)) if mask >> i & 1))
+            g = graph(n, (pairs[i] for i in _bits(mask)))
             result = triangle_free_double(g)  # raises TriangleFound on any triangle
             if realize_check(result.family, g):
                 good += 1

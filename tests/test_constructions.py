@@ -259,6 +259,75 @@ class TestMembership:
         problems = check_membership_structure(corrupted)
         assert sorted(problems) == sorted(f"relation pair ({i}, {idx}) out of range" for i, idx in stray)
 
+    def test_pinned_problem_lists(self):
+        # recorded before the checks moved to element masks
+        s2, s3 = membership_structure(2), membership_structure(3)
+        elements = list(s2.algebra_elements)
+        elements[3] = frozenset({0})
+        cases = [
+            (MembershipStructure(2, s2.algebra_elements, s2.relation | {(0, 0)}), [
+                "relation disagrees with membership on element #0",
+                "map fails to preserve intersection of #0 and #2",
+                "map fails to preserve intersection of #1 and #2",
+                "map fails to preserve complement of #0",
+                "map fails to preserve complement of #3",
+            ]),
+            (MembershipStructure(2, s2.algebra_elements, s2.relation | {(2, 1), (-1, 1), (0, 4), (0, -1)}), [
+                "relation pair (0, 4) out of range",
+                "relation pair (2, 1) out of range",
+                "relation pair (-1, 1) out of range",
+                "relation pair (0, -1) out of range",
+            ]),
+            (MembershipStructure(2, tuple(elements), s2.relation), [
+                "algebra does not contain the full point set",
+                "algebra not closed under complement of #0",
+                "relation disagrees with membership on element #3",
+                "map fails to preserve intersection of #1 and #1",
+                "map fails to preserve intersection of #1 and #3",
+                "map fails to preserve intersection of #2 and #3",
+                "map fails to preserve complement of #2",
+                "map fails to preserve complement of #3",
+            ]),
+            (MembershipStructure(2, s2.algebra_elements[:3], frozenset(p for p in s2.relation if p[1] < 3)), [
+                "algebra does not contain the full point set",
+                "algebra not closed under complement of #0",
+            ]),
+            (MembershipStructure(3, s3.algebra_elements, frozenset(((i + 1) % 3, idx) for i, idx in s3.relation)),
+             [f"relation disagrees with membership on element #{idx}" for idx in range(1, 7)]),
+            (MembershipStructure(3, s3.algebra_elements, s3.relation - {(1, 3), (2, 7)}), [
+                "relation disagrees with membership on element #3",
+                "relation disagrees with membership on element #7",
+                "image of the top element is not the full point set",
+                "map fails to preserve intersection of #2 and #3",
+                "map fails to preserve intersection of #3 and #6",
+                "map fails to preserve intersection of #4 and #7",
+                "map fails to preserve intersection of #5 and #7",
+                "map fails to preserve intersection of #6 and #7",
+                "map fails to preserve complement of #0",
+                "map fails to preserve complement of #3",
+                "map fails to preserve complement of #4",
+                "map fails to preserve complement of #7",
+            ]),
+        ]
+        for structure, expected in cases:
+            assert check_membership_structure(structure) == expected
+
+    def test_element_outside_the_point_sort_is_reported_once(self):
+        # such an element has no mask: it is named once and left out of the
+        # closure, agreement and homomorphism checks
+        s = membership_structure(2)
+        for stray in ({2}, {-1}, {0, 5}, {"0"}, {True}, {1.0}):
+            structure = MembershipStructure(2, s.algebra_elements[:3] + (frozenset(stray),), s.relation)
+            assert check_membership_structure(structure) == [
+                "algebra element #3 leaves the point sort",
+                "algebra does not contain the full point set",
+                "algebra not closed under complement of #0",
+            ]
+        elements = (frozenset({7}),) + s.algebra_elements
+        shifted = frozenset((i, idx + 1) for i, idx in s.relation)
+        assert check_membership_structure(MembershipStructure(2, elements, shifted)) == [
+            "algebra element #0 leaves the point sort"]
+
     def test_columns_need_a_point(self):
         empty = MembershipStructure(0, (frozenset(),), frozenset({(0, 0)}))
         with pytest.raises(ValueError):

@@ -24,7 +24,7 @@ from patterna.bounds import ENV_VAR
 from patterna.errors import BoundExceeded
 from patterna.rand import random_cnf, random_condition, random_pattern
 
-from patterna.decide import _clause_codes, _literals
+from patterna.decide import _clause_codes, _literals, _verified
 from patterna.sat import CompiledCnf
 
 from conftest import NO_POINT, UNION_SPLIT, all_conditions, dpll_reference, truth_table_sat
@@ -184,6 +184,16 @@ class TestDecide:
             assert (not d.exhibitable) == (d.failing_condition is not None)
             if d.exhibitable:
                 assert check_exhibits(d.witness, p).ok
+
+    def test_witness_points_follow_the_lexicographic_type_order(self):
+        # the types {1} (mask 2) and {0, 5} (mask 33) are both forced; the
+        # witness lists {0, 5} first, as sorted index lists order them,
+        # though integer order of the masks would put {1} first
+        p = Pattern(6, (cond([1], [0, 2, 3, 4, 5]), cond([0, 5], [1, 2, 3, 4])))
+        for decision in (decide_exhibitable(p), brute_force_exhibitable(p)):
+            assert decision.witness.masks == (0b01, 0b10, 0, 0, 0, 0b01)
+        for types in ([2, 33], [33, 2, 2], [2, 33, 33]):
+            assert _verified(p, types).witness.masks == (0b01, 0b10, 0, 0, 0, 0b01)
 
     def test_deterministic_witness(self):
         rng = random.Random(4)

@@ -405,6 +405,83 @@ class TestWitnessStructures:
             assert check_exhibits(witness_trace_family(s), p).ok
 
 
+class TestEmbeddingProblems:
+    # messages pinned before the relation comparison moved to type masks
+    A = WitnessStructure(
+        ("w0", "w1", "w2"), ("p0", "p1", "p2", "p3"),
+        frozenset({(0, 1), (0, 3), (1, 0), (2, 2), (2, 3), (3, 1), (1, 4), (-2, 0), (0, -3)}),
+        frozenset({frozenset({0, 3})}),
+    )
+    B = WitnessStructure(
+        ("x0", "x1", "x2", "x3"), ("q0", "q1", "q2", "q3", "q4"),
+        frozenset({(1, 4), (1, 0), (3, 2), (3, 1), (0, 3), (0, 0), (0, 4), (4, 4), (0, 7)}),
+        frozenset({frozenset({1, 2}), frozenset({4, 3})}),
+    )
+
+    def test_pinned_messages(self):
+        # (1,2) and (2,1) are related in B's image only, (2,2) in A only;
+        # the pairs outside either structure's sorts are never compared
+        assert hypergraphs.embedding_problems(self.A, self.B, Embedding((1, 3, 0), (2, 4, 1, 0))) == [
+            "relation not preserved/reflected at (1,2)",
+            "relation not preserved/reflected at (2,1)",
+            "relation not preserved/reflected at (2,2)",
+            "hyperedge [0, 3] not preserved",
+            "hyperedge [1, 2] not reflected",
+        ]
+        assert hypergraphs.embedding_problems(self.A, self.B, Embedding((1, 3, 0), (2, 4, 1, 5))) == [
+            "parameter map leaves the target sort"]
+        assert hypergraphs.embedding_problems(self.A, self.B, Embedding((1, 1, 0), (2, 4, 1, 0))) == [
+            "witness map is not injective"]
+        assert hypergraphs.embedding_problems(self.A, self.B, Embedding((1, 3), (2, 4, 1, 0))) == [
+            "witness map length differs from source witness sort"]
+        empty = WitnessStructure((), (), frozenset(), frozenset(), hypergraphs.UNIFORM_FLAVOR)
+        assert hypergraphs.embedding_problems(self.A, empty, Embedding((), ())) == [
+            "flavor mismatch: positive vs k-uniform",
+            "witness map length differs from source witness sort",
+            "parameter map length differs from source parameter sort",
+        ]
+
+    def test_pinned_preserved_one_way_reflected_the_other(self):
+        a = WitnessStructure(
+            ("w0", "w1", "w2"), ("p0", "p1", "p2"),
+            frozenset({(0, 0), (0, 2), (1, 1), (2, 0), (2, 1), (3, 0), (0, 3), (-1, 1), (1, -1)}),
+            frozenset({frozenset({0, 1})}),
+        )
+        b = WitnessStructure(
+            ("x0", "x1", "x2", "x3"), ("q0", "q1", "q2", "q3"),
+            frozenset({(3, 3), (3, 0), (0, 1), (0, 2), (2, 3), (2, 1), (2, 0), (1, 1), (4, 0), (1, 9)}),
+            frozenset({frozenset({0, 2}), frozenset({1, 3})}),
+        )
+        # (0,0) is in a and not in b's image; (0,1) is in b's image and not in a
+        assert hypergraphs.embedding_problems(a, b, Embedding((0, 1, 2), (3, 1, 2))) == [
+            "relation not preserved/reflected at (0,0)",
+            "relation not preserved/reflected at (0,1)",
+        ]
+        assert hypergraphs.embedding_problems(a, b, Embedding((3, 0, 2), (3, 1, 0))) == [
+            "relation not preserved/reflected at (2,2)"]
+        assert hypergraphs.embedding_problems(b, b, Embedding((0, 1, 2, 3), (0, 1, 2, 3))) == []
+
+    def test_relation_messages_match_pair_lookups(self):
+        rng = random.Random(1301)
+
+        def structure(nw, np_):
+            pairs = {(rng.randint(-1, nw), rng.randint(-1, np_)) for _ in range(rng.randint(0, 3 * nw + 2))}
+            return WitnessStructure(tuple(map(str, range(nw))), tuple(map(str, range(np_))),
+                                    frozenset(pairs), frozenset())
+
+        for _ in range(300):
+            a = structure(rng.randint(0, 4), rng.randint(0, 5))
+            b = structure(len(a.witness_points) + rng.randint(0, 2), len(a.parameter_points) + rng.randint(0, 2))
+            e = Embedding(rng.sample(range(len(b.witness_points)), len(a.witness_points)),
+                          rng.sample(range(len(b.parameter_points)), len(a.parameter_points)))
+            expected = [
+                f"relation not preserved/reflected at ({w},{p})"
+                for w in range(len(a.witness_points)) for p in range(len(a.parameter_points))
+                if ((w, p) in a.r) != ((e.witness_map[w], e.parameter_map[p]) in b.r)
+            ]
+            assert hypergraphs.embedding_problems(a, b, e) == expected
+
+
 class TestFreeAmalgam:
     def small(self):
         p = Pattern(2, (cond([0, 1]),), ())

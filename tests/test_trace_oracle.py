@@ -468,11 +468,11 @@ def test_families_of_types_realize_exactly_those_types():
     rng = random.Random(4112)
     for _ in range(200):
         n = rng.randint(0, 8)
-        types = [[i for i in range(n) if rng.random() < 0.5] for _ in range(rng.randint(1, 70))]
+        types = [rng.getrandbits(n) for _ in range(rng.randint(1, 70))]
         fam = SetFamily._of_types(n, types)
         assert_as_public(fam)
         assert fam.universe_size == len(types)
-        assert realized_types(fam) == set(map(frozenset, types))
+        assert realized_types(fam) == {frozenset(i for i in range(n) if t >> i & 1) for t in types}
 
 
 def test_no_types_give_one_point_in_no_set():
