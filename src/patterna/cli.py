@@ -141,7 +141,7 @@ def _cmd_dimacs(args, stdout, stderr) -> int:
 
 def _cmd_hypergraph(args, stdout, stderr) -> int:
     data = jsonio.load_json(args.file)
-    if args.action == "witness-structure" and "consistency" in data:
+    if args.action == "witness-structure" and isinstance(data, dict) and "consistency" in data:
         source = jsonio.pattern_from_dict(data)
     else:
         source = jsonio.hypergraph_from_dict(data)

@@ -402,23 +402,19 @@ def embedding_problems(a: WitnessStructure, b: WitnessStructure, e: Embedding) -
     Embeddings are injective, sort-preserving, and relation preserving and
     reflecting (the image carries exactly the induced structure).
     """
-    problems = []
-    if a.flavor != b.flavor:
-        problems.append(f"flavor mismatch: {a.flavor} vs {b.flavor}")
-    if len(e.witness_map) != len(a.witness_points):
-        problems.append("witness map length differs from source witness sort")
-    if len(e.parameter_map) != len(a.parameter_points):
-        problems.append("parameter map length differs from source parameter sort")
-    if problems:
-        return problems
-    for name, mapping, limit in (
-        ("witness", e.witness_map, len(b.witness_points)),
-        ("parameter", e.parameter_map, len(b.parameter_points)),
+    problems = [f"flavor mismatch: {a.flavor} vs {b.flavor}"] if a.flavor != b.flavor else []
+    lengths, ranges = [], []  # a length fault hides the range faults
+    for name, mapping, source, target in (
+        ("witness", e.witness_map, a.witness_points, b.witness_points),
+        ("parameter", e.parameter_map, a.parameter_points, b.parameter_points),
     ):
-        if any(not 0 <= v < limit for v in mapping):
-            problems.append(f"{name} map leaves the target sort")
+        if len(mapping) != len(source):
+            lengths.append(f"{name} map length differs from source {name} sort")
+        if any(not 0 <= v < len(target) for v in mapping):
+            ranges.append(f"{name} map leaves the target sort")
         if len(set(mapping)) != len(mapping):
-            problems.append(f"{name} map is not injective")
+            ranges.append(f"{name} map is not injective")
+    problems += lengths or ranges
     if problems:
         return problems
     # each source witness's type against its image's, read back through the parameter map
@@ -469,49 +465,41 @@ def free_amalgam(
     the result lives inside one side, so the universal axiom survives: a
     witness from the other side is related to the edge's parameters only where
     they are shared, i.e. inside a, where the edge is reflected anyway.
+    A, B0 and B1 must satisfy the axioms, and k-uniform sides must share
+    their k; otherwise PreconditionFailure.
     """
+    for name, s in (("A", a), ("B0", b0), ("B1", b1)):
+        report = check_axioms(s)
+        if not report.ok:
+            raise PreconditionFailure(f"{name} violates the axioms: {report.violations}")
     for name, b, e in (("e0", b0, e0), ("e1", b1, e1)):
         problems = embedding_problems(a, b, e)
         if problems:
             raise NotAnEmbedding(f"{name}: " + "; ".join(problems))
+    if a.flavor == UNIFORM_FLAVOR and len({len(edge) for edge in b0.hyperedges | b1.hyperedges}) > 1:
+        raise PreconditionFailure("B0 and B1 carry hyperedges of different arities")
 
-    shared_w = {e1.witness_map[i]: e0.witness_map[i] for i in range(len(a.witness_points))}
-    shared_p = {e1.parameter_map[i]: e0.parameter_map[i] for i in range(len(a.parameter_points))}
-
+    # witnesses first: the sorts share one set of taken labels
     taken = set(b0.witness_points) | set(b0.parameter_points)
-    witness_labels = list(b0.witness_points)
-    parameter_labels = list(b0.parameter_points)
+    sorts = []
+    for points0, points1, a_in0, a_in1 in (
+        (b0.witness_points, b1.witness_points, e0.witness_map, e1.witness_map),
+        (b0.parameter_points, b1.parameter_points, e0.parameter_map, e1.parameter_map),
+    ):
+        image = dict(zip(a_in1, a_in0))  # b1 index -> amalgam index; A's points keep their b0 index
+        sort_labels = list(points0)
+        for idx, label in enumerate(points1):
+            if idx not in image:
+                image[idx] = len(sort_labels)
+                sort_labels.append(_uniquify(label, taken))
+        sorts.append((sort_labels, [image[idx] for idx in range(len(points1))]))
+    (witness_labels, w1map), (parameter_labels, p1map) = sorts
 
-    w1map = []
-    for idx, label in enumerate(b1.witness_points):
-        if idx in shared_w:
-            w1map.append(shared_w[idx])
-        else:
-            w1map.append(len(witness_labels))
-            witness_labels.append(_uniquify(label, taken))
-    p1map = []
-    for idx, label in enumerate(b1.parameter_points):
-        if idx in shared_p:
-            p1map.append(shared_p[idx])
-        else:
-            p1map.append(len(parameter_labels))
-            parameter_labels.append(_uniquify(label, taken))
-
-    relation = set(b0.r) | {(w1map[w], p1map[p]) for w, p in b1.r}
-    hyperedges = set(b0.hyperedges) | {
-        frozenset(p1map[p] for p in edge) for edge in b1.hyperedges
-    }
-    amalgam = WitnessStructure(
-        tuple(witness_labels),
-        tuple(parameter_labels),
-        frozenset(relation),
-        frozenset(hyperedges),
-        a.flavor,
-    )
-    embed0 = Embedding(
-        tuple(range(len(b0.witness_points))), tuple(range(len(b0.parameter_points)))
-    )
-    embed1 = Embedding(tuple(w1map), tuple(p1map))
+    relation = b0.r | {(w1map[w], p1map[p]) for w, p in b1.r}
+    hyperedges = b0.hyperedges | {frozenset(p1map[p] for p in edge) for edge in b1.hyperedges}
+    amalgam = WitnessStructure(witness_labels, parameter_labels, relation, hyperedges, a.flavor)
+    embed0 = Embedding(range(len(b0.witness_points)), range(len(b0.parameter_points)))
+    embed1 = Embedding(w1map, p1map)
 
     report = check_axioms(amalgam)
     if not report.ok:
@@ -520,12 +508,12 @@ def free_amalgam(
         problems = embedding_problems(b, amalgam, e)
         if problems:
             raise AxiomViolation(f"{name} does not embed into the amalgam: {problems}")
-    for i in range(len(a.witness_points)):
-        if embed0.witness_map[e0.witness_map[i]] != embed1.witness_map[e1.witness_map[i]]:
-            raise AxiomViolation("amalgam square does not commute on the witness sort")
-    for i in range(len(a.parameter_points)):
-        if embed0.parameter_map[e0.parameter_map[i]] != embed1.parameter_map[e1.parameter_map[i]]:
-            raise AxiomViolation("amalgam square does not commute on the parameter sort")
+    for name, a_in0, into0, a_in1, into1 in (
+        ("witness", e0.witness_map, embed0.witness_map, e1.witness_map, embed1.witness_map),
+        ("parameter", e0.parameter_map, embed0.parameter_map, e1.parameter_map, embed1.parameter_map),
+    ):
+        if any(into0[i0] != into1[i1] for i0, i1 in zip(a_in0, a_in1)):
+            raise AxiomViolation(f"amalgam square does not commute on the {name} sort")
     return FreeAmalgam(amalgam, embed0, embed1)
 
 

@@ -11,7 +11,7 @@ import json
 
 from .decide import Decision
 from .errors import ParseError, PatternaError
-from .hypergraphs import Embedding, Hypergraph, WitnessStructure
+from .hypergraphs import POSITIVE_FLAVOR, UNIFORM_FLAVOR, Embedding, Hypergraph, WitnessStructure
 from .patterns import Pattern, PatternFlags, _bits, validate_pattern
 from .semantics import SetFamily
 
@@ -134,14 +134,21 @@ def structure_to_dict(s: WitnessStructure) -> dict:
 
 
 def structure_from_dict(data) -> WitnessStructure:
+    """Point labels must be arrays of strings and flavor, when given, one of the two flavors."""
     try:
         _require_integers([data["r"], data["hyperedges"]], "witness-structure document")
+        for key in ("witness_points", "parameter_points"):
+            if type(data[key]) is not list or not all(type(label) is str for label in data[key]):
+                raise ParseError(f"{key} must be an array of strings, got {json.dumps(data[key])}")
+        flavor = data.get("flavor", POSITIVE_FLAVOR)
+        if flavor not in (POSITIVE_FLAVOR, UNIFORM_FLAVOR):
+            raise ParseError(f"flavor must be 'positive' or 'k-uniform', got {json.dumps(flavor)}")
         return WitnessStructure(
             tuple(data["witness_points"]),
             tuple(data["parameter_points"]),
             frozenset((w, p) for w, p in data["r"]),
             frozenset(frozenset(e) for e in data["hyperedges"]),
-            data.get("flavor", "positive"),
+            flavor,
         )
     except (TypeError, KeyError, ValueError) as exc:
         raise ParseError(f"malformed witness-structure document: {exc}") from exc

@@ -109,21 +109,11 @@ def fully_complete_patterns(n: int):
         yield Pattern(n, tuple(splits[i] for i in _bits(mask)), tuple(splits[i] for i in _bits(full ^ mask)))
 
 
-def verify_powerset_sm(n: int = 2) -> Report:
-    _require_sizes(n=(n, 1))
-    report = Report("powerset-sm")
-    total = good = 0
-    for p in fully_complete_patterns(n):
-        total += 1
-        decision = decide_exhibitable(p)
-        witness = powerset_sm_witness(p)  # raises on self-check failure
-        if decision.exhibitable and check_exhibits(witness, p).ok:
-            good += 1
-    report.add(
-        "fully-complete-exhibition",
-        good == total,
-        f"{good}/{total} fully complete patterns exhibited",
-    )
+def _counted(construction: str, name: str, outcomes, what: str) -> Report:
+    """One check: how many of the outcomes hold, as good/total."""
+    results = [bool(outcome) for outcome in outcomes]
+    report = Report(construction)
+    report.add(name, all(results), f"{sum(results)}/{len(results)} {what}")
     return report
 
 
@@ -131,10 +121,19 @@ def _sampled(construction: str, name: str, samples: int, seed: int, trial, what:
     """One check: how many of `samples` seeded trials pass, trial(rng) -> bool."""
     _require_sizes(samples=(samples, 1))
     rng = random.Random(seed)
-    good = sum(bool(trial(rng)) for _ in range(samples))
-    report = Report(construction)
-    report.add(name, good == samples, f"{good}/{samples} {what}")
-    return report
+    return _counted(construction, name, (trial(rng) for _ in range(samples)), what)
+
+
+def verify_powerset_sm(n: int = 2) -> Report:
+    _require_sizes(n=(n, 1))
+
+    def outcome(p):
+        decision = decide_exhibitable(p)
+        witness = powerset_sm_witness(p)  # raises on self-check failure
+        return decision.exhibitable and check_exhibits(witness, p).ok
+
+    return _counted("powerset-sm", "fully-complete-exhibition", map(outcome, fully_complete_patterns(n)),
+                    "fully complete patterns exhibited")
 
 
 def verify_atomless_pm(n: int = 4, samples: int = 50, seed: int = 0) -> Report:
@@ -194,18 +193,10 @@ def verify_ip_family(n: int = 2, samples: int = 100, seed: int = 0) -> Report:
                         lambda rng: check_exhibits(fam, random_consistency_pattern(rng, n, 6)).ok,
                         f"random consistency {n}-patterns exhibited")
     conditions = all_disjoint_conditions(n)
-    total = 1 << len(conditions)
-    good = sum(
-        check_exhibits(fam, Pattern(n, tuple(conditions[i] for i in _bits(mask)), ())).ok
-        for mask in range(total)
-    )
-    report = Report("ip-family")
-    report.add(
-        "exhibits-all-consistency-patterns",
-        good == total,
-        f"{good}/{total} consistency {n}-patterns exhibited",
-    )
-    return report
+    return _counted("ip-family", "exhibits-all-consistency-patterns",
+                    (check_exhibits(fam, Pattern(n, tuple(conditions[i] for i in _bits(mask)), ())).ok
+                     for mask in range(1 << len(conditions))),
+                    f"consistency {n}-patterns exhibited")
 
 
 def verify_one1(n: int = 4) -> Report:
@@ -241,22 +232,16 @@ def verify_blowup_roundtrip(k: int = 2, vertices: int = 4, samples: int = 20, se
 def verify_triangle_free(vertices: int = 4) -> Report:
     check_bound(vertices, GRAPH_SWEEP_VERTICES, "{size} vertices exceed the all-graphs sweep bound {limit}")
     _require_sizes(vertices=(vertices, 0))
-    report = Report("triangle-free")
-    good = total = 0
-    for n in range(vertices + 1):
-        pairs = list(itertools.combinations(range(n), 2))
-        for mask in range(1 << len(pairs)):
-            total += 1
-            g = graph(n, (pairs[i] for i in _bits(mask)))
-            result = triangle_free_double(g)  # raises TriangleFound on any triangle
-            if realize_check(result.family, g):
-                good += 1
-    report.add(
-        "all-doublings-triangle-free-and-realizing",
-        good == total,
-        f"{good}/{total} graphs on <= {vertices} vertices",
-    )
-    return report
+
+    def outcomes():
+        for n in range(vertices + 1):
+            pairs = list(itertools.combinations(range(n), 2))
+            for mask in range(1 << len(pairs)):
+                g = graph(n, (pairs[i] for i in _bits(mask)))
+                yield realize_check(triangle_free_double(g).family, g)  # raises TriangleFound on any triangle
+
+    return _counted("triangle-free", "all-doublings-triangle-free-and-realizing", outcomes(),
+                    f"graphs on <= {vertices} vertices")
 
 
 def verify_free_amalgam(samples: int = 25, seed: int = 0) -> Report:

@@ -195,6 +195,15 @@ class TestHypergraphCommand:
         assert code == 0
         assert json.loads(out)["flavor"] == "k-uniform"
 
+    @pytest.mark.parametrize("document", [-1, 3.5, None])
+    def test_non_object_document(self, tmp_path, document):
+        # witness-structure tested the document for a "consistency" key first:
+        # "unexpected TypeError: argument of type 'int' is not iterable"
+        path = write_doc(tmp_path, document)
+        for action in ("pattern", "blowup", "double", "witness-structure"):
+            assert assert_one_line_error(["hypergraph", action, path]).startswith(
+                "error: malformed hypergraph document")
+
     def test_witness_structure_from_pattern(self, tmp_path):
         p = Pattern(2, (Condition((0, 1), ()),), ())
         path = tmp_path / "p.json"
@@ -308,6 +317,7 @@ def assert_one_line_error(argv):
     code, out, err = invoke(argv)
     assert code == 2 and not out, argv
     assert err.startswith("error:") and err.count("\n") == 1, err
+    return err
 
 
 class TestNonIntegerFields:
@@ -384,6 +394,19 @@ class TestAmalgamCommand:
         payload = json.loads(out)
         assert len(payload["structure"]["parameter_points"]) == 3
 
+    @pytest.mark.parametrize("key, value, message", [
+        # B1's pair (0, 5) has neither its witness nor its parameter: "unexpected IndexError" before
+        ("r", [[0, 5]], "error: B1 violates the axioms: ("),
+        # a list label: "unexpected TypeError: unhashable type: 'list'" before
+        ("parameter_points", [["p0"], "q1"], "error: parameter_points must be an array of strings"),
+    ])
+    def test_malformed_side(self, tmp_path, structures, key, value, message):
+        side = json.loads((tmp_path / "b1.json").read_text())
+        maps = tmp_path / "maps.json"
+        maps.write_text(json.dumps({"e0": {"witness": [], "parameter": [0]}, "e1": {"witness": [], "parameter": [0]}}))
+        argv = ["amalgam", *structures[:2], write_doc(tmp_path, {**side, key: value}), str(maps)]
+        assert assert_one_line_error(argv).startswith(message)
+
     def test_malformed_maps(self, tmp_path, structures):
         embedding = {"witness": [], "parameter": [0]}
         for maps in ([1], {}, {"e0": embedding}, {"e0": [1], "e1": embedding}, {"e0": 1, "e1": 1}):
@@ -426,6 +449,13 @@ KEYS = st.sampled_from([
     "witness_points", "parameter_points", "r", "hyperedges", "flavor", "e0", "e1",
     "witness", "parameter",
 ])
+STRUCTURE = st.fixed_dictionaries({
+    "witness_points": st.lists(st.text("w0", max_size=2), max_size=2),
+    "parameter_points": st.lists(st.text("p0", max_size=2), max_size=3),
+    "r": st.lists(st.lists(SMALL, min_size=2, max_size=2), max_size=3),
+    "hyperedges": st.lists(INDEX_LIST, max_size=2),
+})
+EMBEDDING = st.fixed_dictionaries({"witness": INDEX_LIST, "parameter": INDEX_LIST})
 DOCUMENT = st.one_of(
     st.recursive(LEAF, lambda kids: st.lists(kids, max_size=3) | st.dictionaries(KEYS, kids, max_size=4),
                  max_leaves=8),
@@ -435,25 +465,23 @@ DOCUMENT = st.one_of(
         "inconsistency": st.lists(st.lists(INDEX_LIST, min_size=2, max_size=2), max_size=4),
     }),
     st.fixed_dictionaries({"k": SMALL, "vertices": SMALL, "edges": st.lists(INDEX_LIST, max_size=4)}),
-    st.fixed_dictionaries({
-        "witness_points": st.lists(st.text("w0", max_size=2), max_size=2),
-        "parameter_points": st.lists(st.text("p0", max_size=2), max_size=3),
-        "r": st.lists(st.lists(SMALL, min_size=2, max_size=2), max_size=3),
-        "hyperedges": st.lists(INDEX_LIST, max_size=2),
-    }),
+    STRUCTURE,
 )
-#: Positional words and the flags that take a small integer, by subcommand.
-#: The integers stay small so every run is quick; the bounds themselves are
-#: tested on their own.
+#: Positional words, the flags that take a small integer, and the
+#: well-formed document each input file is drawn as in half the runs (an
+#: arbitrary DOCUMENT otherwise), by subcommand.  The integers stay small so
+#: every run is quick; the bounds themselves are tested on their own.
 FUZZ = {
-    "classify": ([], [], 1),
-    "decide": ([], ["--witness", "--oracle"], 1),
-    "dimacs": ([], ["--condition"], 1),
-    "hypergraph": (["pattern", "blowup", "double", "witness-structure"], [], 1),
-    "generate": (sorted(GEN_KINDS), ["--n", "--b", "--d", "--k"], 0),
-    "verify": (sorted(VERIFIERS), VERIFY_FLAGS, 0),
-    "amalgam": ([], [], 4),
+    "classify": ([], [], [DOCUMENT]),
+    "decide": ([], ["--witness", "--oracle"], [DOCUMENT]),
+    "dimacs": ([], ["--condition"], [DOCUMENT]),
+    "hypergraph": (["pattern", "blowup", "double", "witness-structure"], [], [DOCUMENT]),
+    "generate": (sorted(GEN_KINDS), ["--n", "--b", "--d", "--k"], []),
+    "verify": (sorted(VERIFIERS), VERIFY_FLAGS, []),
+    "amalgam": ([], [], [STRUCTURE] * 3 + [st.fixed_dictionaries({"e0": EMBEDDING, "e1": EMBEDDING})]),
 }
+#: the subcommands whose every input ends in an answer or a named error
+NO_UNEXPECTED = {"amalgam", "hypergraph"}
 SWITCHES = {"--witness", "--oracle"}
 
 
@@ -464,9 +492,10 @@ def test_contract_on_arbitrary_input(tmp_path, command, data):
     # exit 0, 1 or 2; stdout empty or exactly one JSON document; no traceback
     words, flags, files = FUZZ[command]
     argv = [command] + ([data.draw(st.sampled_from(words))] if words else [])
-    for i in range(files):
+    well_formed = data.draw(st.booleans())
+    for i, shape in enumerate(files):
         path = tmp_path / f"{i}.json"
-        path.write_text(json.dumps(data.draw(DOCUMENT)))
+        path.write_text(json.dumps(data.draw(shape if well_formed else DOCUMENT)))
         argv.append(str(path))
     for flag in data.draw(st.lists(st.sampled_from(flags), unique=True, max_size=3)) if flags else []:
         argv += [flag] if flag in SWITCHES else [flag, str(data.draw(st.integers(-2, 3)))]
@@ -475,3 +504,5 @@ def test_contract_on_arbitrary_input(tmp_path, command, data):
     if out:
         json.loads(out)  # one document: a second would be "Extra data"
     assert "Traceback" not in err, (argv, err)
+    if command in NO_UNEXPECTED:
+        assert "error: unexpected" not in err, (argv, err)

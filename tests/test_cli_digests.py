@@ -19,6 +19,8 @@ import pytest
 
 from patterna import CnfFormula, Literal, gen_divline, jsonio, pattern_from_cnf
 from patterna.cli import run
+from patterna.hypergraphs import Embedding, WitnessStructure
+from patterna.rand import random_amalgam_problem
 from patterna.verify import VERIFIERS
 
 HYPERGRAPHS = {
@@ -100,6 +102,36 @@ def _cnf_document(variables, clauses):
     return jsonio.dumps_canonical(jsonio.pattern_to_dict(pattern_from_cnf(formula)))
 
 
+#: B1 adds a witness and a parameter that share the new label "x"; the
+#: witness sort is relabelled first, so the parameter becomes "x#1".
+_SHARED = WitnessStructure(("w0",), ("p0",), frozenset({(0, 0)}), frozenset())
+LABEL_CLASH = (
+    _SHARED,
+    WitnessStructure(("w0", "v"), ("p0", "q"), frozenset({(0, 0), (1, 1)}), frozenset()),
+    WitnessStructure(("w0", "x"), ("p0", "x"), frozenset({(0, 0), (1, 1)}),
+                     frozenset({frozenset({0, 1})})),
+    Embedding((0,), (0,)),
+    Embedding((0,), (0,)),
+)
+
+#: amalgamation problems by name: seeds 0 and 5 relabel p3+#1 and w2+#1
+AMALGAMS = {**{f"random{s}": random_amalgam_problem(random.Random(s)) for s in range(6)},
+            "label-clash": LABEL_CLASH}
+
+
+def _amalgam_files(directory, name, problem):
+    a, b0, b1, e0, e1 = problem
+    paths = []
+    for part, s in (("a", a), ("b0", b0), ("b1", b1)):
+        path = directory / f"{name}-{part}.json"
+        path.write_text(jsonio.dumps_canonical(jsonio.structure_to_dict(s)))
+        paths.append(str(path))
+    path = directory / f"{name}-maps.json"
+    path.write_text(jsonio.dumps_canonical(
+        {"e0": jsonio.embedding_to_dict(e0), "e1": jsonio.embedding_to_dict(e1)}))
+    return paths + [str(path)]
+
+
 def corpus(directory):
     """(name, argv) for every pinned command; input files go to directory."""
     commands = [(f"verify {name}", ["verify", name]) for name in sorted(VERIFIERS)]
@@ -123,6 +155,8 @@ def corpus(directory):
         commands.append((f"decide {name}", ["decide", str(path), "--witness"]))
     for args in GENERATED:
         commands.append((f"generate {args}", ["generate", *args.split()]))
+    for name, problem in AMALGAMS.items():
+        commands.append((f"amalgam {name}", ["amalgam", *_amalgam_files(directory, name, problem)]))
     return commands
 
 
@@ -194,6 +228,13 @@ PINNED = {
     "generate pmchar --n 2": [0, "b4e9dad1c8f0c964a49aaf60932cbce7016c1efeb95550c618d41e88c47f477a"],
     "generate pmchar --n 3": [0, "f4485e5c7a5ef4d2440c454e20690770427b901441488679e6b73b2e1ae6cbb0"],
     "generate ip --n 3": [0, "d1345d0d465da76e646dd7dbf63f6688cfde6a5cda771e57a3c0255469240661"],
+    "amalgam random0": [0, "b0341b1f627c5e5349bef8f9319c893e8295a93d8df0f62ebd7bbc35c28566c4"],
+    "amalgam random1": [0, "8c11a97e60bffb94c37ab52c76a1d1aa4178ed78c5da3bbae5166fcd457ccb28"],
+    "amalgam random2": [0, "68365cee4b185d31d303d798b0b76591522b8e9015b160c735c30cda39c1099d"],
+    "amalgam random3": [0, "404f2c4d17b3c8fef39cab8a491f929a4b1347b496c139db476c7635d265e1eb"],
+    "amalgam random4": [0, "2f709331e1a7d00150168ad3b4cbd6c5267cc91a00664f3f53bbb0b0efdcf25f"],
+    "amalgam random5": [0, "a7928ad2d8f383884b7e1dc0893b64d74208e034f825cdad329d8f498d64a02b"],
+    "amalgam label-clash": [0, "5a05a46d3d42fd30b1e2e1e123ae510f410703e1869a5cf3398359340fc09f7b"],
 }
 
 

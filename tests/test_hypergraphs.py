@@ -550,6 +550,42 @@ class TestFreeAmalgam:
         with pytest.raises(NotAnEmbedding):
             free_amalgam(base, side, side, identity, identity)
 
+    # A side that extends A = (w0 | p0) by the witness v related to the parameter q
+    A = WitnessStructure(("w0",), ("p0",), frozenset({(0, 0)}), frozenset())
+    SIDE = WitnessStructure(("w0", "v"), ("p0", "q"), frozenset({(0, 0), (1, 1)}), frozenset())
+
+    @pytest.mark.parametrize("broken, part, r, hyperedges", [
+        # B1's relabelling read past its maps: unexpected IndexError
+        ("B1", "b1", {(1, 2)}, ()),
+        ("B1", "b1", (), {frozenset({0, 2})}),
+        # B0's stray pair reached the amalgam: "amalgam violates the axioms"
+        ("B0", "b0", {(0, 9)}, ()),
+        # B1's -1 read as its last parameter: "B1 does not embed into the amalgam"
+        ("B1", "b1", (), {frozenset({0, -1})}),
+        # ... or folded silently into (1,1): exit 0
+        ("B1", "b1", {(1, -1)}, ()),
+        # a pair of A outside its sorts is never compared: exit 0
+        ("A", "a", {(0, 9)}, ()),
+    ], ids=["b1-pair", "b1-hyperedge", "b0-pair", "b1-negative-hyperedge", "b1-negative-pair", "a-pair"])
+    def test_inputs_checked_against_the_axioms(self, broken, part, r, hyperedges):
+        parts = {"a": self.A, "b0": self.SIDE, "b1": self.SIDE}
+        s = parts[part]
+        parts[part] = WitnessStructure(s.witness_points, s.parameter_points, s.r | frozenset(r),
+                                       s.hyperedges | frozenset(hyperedges))
+        identity = Embedding((0,), (0,))
+        with pytest.raises(PreconditionFailure, match=rf"^{broken} violates the axioms: \("):
+            free_amalgam(parts["a"], parts["b0"], parts["b1"], identity, identity)
+
+    def test_uniform_sides_share_their_arity(self):
+        # "amalgam violates the axioms" before: the glued sides mixed arities 2 and 3
+        base = WitnessStructure((), (), frozenset(), frozenset(), hypergraphs.UNIFORM_FLAVOR)
+        b0 = WitnessStructure((), ("p", "q"), frozenset(), frozenset({frozenset({0, 1})}),
+                              hypergraphs.UNIFORM_FLAVOR)
+        b1 = WitnessStructure((), ("p", "q", "r"), frozenset(), frozenset({frozenset({0, 1, 2})}),
+                              hypergraphs.UNIFORM_FLAVOR)
+        with pytest.raises(PreconditionFailure, match="different arities"):
+            free_amalgam(base, b0, b1, Embedding((), ()), Embedding((), ()))
+
     def test_random_problems(self):
         rng = random.Random(37)
         for _ in range(40):

@@ -55,6 +55,21 @@ def test_structure_round_trip():
         assert jsonio.structure_from_dict(jsonio.structure_to_dict(s)) == s
 
 
+@pytest.mark.parametrize("key, value", [
+    ("witness_points", "w0"),  # read as the two points "w" and "0"
+    ("witness_points", [["w0"]]),
+    ("parameter_points", [{"p": 0}]),
+    ("parameter_points", [None]),
+    ("parameter_points", [0]),
+    ("flavor", "graph"),
+    ("flavor", None),
+])
+def test_structure_labels_and_flavor(key, value):
+    doc = {"witness_points": ["w0"], "parameter_points": ["p0"], "r": [[0, 0]], "hyperedges": []}
+    with pytest.raises(ParseError, match=f"^{key} must be "):
+        jsonio.structure_from_dict({**doc, key: value})
+
+
 def test_embedding_round_trip():
     e = Embedding((2, 0), (1,))
     assert jsonio.embedding_from_dict(jsonio.embedding_to_dict(e)) == e
