@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
+from math import comb
 
-from .bounds import CLIQUE_VERTICES, DOUBLING_VERTICES, check_bound
+from .bounds import CLIQUE_VERTICES, DOUBLING_VERTICES, PATTERN_INDICES_LOG2, check_bound
 from .errors import (
     ArityMismatch,
     AxiomViolation,
@@ -28,40 +30,49 @@ from .errors import (
     VerificationFailure,
 )
 from .patterns import Pattern, _bits, _canonical, classify, subset_index
-from .semantics import (SetFamily, _columns, _meeting_subsets, _trace_mask, _types, check_exhibits,
-                        encodes_hypergraph)
+from .semantics import SetFamily, _columns, _trace_mask, _types, check_exhibits, encodes_hypergraph
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class Hypergraph:
-    """A k-uniform hypergraph on vertices [0, vertex_count).  Only `blowup`
-    sets `_cliques`, on a hypergraph it builds without re-checking its edges."""
+    """A k-uniform hypergraph on vertices [0, vertex_count).  Its state, with equality and
+    hashing, is (arity, vertex_count, masks), one vertex mask per edge.  `edges` is a read-only
+    view: Hypergraph(k, n, edges) checks every edge and fills it at once, and the library's
+    unchecked _canonical builds leave it to the first read.  Only `_blowup` sets `_cliques`."""
 
     arity: int
     vertex_count: int
-    edges: frozenset[frozenset[int]]
+    masks: frozenset[int]
     _cliques: tuple[int, ...] | None = field(init=False, compare=False, repr=False, default=None)
 
-    def __post_init__(self):
-        if type(self.arity) is not int or self.arity < 2:
-            raise UnsupportedParams(f"arity {self.arity!r} is not an int of at least 2")
-        if type(self.vertex_count) is not int or self.vertex_count < 0:
-            raise UnsupportedParams(f"vertex count {self.vertex_count!r} is not a nonnegative int")
-        coerced = frozenset(map(frozenset, self.edges))
+    def __init__(self, arity: int, vertex_count: int, edges):
+        if type(arity) is not int or arity < 2:
+            raise UnsupportedParams(f"arity {arity!r} is not an int of at least 2")
+        if type(vertex_count) is not int or vertex_count < 0:
+            raise UnsupportedParams(f"vertex count {vertex_count!r} is not a nonnegative int")
+        coerced = frozenset(map(frozenset, edges))
         for edge in coerced:
-            if len(edge) != self.arity:
-                raise ArityMismatch(f"edge {sorted(edge)} is not a {self.arity}-subset")
+            if len(edge) != arity:
+                raise ArityMismatch(f"edge {sorted(edge)} is not a {arity}-subset")
             for v in edge:
                 if type(v) is not int:
                     raise IndexOutOfRange(f"vertex {v!r} is not an integer")
-                if not 0 <= v < self.vertex_count:
-                    raise IndexOutOfRange(f"vertex {v} outside [0, {self.vertex_count})")
-        object.__setattr__(self, "edges", coerced)
+                if not 0 <= v < vertex_count:
+                    raise IndexOutOfRange(f"vertex {v} outside [0, {vertex_count})")
+        masks = frozenset(map(subset_index, coerced))
+        self.__dict__.update(arity=arity, vertex_count=vertex_count, masks=masks, edges=coerced)
+
+    @cached_property
+    def edges(self) -> frozenset[frozenset[int]]:
+        return frozenset(frozenset(_bits(mask)) for mask in self.masks)
+
+    def __repr__(self) -> str:
+        return f"Hypergraph(arity={self.arity!r}, vertex_count={self.vertex_count!r}, edges={self.edges!r})"
 
 
 def graph(vertex_count: int, edges) -> Hypergraph:
     """An ordinary graph is the arity-2 case."""
-    return Hypergraph(2, vertex_count, frozenset(frozenset(e) for e in edges))
+    return Hypergraph(2, vertex_count, edges)
 
 
 def _maximal_clique_masks(h: Hypergraph) -> list[int]:
@@ -80,15 +91,14 @@ def _maximal_clique_masks(h: Hypergraph) -> list[int]:
     """
     k, n = h.arity, h.vertex_count
     degree = [0] * n
-    for v in itertools.chain.from_iterable(h.edges):
+    edges = list(map(_bits, h.masks))
+    for v in itertools.chain.from_iterable(edges):
         degree[v] += 1
     label = dict(zip(sorted(range(n), key=degree.__getitem__), (1 << i for i in range(n))))
     unlabel = {bit: 1 << v for v, bit in label.items()}
     link: dict[int, int] = {}
-    for edge in h.edges:
-        mask = 0
-        for v in edge:
-            mask |= label[v]
+    for edge in edges:
+        mask = sum(map(label.__getitem__, edge))
         for v in edge:
             link[mask ^ label[v]] = link.get(mask ^ label[v], 0) | label[v]
 
@@ -148,7 +158,7 @@ def _non_edges(h: Hypergraph):
     """The arity-subsets of h's vertices that are not edges, as ascending
     tuples in lexicographic order."""
     return (c for c in itertools.combinations(range(h.vertex_count), h.arity)
-            if frozenset(c) not in h.edges)
+            if subset_index(c) not in h.masks)
 
 
 def pattern_from_hypergraph(h: Hypergraph) -> Pattern:
@@ -198,58 +208,49 @@ def _grouping(h: Hypergraph):
     return tuple(tuple(range(i * (k + 1), (i + 1) * (k + 1))) for i in range(h.vertex_count))
 
 
-def blowup(h: Hypergraph):
-    """Replace each vertex by a block of k+1 vertices; a (k+1)-subset of the
-    new vertex set is an edge exactly when the blocks it touches form a clique
-    of h.  In particular each block is an edge, and the union of the blocks of
-    any h-clique is a clique of the blowup.  Returns (blown, grouping).
-    An edge grows vertex by vertex while its blocks form a clique of h, and
-    blown carries its maximal cliques, derived from h's."""
+def _blowup(h: Hypergraph):
+    """(blown, grouping, maximal): blowup(h) and h's maximal cliques as masks.  The edges
+    whose blocks are a clique of s vertices number sum_j (-1)**j C(s, j) C((s-j)(k+1), k+1),
+    by inclusion-exclusion over the blocks missed; their total is bounded before each edge
+    grows vertex by vertex while its blocks form a clique of h.  blown carries its maximal
+    cliques: the block unions of h's maximal cliques, and the k-sets (cliques vacuously)
+    taking one vertex from each block of a non-edge of h, which no vertex extends."""
     grouping = _grouping(h)
     k = h.arity
     maximal = _maximal_clique_masks(h)
     cliques = set(_submasks(maximal))
-    prefixes = [((), 0, 0)]  # (new vertices, mask of their blocks, next new vertex)
+    size = sum(sum((-1) ** j * comb(s, j) * comb((s - j) * (k + 1), k + 1) for j in range(s + 1))
+               for s in (len(_bits(c)) for c in cliques))
+    check_bound(size, PATTERN_INDICES_LOG2, "a blowup of {size} edges exceeds the output bound {limit}", log2=True)
+    prefixes = [(0, 0, 0)]  # (mask of new vertices, mask of their blocks, next new vertex)
     for _ in range(k + 1):
-        prefixes = [(combo + (v,), span, v + 1) for combo, spanned, start in prefixes
+        prefixes = [(edge | 1 << v, span, v + 1) for edge, spanned, start in prefixes
                     for v in range(start, (k + 1) * h.vertex_count)
                     if (span := spanned | 1 << v // (k + 1)) in cliques]
-    blown = _canonical(Hypergraph, k + 1, (k + 1) * h.vertex_count,
-                       frozenset(frozenset(combo) for combo, _, _ in prefixes),
-                       tuple(_blowup_cliques(h, grouping, maximal)))
-    return blown, grouping
-
-
-def _blowup_cliques(h: Hypergraph, grouping, maximal) -> list[int]:
-    """The maximal cliques of blowup(h) as vertex masks: the block unions of
-    h's maximal cliques, and the k-sets (cliques vacuously) taking one
-    vertex from each block of a non-edge of h, which no vertex extends."""
     blocks = [subset_index(block) for block in grouping]
-    out = [sum(blocks[i] for i in _bits(m)) for m in maximal]
+    derived = [sum(blocks[i] for i in _bits(m)) for m in maximal]
     for combo in _non_edges(h):
-        out.extend(map(subset_index, itertools.product(*(grouping[i] for i in combo))))
-    return out
+        derived.extend(map(subset_index, itertools.product(*(grouping[i] for i in combo))))
+    blown = _canonical(Hypergraph, k + 1, (k + 1) * h.vertex_count,
+                       frozenset(edge for edge, _, _ in prefixes), tuple(derived))
+    return blown, grouping, maximal
+
+
+def blowup(h: Hypergraph):
+    """Replace each vertex by a block of k+1 vertices; a (k+1)-subset of the
+    new vertex set is an edge exactly when the blocks it touches form a clique
+    of h.  In particular each block is an edge, and the union of the blocks of
+    any h-clique is a clique of the blowup.  Returns (blown, grouping)."""
+    return _blowup(h)[:2]
 
 
 def blowup_pullback(fam: SetFamily, original: Hypergraph, grouping) -> SetFamily:
-    """Collapse a family realizing blowup(original) back to the original:
-    the set of vertex i is the intersection over its block.  Re-verified.
-    The precondition is checked without the blowup: (a) every meeting (k+1)-set
-    of new vertices has blocks forming a clique of original, and (b) every
-    maximal clique of the blowup, which every edge lies in, has a common point."""
-    expected = _grouping(original)
+    """Collapse a family realizing blowup(original), rebuilt from its edge masks, back
+    to the original: the set of vertex i is the intersection over its block.  Re-verified."""
+    blown, expected, maximal = _blowup(original)
     if tuple(tuple(b) for b in grouping) != expected:
         raise PreconditionFailure("grouping does not match the deterministic blowup grouping")
-    maximal = _maximal_clique_masks(original)
-    cliques = _blowup_cliques(original, expected, maximal)
-    # the blocks m touches, as their last vertices: in m, or carried into by adding low
-    top = sum(1 << block[-1] for block in expected)
-    low = sum(1 << v for block in expected for v in block[:-1])
-    spans = {sum(1 << expected[i][-1] for i in _bits(c)) for c in _submasks(maximal)}
-    if (fam.n != len(expected) * (original.arity + 1)
-            or not all(_trace_mask(fam, _bits(c), ()) for c in cliques)
-            or not all(((m & low) + low | m) & top in spans
-                       for m in _meeting_subsets(fam, original.arity + 1))):
+    if not (fam.n == blown.vertex_count and _realizes(fam, blown, blown._cliques)):
         raise PreconditionFailure("family does not realize the blowup")
     result = SetFamily._of_masks(fam.universe_size, (_trace_mask(fam, block, ()) for block in expected))
     if not _realizes(result, original, maximal):
@@ -549,21 +550,20 @@ def triangle_free_double(g: Hypergraph) -> TriangleFreeDoubling:
 
     edges = set()
     for v, w in _non_edges(g):
-        edges.update((frozenset((v, n + w)), frozenset((w, n + v))))
+        edges.update((1 << v | 1 << n + w, 1 << w | 1 << n + v))
     for t, mask in enumerate(clique_masks):
-        witness = 2 * n + t
+        witness = 1 << 2 * n + t
         for v in _bits(mask):
-            edges.add(frozenset((witness, v)))
-            edges.add(frozenset((witness, n + v)))
+            edges.update((witness | 1 << v, witness | 1 << n + v))
     doubled = _canonical(Hypergraph, 2, total, frozenset(edges))
 
     adjacency = [0] * total
-    for edge in doubled.edges:
-        u, v = sorted(edge)
+    for edge in doubled.masks:
+        u, v = _bits(edge)
         adjacency[u] |= 1 << v
         adjacency[v] |= 1 << u
-    for edge in doubled.edges:
-        u, v = sorted(edge)
+    for edge in doubled.masks:
+        u, v = _bits(edge)
         if adjacency[u] & adjacency[v]:
             common = (adjacency[u] & adjacency[v]).bit_length() - 1
             raise TriangleFound(f"triangle on {u}, {v}, {common}")

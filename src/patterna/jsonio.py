@@ -107,7 +107,7 @@ def hypergraph_to_dict(h: Hypergraph) -> dict:
     return {
         "k": h.arity,
         "vertices": h.vertex_count,
-        "edges": sorted(sorted(e) for e in h.edges),
+        "edges": sorted(list(_bits(mask)) for mask in h.masks),
     }
 
 
@@ -115,7 +115,7 @@ def hypergraph_from_dict(data) -> Hypergraph:
     try:
         k = data.get("k", 2)
         _require_integers([k, data["vertices"], data["edges"]], "hypergraph document")
-        return Hypergraph(k, data["vertices"], frozenset(frozenset(e) for e in data["edges"]))
+        return Hypergraph(k, data["vertices"], data["edges"])
     except (AttributeError, TypeError, KeyError, ValueError) as exc:
         raise ParseError(f"malformed hypergraph document: {exc}") from exc
 

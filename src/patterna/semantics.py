@@ -284,5 +284,4 @@ def encodes_hypergraph(fam: SetFamily, hg) -> bool:
     exactly the hyperedges; the walk stops one subset past the edge count."""
     if fam.n != hg.vertex_count:
         raise ArityMismatch(f"family has {fam.n} sets, hypergraph has {hg.vertex_count} vertices")
-    edges = set(map(subset_index, hg.edges))
-    return set(itertools.islice(_meeting_subsets(fam, hg.arity), len(edges) + 1)) == edges
+    return set(itertools.islice(_meeting_subsets(fam, hg.arity), len(hg.masks) + 1)) == hg.masks

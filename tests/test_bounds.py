@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from patterna import (
@@ -8,6 +10,7 @@ from patterna import (
     cooper_pattern,
     decide_exhibitable,
     disjoint_one1_family,
+    graph,
     ip_family,
     ip_pattern,
     ktp2_pattern,
@@ -20,6 +23,7 @@ from patterna import (
 )
 from patterna.bounds import ENV_VAR, enumeration_bound
 from patterna.errors import BoundExceeded
+from patterna.rand import random_hypergraph
 from patterna.verify import fully_complete_patterns, verify_triangle_free
 
 
@@ -65,6 +69,7 @@ BOUNDED = {
     "pattern_output": ("3", ip_pattern, 2, 3, "2**3"),
     "pattern_from_hypergraph": ("3", pattern_from_hypergraph, edgeless(3), edgeless(4), "3"),
     "blowup": ("3", blowup, edgeless(3), edgeless(4), "3"),
+    "blowup_edges": ("5", blowup, graph(2, [(0, 1)]), graph(3, [(0, 1), (1, 2)]), "2**5"),
     "triangle_free_double": ("3", triangle_free_double, edgeless(3), edgeless(4), "3"),
     "ip_family": ("3", ip_family, 3, 4, "3"),
     "disjoint_one1_family": ("3", disjoint_one1_family, 3, 4, "3"),
@@ -98,3 +103,23 @@ def test_trees_refused_level_by_level(monkeypatch):
         ktp_pattern(2**40, 1, 2)
     with pytest.raises(BoundExceeded, match="at least 6561 choice functions exceed the tree bound 4096"):
         ktp2_pattern(3, 10**8, 2)
+
+
+def test_blowup_refused_exactly_over_its_edge_bound(monkeypatch):
+    # a blowup's edges are counted before they are built: under a bound N at
+    # least the vertex count, it is refused exactly when the blowup built under
+    # the default bound has more than 2**N edges, and the refusal names them
+    rng = random.Random(83)
+    for _ in range(60):
+        arity = rng.choice((2, 3, 4))
+        h = random_hypergraph(rng, arity, rng.randint(0, 5 - arity // 2), rng.random())
+        monkeypatch.delenv(ENV_VAR, raising=False)
+        edges = len(blowup(h)[0].masks)
+        for bound in range(h.vertex_count, max(h.vertex_count, edges.bit_length()) + 1):
+            monkeypatch.setenv(ENV_VAR, str(bound))
+            if edges > 2**bound:
+                with pytest.raises(BoundExceeded, match=f"^a blowup of {edges} edges exceeds the output "
+                                                        f"bound 2\\*\\*{bound}$"):
+                    blowup(h)
+            else:
+                assert len(blowup(h)[0].masks) == edges

@@ -1,3 +1,5 @@
+import collections
+import hashlib
 import itertools
 import random
 import re
@@ -39,6 +41,7 @@ from patterna.errors import (
     PreconditionFailure,
     UnsupportedParams,
 )
+from patterna.patterns import _canonical, subset_index
 from patterna.rand import random_amalgam_problem, random_graph, random_hypergraph
 
 from conftest import clique_masks_by_scan
@@ -327,12 +330,111 @@ class TestBlowup:
                 if sum({1 << v // width for v in combo}) in cliques
             }, h
 
+    def test_pullback_accepts_exactly_the_blowups_realizers(self):
+        # witnesses of blowups with 0-3 points toggled: the pullback takes
+        # exactly the families that realize_check finds realizing a
+        # caller-built copy of the blowup, whose cliques are searched
+        rng = random.Random(3)
+        seen = collections.Counter()
+        for _ in range(120):
+            h = random_hypergraph(rng, rng.choice((2, 3)), rng.randint(0, 4), rng.random())
+            blown, grouping = blowup(h)
+            copy = Hypergraph(blown.arity, blown.vertex_count, blown.edges)
+            cliques = maximal_cliques(copy)
+            witness = realization_witness(blown)
+            for _ in range(6):
+                sets = [set(s) for s in witness.sets]
+                for _ in range(rng.randint(0, 3) if sets else 0):
+                    sets[rng.randrange(len(sets))] ^= {rng.randrange(witness.universe_size)}
+                family = SetFamily(witness.universe_size, sets)
+                realizes = realize_check(family, copy)
+                try:
+                    blowup_pullback(family, h, grouping)
+                except PreconditionFailure:
+                    assert not realizes, (h, family)
+                else:
+                    assert realizes, (h, family)
+                meets = all(frozenset.intersection(*(family.sets[v] for v in c)) for c in cliques)
+                seen[realizes, encodes_hypergraph(family, copy), meets] += 1
+        # refused families that encode the blowup but leave a clique without
+        # a common point, and ones whose cliques all meet but that do not encode it
+        assert seen[True, True, True] and seen[False, True, False] and seen[False, False, True], seen
+
     def test_pullback_precondition(self):
         h = graph(2, [])
         _, grouping = blowup(h)
         bogus = fam(1, *[{0}] * 6)
         with pytest.raises(PreconditionFailure):
             blowup_pullback(bogus, h, grouping)
+
+
+class TestHypergraphState:
+    """Edge masks are the state; edges is a view, filled at once by the public
+    constructor and on first read for a hypergraph the library builds."""
+
+    def test_mask_built_equals_public_built(self):
+        public = graph(3, [(0, 1), (1, 2)])
+        built = _canonical(Hypergraph, 2, 3, frozenset({0b11, 0b110}))
+        assert built == public and hash(built) == hash(public)
+        assert built.edges == public.edges and built.masks == public.masks == {3, 6}
+        assert built != _canonical(Hypergraph, 2, 4, frozenset({0b11, 0b110}))
+        assert built != _canonical(Hypergraph, 3, 3, frozenset({0b11, 0b110}))
+        assert built != _canonical(Hypergraph, 2, 3, frozenset({0b11}))
+
+    @pytest.mark.parametrize("name", ["arity", "vertex_count", "masks", "edges"])
+    def test_fields_cannot_be_assigned(self, name):
+        for h in (graph(2, [(0, 1)]), _canonical(Hypergraph, 2, 2, frozenset({3})), blowup(graph(2, []))[0]):
+            for _ in range(2):  # before and after the view is read
+                with pytest.raises(AttributeError):
+                    setattr(h, name, frozenset())
+                assert h.edges
+
+    def test_round_trip_leaves_the_blowups_view_unbuilt(self):
+        for source in fixed_blowup_sources()[::4] + [graph(2, [(0, 1)])]:
+            blown, grouping = blowup(source)
+            pulled = blowup_pullback(realization_witness(blown), source, grouping)
+            assert realize_check(pulled, source)
+            assert "edges" not in vars(blown)
+            assert {subset_index(e) for e in blown.edges} == blown.masks
+
+    def test_library_built_views_list_the_masks(self):
+        # blowups and doublings may list their edges in another order than a
+        # public-built copy; the edge sets are equal, and the cliques a
+        # blowup carries are not part of its state
+        rng = random.Random(73)
+        for _ in range(20):
+            h = random_graph(rng, rng.randint(0, 4), rng.random())
+            for built in (blowup(h)[0], triangle_free_double(h).graph):
+                copy = Hypergraph(built.arity, built.vertex_count, built.edges)
+                assert copy == built and hash(copy) == hash(built) and copy.edges == built.edges
+                assert {subset_index(e) for e in built.edges} == built.masks
+
+    @pytest.mark.parametrize("build, text", [
+        (lambda: graph(3, [(0, 1), (1, 2)]),
+         "Hypergraph(arity=2, vertex_count=3, edges=frozenset({frozenset({0, 1}), frozenset({1, 2})}))"),
+        (lambda: Hypergraph(3, 4, frozenset({frozenset({0, 1, 2}), frozenset({1, 2, 3})})),
+         "Hypergraph(arity=3, vertex_count=4, edges=frozenset({frozenset({1, 2, 3}), frozenset({0, 1, 2})}))"),
+        (lambda: Hypergraph(2, 0, frozenset()), "Hypergraph(arity=2, vertex_count=0, edges=frozenset())"),
+        # 1 and 9 share a slot in a small frozenset's table: the edge keeps the caller's order
+        (lambda: graph(12, [(9, 1)]),
+         "Hypergraph(arity=2, vertex_count=12, edges=frozenset({frozenset({9, 1})}))"),
+        (lambda: graph(12, [(1, 9), (9, 10), (0, 11)]),
+         "Hypergraph(arity=2, vertex_count=12, edges=frozenset({frozenset({1, 9}), frozenset({0, 11}), "
+         "frozenset({9, 10})}))"),
+    ])
+    def test_repr_unchanged(self, build, text):
+        # the strings were printed by the frozenset-state Hypergraph
+        assert repr(build()) == text
+
+    def test_random_reprs_unchanged(self):
+        rng = random.Random(71)
+        text = "\n".join(
+            repr(random_hypergraph(rng, rng.choice((2, 3, 4)), rng.randint(0, 7), rng.random()))
+            for _ in range(200)
+        )
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "7413aad9f6a0cb2ec6dc72c23eab1dad31c32eda93df6438d4ff3a075afce3b2"
+        )
 
 
 class TestWitnessStructures:
