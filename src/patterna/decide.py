@@ -48,7 +48,7 @@ def _clause_codes(p: Pattern) -> list[tuple[int, ...]]:
     tautology when its parts overlap, since its trace is always empty.  A
     canonical side gives distinct clauses, so sorting is all that is left."""
     return sorted(tuple(sorted([2 * i + 1 for i in z.pos] + [2 * j for j in z.neg]))
-                  for z in p.inconsistency if set(z.pos).isdisjoint(z.neg))
+                  for z in p.inconsistency if not z.pos_mask & z.neg_mask)
 
 
 def condition_cnf(p: Pattern, cond: Condition = EMPTY_CONDITION) -> CnfFormula:
@@ -95,7 +95,7 @@ def decide_exhibitable(p: Pattern) -> Decision:
     shared = CompiledCnf(p.n, _clause_codes(p))
     types = []  # as masks
     for cond in _targets(p):
-        want, avoid = subset_index(cond.pos), subset_index(cond.neg)
+        want, avoid = cond.pos_mask, cond.neg_mask
         if any(t & want == want and not t & avoid for t in types):
             continue
         assignment = sat_solve(shared, assumptions=_literals(cond))

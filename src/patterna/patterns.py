@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .bounds import PATTERN_INDICES_LOG2, SUBSET_PATTERN_N, TREE_NODES, check_bound
 from .errors import (
@@ -29,23 +29,31 @@ from .sat import CnfFormula
 
 @dataclass(frozen=True, order=True)
 class Condition:
-    """A pair (pos, neg) of index sets, stored as sorted duplicate-free tuples.
+    """A pair (pos, neg) of index sets, stored as sorted duplicate-free tuples
+    and as the masks pos_mask and neg_mask, bit i set for index i.  An index
+    with no mask, one that is not an int or is negative, raises IndexOutOfRange.
 
-    Comparison is lexicographic on (pos, neg), which is the canonical
-    condition order used everywhere (serialization, witness synthesis,
-    failure reporting).
-    """
+    Comparison is lexicographic on (pos, neg), the canonical condition order
+    used everywhere (serialization, witness synthesis, failure reporting).
+    The masks take no part in it, nor in hash or repr."""
 
     pos: tuple[int, ...]
     neg: tuple[int, ...]
+    pos_mask: int = field(init=False, compare=False, repr=False)
+    neg_mask: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "pos", tuple(sorted(set(self.pos))))
-        object.__setattr__(self, "neg", tuple(sorted(set(self.neg))))
-
-    @property
-    def indices(self) -> frozenset[int]:
-        return frozenset(self.pos) | frozenset(self.neg)
+        try:
+            pos, neg = tuple(self.pos), tuple(self.neg)
+            masks = subset_index(pos), subset_index(neg)  # before set() drops a 1.0 beside a 1
+            _condition(tuple(sorted(set(pos))), tuple(sorted(set(neg))), *masks, self)
+        except (TypeError, ValueError):
+            for i in itertools.chain(self.pos, self.neg):
+                if type(i) is not int:
+                    raise IndexOutOfRange(f"index {i!r} is not an integer") from None
+                if i < 0:
+                    raise IndexOutOfRange(f"index {i} is negative") from None
+            raise
 
 
 def _canonical(cls, *values):
@@ -56,11 +64,14 @@ def _canonical(cls, *values):
     return obj
 
 
-def _condition(pos, neg) -> Condition:
-    """_canonical(Condition, pos, neg), faster, with no instance __dict__."""
-    cond = object.__new__(Condition)
+def _condition(pos, neg, pos_mask, neg_mask, cond=None) -> Condition:
+    """Fill a Condition, cond or a new one, with canonical parts and their masks,
+    unchecked; unlike _canonical, this keeps the compact instance attribute layout."""
+    cond = object.__new__(Condition) if cond is None else cond
     object.__setattr__(cond, "pos", pos)
     object.__setattr__(cond, "neg", neg)
+    object.__setattr__(cond, "pos_mask", pos_mask)
+    object.__setattr__(cond, "neg_mask", neg_mask)
     return cond
 
 
@@ -69,45 +80,43 @@ def _canonical_side(raw, n: int, side: str, strict: bool) -> tuple[Condition, ..
 
     n must be an int >= 0 and the side a list or tuple.  Each item is a
     Condition, whose fields are taken as they are, or a raw (pos, neg) pair
-    of lists or tuples, sorted and deduplicated here.  Every index must be an
-    int in [0, n) and no condition may be (∅, ∅); a repeated condition raises
-    DuplicateCondition when strict and is dropped otherwise.  The side comes
-    back sorted by the (pos, neg) keys that order Conditions.
+    of lists or tuples, checked as written, then sorted and deduplicated.
+    Every index must be an int in [0, n) and no condition may be (∅, ∅); a
+    repeated condition raises DuplicateCondition when strict and is dropped
+    otherwise.  The side comes back sorted by the keys that order Conditions.
     """
     if type(n) is not int or n < 0:
         raise IndexOutOfRange(f"index count must be a nonnegative integer, got {n!r}")
     conditions = {}
     for item in raw:
         if isinstance(item, Condition):
-            pos, neg = key = item.pos, item.neg
+            pos, neg = item.pos, item.neg
         else:
             p, q = item
             pos, neg = tuple(p), tuple(q)
+            if type(p) not in (list, tuple) or type(q) not in (list, tuple):
+                raise TypeError(f"a raw condition is a pair of lists or tuples, got {p!r}, {q!r}")
+        for i in pos + neg:
+            if type(i) is not int:
+                hash(i)  # a list index fails as set() does
+                raise IndexOutOfRange(f"index {i!r} is not an integer")
+            if not 0 <= i < n:
+                raise IndexOutOfRange(f"index {i} in {side} outside [0, {n})")
+        if not isinstance(item, Condition):
             if len(pos) > 1:  # parts of fewer than two indices are canonical
                 pos = tuple(sorted(set(pos)))
             if len(neg) > 1:
                 neg = tuple(sorted(set(neg)))
-            key = pos, neg
-            if type(p) not in (list, tuple) or type(q) not in (list, tuple):
-                raise TypeError(f"a raw condition is a pair of lists or tuples, got {p!r}, {q!r}")
-            item = None
+            item = _condition(pos, neg, subset_index(pos), subset_index(neg))
         if not pos and not neg:
             raise EmptyCondition(f"{side} contains the empty condition (∅, ∅)")
-        for i in pos + neg:
-            if type(i) is not int:
-                hash(i)  # a list index fails as set() would on a longer part
-                raise IndexOutOfRange(f"index {i!r} is not an integer")
-            if not 0 <= i < n:
-                raise IndexOutOfRange(f"index {i} in {side} outside [0, {n})")
-        if key in conditions:
-            if strict:
-                raise DuplicateCondition(f"duplicate {side} condition {pos}/{neg}")
-            continue
-        conditions[key] = item
+        if strict and (pos, neg) in conditions:
+            raise DuplicateCondition(f"duplicate {side} condition {pos}/{neg}")
+        conditions.setdefault((pos, neg), item)
     # sides and parts are type-checked after use: a non-iterable fails as iterating it does
     if type(raw) not in (list, tuple):
         raise TypeError(f"a pattern side is a list or tuple, got {type(raw).__name__}")
-    return tuple([conditions[key] or _condition(*key) for key in sorted(conditions)])
+    return tuple([conditions[key] for key in sorted(conditions)])
 
 
 @dataclass(frozen=True)
@@ -169,16 +178,16 @@ def classify(p: Pattern) -> PatternFlags:
     The cost grows with the conditions and their largest index, not with n.
     """
     conds = p.conditions
-    disjoint = all(set(c.pos).isdisjoint(c.neg) for c in conds)
+    disjoint = all(not c.pos_mask & c.neg_mask for c in conds)
     # (pos, neg) as one int, neg shifted past every positive index: z lies
     # coordinatewise inside y iff z & y == z, so z == y or z has fewer bits
-    shift = max((c.pos[-1] + 1 for c in conds if c.pos), default=0)
+    shift = max((c.pos_mask.bit_length() for c in conds), default=0)
     by_count: dict[int, set[int]] = {}
     for c in p.consistency:
-        y = subset_index(c.pos) | subset_index(c.neg) << shift
+        y = c.pos_mask | c.neg_mask << shift
         by_count.setdefault(y.bit_count(), set()).add(y)
     def contained(c):
-        z = subset_index(c.pos) | subset_index(c.neg) << shift
+        z = c.pos_mask | c.neg_mask << shift
         size = z.bit_count()
         return z in by_count.get(size, ()) or any(
             z & y == z for count, ys in by_count.items() if count > size for y in ys)
@@ -214,12 +223,13 @@ def is_k_bounded(p: Pattern, k: int) -> bool:
 def complete_conditions(n: int) -> list[Condition]:
     """Every complete split (X, n∖X) of [0, n), in the canonical (pos, neg)
     order.  For n = 0 this is the single, illegal (∅, ∅)."""
-    splits = [((), ())]
+    splits = [((), (), 0)]  # pos, neg and the mask of pos
     for i in reversed(range(n)):
         # the splits of [i, n): ((), [i, n)), then those with i in pos, then the rest
-        without = [(pos, (i,) + neg) for pos, neg in splits]
-        splits = without[:1] + [((i,) + pos, neg) for pos, neg in splits] + without[1:]
-    return [_condition(pos, neg) for pos, neg in splits]
+        without = [(pos, (i,) + neg, mask) for pos, neg, mask in splits]
+        splits = without[:1] + [((i,) + pos, neg, mask | 1 << i) for pos, neg, mask in splits] + without[1:]
+    full = (1 << n) - 1
+    return [_condition(pos, neg, mask, full ^ mask) for pos, neg, mask in splits]
 
 
 def op_pattern(n: int) -> Pattern:
@@ -378,7 +388,7 @@ def cooper_pattern(n: int) -> Pattern:
     up_masks = set(_up_masks(n))
     consistency, inconsistency = [], []
     for cond in complete_conditions(count):
-        (consistency if subset_index(cond.pos) in up_masks else inconsistency).append(cond)
+        (consistency if cond.pos_mask in up_masks else inconsistency).append(cond)
     return Pattern(count, tuple(consistency), tuple(inconsistency))
 
 

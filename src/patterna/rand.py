@@ -69,7 +69,7 @@ def random_reasonable_positive(
         random_condition(rng, n, positive=True)
         for _ in range(rng.randint(0, max_consistency))
     ]
-    cone = [set(c.pos) for c in cons]
+    cone = [c.pos_mask for c in cons]
     incons = []
     want = rng.randint(0, max_inconsistency)
     attempts = 0
@@ -81,7 +81,7 @@ def random_reasonable_positive(
             if k > n:
                 break
             z = Condition(tuple(rng.sample(range(n), k)), ())
-        if any(set(z.pos) <= big for big in cone):
+        if any(z.pos_mask & big == z.pos_mask for big in cone):
             continue
         incons.append(z)
     return Pattern(n, tuple(cons), tuple(incons))

@@ -24,9 +24,6 @@ class Literal:
     variable: int
     negated: bool = False
 
-    def negate(self) -> "Literal":
-        return Literal(self.variable, not self.negated)
-
 
 def _normal_codes(clauses) -> list[tuple[int, ...]]:
     """Clauses of literal codes 2 * variable + negated, which order as the

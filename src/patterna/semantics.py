@@ -121,9 +121,8 @@ def condition_trace(fam: SetFamily, cond: Condition) -> frozenset[int]:
     """Points inside every positive set and outside every negative one.
 
     Empty pos/neg sides intersect to the full universe."""
-    for i in cond.indices:
-        if not 0 <= i < fam.n:
-            raise IndexOutOfRange(f"condition index {i} outside family of {fam.n} sets")
+    if (cond.pos_mask | cond.neg_mask) >> fam.n:
+        raise IndexOutOfRange(f"condition index {max(cond.pos + cond.neg)} outside family of {fam.n} sets")
     return frozenset(_bits(_trace_mask(fam, cond.pos, cond.neg)))
 
 
@@ -146,17 +145,17 @@ def check_exhibits(fam: SetFamily, p: Pattern) -> ExhibitReport:
     return ExhibitReport(not bad_c and not bad_i, bad_c, bad_i)
 
 
-def _type_classes(fam: SetFamily) -> dict[tuple[int, ...], int]:
-    """Each realized complete type, as a sorted tuple, mapped to its points
+def _type_classes(fam: SetFamily) -> dict[int, int]:
+    """Each realized complete type, as an index mask, mapped to its points
     as a mask, by partition refinement: the universe split by each set in
     turn, keeping the nonempty parts."""
-    classes = {(): (1 << fam.universe_size) - 1}
+    classes = {0: (1 << fam.universe_size) - 1}
     for i, mask in enumerate(fam.masks):
         split = {}
         for t, points in classes.items():
             inside = points & mask
             if inside:
-                split[t + (i,)] = inside
+                split[t | 1 << i] = inside
             if inside != points:
                 split[t] = points ^ inside
         classes = split
@@ -165,7 +164,7 @@ def _type_classes(fam: SetFamily) -> dict[tuple[int, ...], int]:
 
 def realized_types(fam: SetFamily) -> frozenset[frozenset[int]]:
     """The complete types { {i : point in sets[i]} : point in universe }."""
-    return frozenset(map(frozenset, _type_classes(fam)))
+    return frozenset(frozenset(_bits(t)) for t in _type_classes(fam))
 
 
 def fully_complete_extension(fam: SetFamily) -> Pattern:
@@ -182,7 +181,7 @@ def fully_complete_extension(fam: SetFamily) -> Pattern:
     realized = _type_classes(fam)
     consistency, inconsistency = [], []
     for cond in complete_conditions(n):
-        (consistency if cond.pos in realized else inconsistency).append(cond)
+        (consistency if cond.pos_mask in realized else inconsistency).append(cond)
     return _canonical(Pattern, n, tuple(consistency), tuple(inconsistency))
 
 

@@ -350,6 +350,12 @@ class TestNonIntegerFields:
             for command in ("classify", "decide", "dimacs"):
                 assert_one_line_error([command, path])
 
+    def test_bool_or_float_beside_its_int(self, tmp_path):
+        for part, shown in (([[1, True], []], "true"), ([[0, 0.0], []], "0.0"), ([[], [0, False]], "false")):
+            path = write_doc(tmp_path, {"n": 3, "consistency": [part]})
+            assert assert_one_line_error(["decide", path, "--witness"]) == (
+                f"error: consistency must hold integers, got {shown}\n")
+
     def test_hypergraph_k_vertices_edges(self, tmp_path):
         for doc in (
             {"k": True, "vertices": 3, "edges": []},

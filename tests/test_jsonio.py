@@ -2,7 +2,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from patterna import jsonio
 from patterna.decide import decide_exhibitable
@@ -215,6 +215,10 @@ _document = _well_formed | st.builds(_corrupt, _well_formed, _json, st.randoms()
 
 @settings(max_examples=150, deadline=None)
 @given(_document, st.booleans())
+# a bool or a float beside the int it equals, which deduplication would drop
+@example({"n": 3, "consistency": [[[1, True], []]]}, False)
+@example({"n": 3, "consistency": [[[0, 0.0], []]]}, False)
+@example({"n": 3, "consistency": [[[], [0, False]]]}, False)
 def test_pattern_from_dict_matches_reference(doc, strict):
     # either the reference pattern or a library error, never anything else
     reference = reference_pattern(doc, strict=strict)

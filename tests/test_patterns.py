@@ -38,7 +38,10 @@ from patterna.errors import (
     NotConsistencyPattern,
     UnsupportedParams,
 )
-from patterna.rand import random_consistency_pattern
+from patterna.hypergraphs import pattern_from_hypergraph
+from patterna.rand import random_condition, random_consistency_pattern, random_graph
+from patterna.semantics import SetFamily, fully_complete_extension
+from patterna.verify import all_disjoint_conditions
 
 from conftest import assert_parsed_as, complete_conditions, disjoint_conditions, reference_pattern
 
@@ -125,9 +128,9 @@ class TestOnePassParse:
 
     def test_non_integer_indices_rejected(self):
         for bad, shown in ((0.5, "0.5"), (True, "True"), (1.0, "1.0"), ("1", "'1'")):
-            for sides in (((Condition((bad,), ()),), ()), ((), (((0,), (bad,)),))):
+            for sides in (lambda: ((Condition((bad,), ()),), ()), lambda: ((), (((0,), (bad,)),))):
                 with pytest.raises(IndexOutOfRange) as caught:
-                    Pattern(2, *sides)
+                    Pattern(2, *sides())
                 assert str(caught.value) == f"index {shown} is not an integer"
         with pytest.raises(IndexOutOfRange, match="index count must be a nonnegative integer"):
             Pattern(True)
@@ -136,6 +139,55 @@ class TestOnePassParse:
         for side in ((({0}, ()),), ((("0",), ()),), (([0], "1"),), {((0,), ())}):
             with pytest.raises((TypeError, IndexOutOfRange)):
                 Pattern(2, side)
+
+
+class TestConditionMasks:
+    @staticmethod
+    def assert_masked(conditions):
+        conditions = list(conditions)
+        assert conditions
+        for c in conditions:
+            assert c.pos_mask == patterns.subset_index(c.pos), c
+            assert c.neg_mask == patterns.subset_index(c.neg), c
+
+    def test_every_builder_sets_the_masks(self):
+        rng = random.Random(16)
+        self.assert_masked([Condition((3, 0, 3), (5, 1)), Condition((), (2,)), Condition([1], []), Condition((), ())])
+        parsed = []
+        for doc in (messy_document(rng) for _ in range(50)):
+            parsed += Pattern(doc["n"], doc["consistency"], doc["inconsistency"]).conditions
+            parsed += validate_pattern(doc, strict=False).conditions
+        self.assert_masked(parsed)
+        for n in range(6):
+            self.assert_masked(patterns.complete_conditions(n))
+        for kind, params in (("op", {"n": 1}), ("ip", {"n": 1}), ("sop", {"n": 2}), ("cm", {"n": 1}),
+                             ("cooper", {"n": 1}), ("pmchar", {"n": 0}), ("ktp", {"b": 2, "d": 1, "k": 2}),
+                             ("tp1", {"b": 1, "d": 1}), ("ktp2", {"b": 2, "d": 1, "k": 2})):
+            self.assert_masked(gen_divline(kind, **params).conditions)
+        formula = CnfFormula(3, ((Literal(0), Literal(2, True)), (Literal(1, True),)))
+        self.assert_masked(pattern_from_cnf(formula).conditions)
+        self.assert_masked(double_positive(op_pattern(3)).conditions)
+        self.assert_masked(pattern_from_hypergraph(random_graph(rng, 5, 0.5)).conditions)
+        self.assert_masked(fully_complete_extension(SetFamily(5, [{0, 1}, {1, 4}, {2}, set()])).conditions)
+        self.assert_masked(random_condition(rng, 6) for _ in range(30))
+        self.assert_masked(all_disjoint_conditions(3))
+
+    def test_masks_take_no_part_in_comparison(self):
+        plain, odd = Condition((0,), ()), patterns._condition((0,), (), 6, 9)
+        assert plain == odd and hash(plain) == hash(odd) and repr(odd) == repr(plain)
+        assert repr(plain) == "Condition(pos=(0,), neg=())"
+        # (0, 2) orders before (1,) although its mask, 5, is the larger
+        assert Condition((0, 2), ()) < Condition((1,), ()) and not odd < plain
+
+    def test_indices_without_a_mask_refused(self):
+        for bad, message in ((0.5, "index 0.5 is not an integer"), (1.0, "index 1.0 is not an integer"),
+                             ("1", "index '1' is not an integer"), (-1, "index -1 is negative"),
+                             ([0], "index [0] is not an integer")):
+            for parts in (((bad,), ()), ((), (2, bad)), ((1, bad), (0,))):
+                with pytest.raises(IndexOutOfRange) as caught:
+                    Condition(*parts)
+                assert str(caught.value) == message
+        assert Condition((True,), ()).pos_mask == 2  # a bool has a mask; Pattern refuses it
 
 
 class TestClassify:
