@@ -46,9 +46,11 @@ def _clause_codes(p: Pattern) -> list[tuple[int, ...]]:
     """p's inconsistency clauses as normal-form literal codes: (Z+, Z-) gives
     (OR of not-i for i in Z+) or (OR of j for j in Z-), and is dropped as a
     tautology when its parts overlap, since its trace is always empty.  A
-    canonical side gives distinct clauses, so sorting is all that is left."""
+    canonical side gives distinct clauses, so sorting is all that is left.
+    More than 2**PATTERN_INDICES_LOG2 variables are refused."""
+    check_bound(p.n, PATTERN_INDICES_LOG2, "n={size} exceeds the pattern index bound {limit}", log2=True)
     return sorted(tuple(sorted([2 * i + 1 for i in z.pos] + [2 * j for j in z.neg]))
-                  for z in p.inconsistency if not z.pos_mask & z.neg_mask)
+                  for z in p.inconsistency if set(z.pos).isdisjoint(z.neg))
 
 
 def condition_cnf(p: Pattern, cond: Condition = EMPTY_CONDITION) -> CnfFormula:
@@ -91,7 +93,6 @@ def decide_exhibitable(p: Pattern) -> Decision:
     point each.  Deterministic end to end; nothing is kept between calls.
     More than 2**PATTERN_INDICES_LOG2 indices (the witness's sets) are refused.
     """
-    check_bound(p.n, PATTERN_INDICES_LOG2, "n={size} exceeds the pattern index bound {limit}", log2=True)
     shared = CompiledCnf(p.n, _clause_codes(p))
     types = []  # as masks
     for cond in _targets(p):

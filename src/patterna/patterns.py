@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .bounds import PATTERN_INDICES_LOG2, SUBSET_PATTERN_N, TREE_NODES, check_bound
 from .errors import (
@@ -27,33 +28,45 @@ from .errors import (
 from .sat import CnfFormula
 
 
+class _Mask:
+    """Condition.pos_mask or neg_mask, bit i set for each index i of the part:
+    built on first read and kept, so parsing a condition builds no mask."""
+
+    def __set_name__(self, owner, name):
+        self.name, self.part = name, name[:3]  # pos_mask reads pos
+
+    def __get__(self, cond, owner=None):
+        if cond is None:
+            return self
+        mask = subset_index(getattr(cond, self.part))
+        object.__setattr__(cond, self.name, mask)
+        return mask
+
+
 @dataclass(frozen=True, order=True)
 class Condition:
-    """A pair (pos, neg) of index sets, stored as sorted duplicate-free tuples
-    and as the masks pos_mask and neg_mask, bit i set for index i.  An index
-    with no mask, one that is not an int or is negative, raises IndexOutOfRange.
-
-    Comparison is lexicographic on (pos, neg), the canonical condition order
-    used everywhere (serialization, witness synthesis, failure reporting).
-    The masks take no part in it, nor in hash or repr."""
+    """A pair (pos, neg) of index sets, stored as sorted duplicate-free tuples,
+    with masks pos_mask and neg_mask.  A non-int or negative index raises
+    IndexOutOfRange.  Comparison is lexicographic on (pos, neg), the canonical
+    condition order used everywhere (serialization, witness synthesis, failure
+    reporting); the masks take no part in it, nor in hash or repr."""
 
     pos: tuple[int, ...]
     neg: tuple[int, ...]
-    pos_mask: int = field(init=False, compare=False, repr=False)
-    neg_mask: int = field(init=False, compare=False, repr=False)
+    pos_mask = _Mask()
+    neg_mask = _Mask()
 
     def __post_init__(self):
-        try:
-            pos, neg = tuple(self.pos), tuple(self.neg)
-            masks = subset_index(pos), subset_index(neg)  # before set() drops a 1.0 beside a 1
-            _condition(tuple(sorted(set(pos))), tuple(sorted(set(neg))), *masks, self)
-        except (TypeError, ValueError):
-            for i in itertools.chain(self.pos, self.neg):
-                if type(i) is not int:
-                    raise IndexOutOfRange(f"index {i!r} is not an integer") from None
+        pos, neg = tuple(self.pos), tuple(self.neg)
+        try:  # each index as written, before set() drops a 1.0 beside a 1
+            for i in map(operator.index, pos + neg):
                 if i < 0:
-                    raise IndexOutOfRange(f"index {i} is negative") from None
-            raise
+                    raise IndexOutOfRange(f"index {i} is negative")
+        except TypeError:
+            bad = next(i for i in pos + neg if not isinstance(i, int))
+            raise IndexOutOfRange(f"index {bad!r} is not an integer") from None
+        object.__setattr__(self, "pos", tuple(sorted(set(pos))))
+        object.__setattr__(self, "neg", tuple(sorted(set(neg))))
 
 
 def _canonical(cls, *values):
@@ -64,15 +77,19 @@ def _canonical(cls, *values):
     return obj
 
 
-def _condition(pos, neg, pos_mask, neg_mask, cond=None) -> Condition:
-    """Fill a Condition, cond or a new one, with canonical parts and their masks,
-    unchecked; unlike _canonical, this keeps the compact instance attribute layout."""
-    cond = object.__new__(Condition) if cond is None else cond
+def _condition(pos, neg, masks=None) -> Condition:
+    """_canonical(Condition, pos, neg), faster, keeping the compact instance
+    layout; masks, when the caller has them, is (pos_mask, neg_mask)."""
+    cond = object.__new__(Condition)
     object.__setattr__(cond, "pos", pos)
     object.__setattr__(cond, "neg", neg)
-    object.__setattr__(cond, "pos_mask", pos_mask)
-    object.__setattr__(cond, "neg_mask", neg_mask)
+    if masks:
+        object.__setattr__(cond, "pos_mask", masks[0])
+        object.__setattr__(cond, "neg_mask", masks[1])
     return cond
+
+
+_condition((), (), (0, 0))  # CPython then keeps room for the masks in each new condition
 
 
 def _canonical_side(raw, n: int, side: str, strict: bool) -> tuple[Condition, ...]:
@@ -90,33 +107,36 @@ def _canonical_side(raw, n: int, side: str, strict: bool) -> tuple[Condition, ..
     conditions = {}
     for item in raw:
         if isinstance(item, Condition):
-            pos, neg = item.pos, item.neg
+            pos, neg = key = item.pos, item.neg
         else:
             p, q = item
             pos, neg = tuple(p), tuple(q)
             if type(p) not in (list, tuple) or type(q) not in (list, tuple):
                 raise TypeError(f"a raw condition is a pair of lists or tuples, got {p!r}, {q!r}")
+            item = None
         for i in pos + neg:
             if type(i) is not int:
                 hash(i)  # a list index fails as set() does
                 raise IndexOutOfRange(f"index {i!r} is not an integer")
             if not 0 <= i < n:
                 raise IndexOutOfRange(f"index {i} in {side} outside [0, {n})")
-        if not isinstance(item, Condition):
+        if item is None:
             if len(pos) > 1:  # parts of fewer than two indices are canonical
                 pos = tuple(sorted(set(pos)))
             if len(neg) > 1:
                 neg = tuple(sorted(set(neg)))
-            item = _condition(pos, neg, subset_index(pos), subset_index(neg))
+            key = pos, neg
         if not pos and not neg:
             raise EmptyCondition(f"{side} contains the empty condition (∅, ∅)")
-        if strict and (pos, neg) in conditions:
-            raise DuplicateCondition(f"duplicate {side} condition {pos}/{neg}")
-        conditions.setdefault((pos, neg), item)
+        if key in conditions:
+            if strict:
+                raise DuplicateCondition(f"duplicate {side} condition {pos}/{neg}")
+            continue
+        conditions[key] = item
     # sides and parts are type-checked after use: a non-iterable fails as iterating it does
     if type(raw) not in (list, tuple):
         raise TypeError(f"a pattern side is a list or tuple, got {type(raw).__name__}")
-    return tuple([conditions[key] for key in sorted(conditions)])
+    return tuple([conditions[key] or _condition(*key) for key in sorted(conditions)])
 
 
 @dataclass(frozen=True)
@@ -229,7 +249,7 @@ def complete_conditions(n: int) -> list[Condition]:
         without = [(pos, (i,) + neg, mask) for pos, neg, mask in splits]
         splits = without[:1] + [((i,) + pos, neg, mask | 1 << i) for pos, neg, mask in splits] + without[1:]
     full = (1 << n) - 1
-    return [_condition(pos, neg, mask, full ^ mask) for pos, neg, mask in splits]
+    return [_condition(pos, neg, (mask, full ^ mask)) for pos, neg, mask in splits]
 
 
 def op_pattern(n: int) -> Pattern:

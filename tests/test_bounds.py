@@ -7,6 +7,7 @@ from patterna import (
     Pattern,
     blowup,
     brute_force_exhibitable,
+    condition_cnf,
     cooper_pattern,
     decide_exhibitable,
     disjoint_one1_family,
@@ -62,6 +63,7 @@ def edgeless(vertices):
 BOUNDED = {
     "decide_exhibitable": ("3", decide_exhibitable, Pattern(8), Pattern(9), "2**3"),
     "brute_force_exhibitable": ("3", brute_force_exhibitable, Pattern(3), Pattern(4), "3"),
+    "condition_cnf": ("3", condition_cnf, Pattern(8), Pattern(9), "2**3"),
     "tree_nodes": ("3", lambda bd: tp1_pattern(*bd), (2, 1), (2, 2), "3"),
     "ktp2_choice_functions": ("3", lambda bdk: ktp2_pattern(*bdk), (3, 1, 3), (2, 2, 2), "3"),
     "cooper_pattern": (None, cooper_pattern, 4, 5, "4"),

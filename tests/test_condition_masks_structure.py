@@ -1,8 +1,10 @@
 """A condition's parts become masks in one place: Condition's builders in
 patterns.py.  Elsewhere in the package, code reads pos_mask and neg_mask, so
-no subset_index or set() call is applied to a .pos or .neg attribute.  The
-brute-force oracle is the one exception: it builds its own masks, so that
-it stays independent of the path it checks."""
+no subset_index or set() call is applied to a .pos or .neg attribute.  Two
+exceptions: the brute-force oracle builds its own masks, so that it stays
+independent of the path it checks, and decide's clause encoding tests each
+inconsistency condition's parts for overlap once, where a set is cheaper
+than masks that nothing reads again."""
 
 import ast
 import pathlib
@@ -12,7 +14,7 @@ import patterna
 SOURCES = sorted(pathlib.Path(patterna.__file__).parent.glob("*.py"))
 
 #: (module, top-level function or None for the whole module) allowed to build masks.
-EXEMPT = {("patterns.py", None), ("decide.py", "brute_force_exhibitable")}
+EXEMPT = {("patterns.py", None), ("decide.py", "brute_force_exhibitable"), ("decide.py", "_clause_codes")}
 
 
 def _called_name(call):

@@ -345,6 +345,37 @@ class TestIndexBound:
         assert "n=100000000 exceeds the pattern index bound 2**20" in done.stderr
         assert "MemoryError" not in done.stderr
 
+    def test_huge_index_refused_before_any_mask(self, tmp_path):
+        # a mask as wide as index 10**11 - 1 would take 12.5 GB, and one as
+        # wide as 10**20 - 1 cannot be built at all: parsing builds none, so
+        # decide and dimacs reach the index bound, in a child process capped
+        # at 1.5 GB as above
+        for n in (10**11, 10**20):
+            (tmp_path / f"{n}.json").write_text(f'{{"n": {n}, "consistency": [[[{n - 1}], []]], '
+                                                f'"inconsistency": [[[{n - 1}], [0]]]}}')
+        script = (
+            "import contextlib, io, resource, sys\n"
+            "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, hard))\n"
+            "from patterna import Condition, cli\n"
+            "print(Condition((10**9,), ()))\n"
+            "for path in sys.argv[1:]:\n"
+            "    for command in ('decide', 'dimacs'):\n"
+            "        err = io.StringIO()\n"
+            "        with contextlib.redirect_stderr(err):\n"
+            "            code = cli.run([command, path, '--witness'] if command == 'decide' else [command, path])\n"
+            "        print(code, err.getvalue(), end='')\n"
+        )
+        env = {k: v for k, v in os.environ.items() if k != ENV_VAR}
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / f"{10**11}.json"), str(tmp_path / f"{10**20}.json")],
+            capture_output=True, text=True, timeout=60,
+            env={**env, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == ["Condition(pos=(1000000000,), neg=())"] + [
+            f"2 error: n={n} exceeds the pattern index bound 2**20" for n in (10**11, 10**11, 10**20, 10**20)]
+
     def test_bound_follows_the_env_exponent(self, monkeypatch):
         monkeypatch.setenv(ENV_VAR, "4")
         decision = decide_exhibitable(Pattern(16, (cond([15], [0]),)))

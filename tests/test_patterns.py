@@ -173,7 +173,7 @@ class TestConditionMasks:
         self.assert_masked(all_disjoint_conditions(3))
 
     def test_masks_take_no_part_in_comparison(self):
-        plain, odd = Condition((0,), ()), patterns._condition((0,), (), 6, 9)
+        plain, odd = Condition((0,), ()), patterns._condition((0,), (), (6, 9))
         assert plain == odd and hash(plain) == hash(odd) and repr(odd) == repr(plain)
         assert repr(plain) == "Condition(pos=(0,), neg=())"
         # (0, 2) orders before (1,) although its mask, 5, is the larger
