@@ -13,6 +13,7 @@ import argparse
 import functools
 import inspect
 import sys
+from dataclasses import asdict
 
 from . import jsonio
 from .decide import brute_force_exhibitable, condition_cnf, decide_exhibitable
@@ -81,8 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_classify(args, stdout, stderr) -> int:
     pattern = jsonio.pattern_from_dict(jsonio.load_json(args.pattern_file))
-    flags = classify(pattern)
-    stdout.write(dumps_canonical(jsonio.flags_to_dict(flags)))
+    stdout.write(dumps_canonical(asdict(classify(pattern))))
     return 0
 
 

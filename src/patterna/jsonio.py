@@ -12,7 +12,7 @@ import json
 from .decide import Decision
 from .errors import ParseError, PatternaError
 from .hypergraphs import POSITIVE_FLAVOR, UNIFORM_FLAVOR, Embedding, Hypergraph, WitnessStructure
-from .patterns import Pattern, PatternFlags, _bits, validate_pattern
+from .patterns import Pattern, _bits, validate_pattern
 from .semantics import SetFamily
 
 
@@ -57,30 +57,11 @@ def pattern_from_dict(data, *, strict: bool = True) -> Pattern:
         raise ParseError(f"malformed pattern document: {exc}") from exc
 
 
-def flags_to_dict(flags: PatternFlags) -> dict:
-    return {
-        "reasonable": flags.reasonable,
-        "positive": flags.positive,
-        "complete": flags.complete,
-        "fully_complete": flags.fully_complete,
-        "k_bounded": flags.k_bounded,
-        "k_bounded_at_most": flags.k_bounded_at_most,
-    }
-
-
 # -- set families -----------------------------------------------------------
 
 
 def family_to_dict(fam: SetFamily) -> dict:
     return {"universe": fam.universe_size, "sets": [list(_bits(mask)) for mask in fam.masks]}
-
-
-def family_from_dict(data) -> SetFamily:
-    try:
-        _require_integers([data["universe"], data["sets"]], "set-family document")
-        return SetFamily(data["universe"], tuple(frozenset(s) for s in data["sets"]))
-    except (TypeError, KeyError, ValueError) as exc:
-        raise ParseError(f"malformed set-family document: {exc}") from exc
 
 
 # -- decisions --------------------------------------------------------------

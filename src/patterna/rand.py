@@ -9,9 +9,8 @@ from __future__ import annotations
 import itertools
 import random
 
-from .hypergraphs import Embedding, Hypergraph, WitnessStructure, check_axioms
+from .hypergraphs import Embedding, Hypergraph, WitnessStructure, build_witness_structure, check_axioms
 from .patterns import Condition, Pattern
-from .sat import CnfFormula, Literal
 
 
 def random_condition(rng: random.Random, n: int, *, positive=False, disjoint=False) -> Condition:
@@ -30,17 +29,6 @@ def random_condition(rng: random.Random, n: int, *, positive=False, disjoint=Fal
             return Condition(pos, neg)
 
 
-def random_pattern(rng: random.Random, n: int, max_conditions: int) -> Pattern:
-    """An arbitrary pattern: conditions need not be disjoint or reasonable."""
-    if n == 0:
-        return Pattern(0)
-    total = rng.randint(0, max_conditions)
-    split = rng.randint(0, total)
-    cons = [random_condition(rng, n) for _ in range(split)]
-    incons = [random_condition(rng, n) for _ in range(total - split)]
-    return Pattern(n, tuple(cons), tuple(incons))
-
-
 def random_consistency_pattern(rng: random.Random, n: int, max_conditions: int) -> Pattern:
     """A reasonable pattern with empty inconsistency side."""
     if n == 0:
@@ -52,17 +40,11 @@ def random_consistency_pattern(rng: random.Random, n: int, max_conditions: int) 
     return Pattern(n, tuple(cons), ())
 
 
-def random_reasonable_positive(
-    rng: random.Random,
-    n: int,
-    max_consistency: int,
-    max_inconsistency: int,
-    k: int | None = None,
-) -> Pattern:
-    """A reasonable positive pattern; k, when given, fixes every inconsistency
-    condition's size.  Inconsistency candidates landing inside a consistency
-    condition are discarded (bounded retries), so the output may have fewer
-    inconsistency conditions than asked."""
+def random_reasonable_positive(rng: random.Random, n: int, max_consistency: int,
+                               max_inconsistency: int) -> Pattern:
+    """A reasonable positive pattern.  Inconsistency candidates landing inside
+    a consistency condition are discarded (bounded retries), so the output may
+    have fewer inconsistency conditions than asked."""
     if n == 0:
         return Pattern(0)
     cons = [
@@ -75,28 +57,12 @@ def random_reasonable_positive(
     attempts = 0
     while len(incons) < want and attempts < 20 * (want + 1):
         attempts += 1
-        if k is None:
-            z = random_condition(rng, n, positive=True)
-        else:
-            if k > n:
-                break
-            z = Condition(tuple(rng.sample(range(n), k)), ())
-        if any(z.pos_mask & big == z.pos_mask for big in cone):
+        z = random_condition(rng, n, positive=True)
+        mask = z.pos_mask
+        if any(mask & big == mask for big in cone):
             continue
         incons.append(z)
     return Pattern(n, tuple(cons), tuple(incons))
-
-
-def random_cnf(rng: random.Random, variables: int, clause_count: int, width: int = 3) -> CnfFormula:
-    clauses = []
-    for _ in range(clause_count):
-        if variables == 0:
-            clauses.append(())  # only the empty clause exists
-            continue
-        size = rng.randint(1, min(width, variables))
-        chosen = rng.sample(range(variables), size)
-        clauses.append(tuple(Literal(v, rng.random() < 0.5) for v in chosen))
-    return CnfFormula(variables, tuple(clauses))
 
 
 def random_hypergraph(rng: random.Random, arity: int, vertex_count: int, edge_probability: float) -> Hypergraph:
@@ -106,10 +72,6 @@ def random_hypergraph(rng: random.Random, arity: int, vertex_count: int, edge_pr
         if rng.random() < edge_probability
     )
     return Hypergraph(arity, vertex_count, edges)
-
-
-def random_graph(rng: random.Random, vertex_count: int, edge_probability: float) -> Hypergraph:
-    return random_hypergraph(rng, 2, vertex_count, edge_probability)
 
 
 def _grow_structure(rng: random.Random, base: WitnessStructure, extra_witnesses: int,
@@ -150,8 +112,6 @@ def _grow_structure(rng: random.Random, base: WitnessStructure, extra_witnesses:
 def random_amalgam_problem(rng: random.Random, max_base_points: int = 3):
     """A random valid amalgamation problem (A, B0, B1, e0, e1) with identity
     embeddings of A into both extensions."""
-    from .hypergraphs import build_witness_structure
-
     n = rng.randint(0, max_base_points)
     base_pattern = random_reasonable_positive(rng, n, 3, 3)
     a = build_witness_structure(base_pattern)

@@ -14,7 +14,7 @@ like extra unit clauses.  The fixed strategy makes every produced assignment
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import IndexOutOfRange, ParseError
 
@@ -44,12 +44,10 @@ class CnfFormula:
     Construction normalizes: duplicate literals and clauses collapse,
     tautological clauses are dropped, and literals/clauses are sorted by
     (variable, negated).  Two formulas are equal iff they normalize alike.
-    `codes` holds the same clauses as literal codes, for the solver.
     """
 
     variable_count: int
     clauses: tuple[tuple[Literal, ...], ...]
-    codes: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.variable_count < 0:
@@ -58,10 +56,9 @@ class CnfFormula:
         for variable in sorted({code >> 1 for clause in raw for code in clause}):
             if not 0 <= variable < self.variable_count:
                 raise IndexOutOfRange(f"variable {variable} outside [0, {self.variable_count})")
-        codes = tuple(_normal_codes(raw))
+        codes = _normal_codes(raw)
         clauses = tuple(tuple(Literal(c >> 1, bool(c & 1)) for c in clause) for clause in codes)
         object.__setattr__(self, "clauses", clauses)
-        object.__setattr__(self, "codes", codes)
 
 
 class CompiledCnf:
@@ -199,7 +196,8 @@ def sat_solve(formula: CnfFormula | CompiledCnf, assumptions=()) -> dict[int, bo
     search never assigns default to True.
     """
     if isinstance(formula, CnfFormula):
-        formula = CompiledCnf(formula.variable_count, formula.codes)
+        formula = CompiledCnf(formula.variable_count,
+                              [[2 * lit.variable + lit.negated for lit in clause] for clause in formula.clauses])
     if formula.has_empty:
         return None
     for lit in assumptions:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import ArityMismatch, IndexOutOfRange, MalformedUnionMap
-from .patterns import Condition, Pattern, _bits, _canonical, complete_conditions, subset_index
+from .patterns import Condition, Pattern, _bits, _canonical, complete_conditions
 
 
 @dataclass(frozen=True, init=False, repr=False)
@@ -217,9 +217,6 @@ class UnionClosedFamily:
         if not 0 <= i < self.index_count:
             raise IndexOutOfRange(f"base index {i} outside [0, {self.index_count})")
         return self.family.sets[1 << i]
-
-    def set_for(self, subset) -> frozenset[int]:
-        return self.family.sets[subset_index(subset)]
 
     @classmethod
     def from_singletons(cls, universe_size, singletons, point_labels=None, set_labels=None):

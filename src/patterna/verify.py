@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .bounds import GRAPH_SWEEP_VERTICES, SUBSET_PATTERN_N, check_bound
 from .constructions import (
@@ -81,15 +81,7 @@ class Report:
         return sum(1 for c in self.checks if c.ok)
 
     def to_dict(self) -> dict:
-        return {
-            "construction": self.construction,
-            "ok": self.ok,
-            "passed": self.passed,
-            "total": len(self.checks),
-            "checks": [
-                {"name": c.name, "ok": c.ok, "detail": c.detail} for c in self.checks
-            ],
-        }
+        return {**asdict(self), "ok": self.ok, "passed": self.passed, "total": len(self.checks)}
 
 
 def _require_sizes(**sizes):

@@ -1,4 +1,4 @@
-"""Shared oracles and enumeration helpers.
+"""Shared oracles, enumeration helpers and seeded generators.
 
 The oracles here deliberately share no code with the library paths they
 check: truth-table SAT and a recursive DPLL for the solver, direct subset
@@ -8,8 +8,38 @@ scans for clique and trace logic.
 from __future__ import annotations
 
 import itertools
+import random
 
-from patterna import CnfFormula, Condition, Pattern
+from patterna import CnfFormula, Condition, Literal, Pattern, SetFamily
+from patterna.rand import random_condition
+
+
+def random_pattern(rng: random.Random, n: int, max_conditions: int) -> Pattern:
+    """An arbitrary pattern: conditions need not be disjoint or reasonable."""
+    if n == 0:
+        return Pattern(0)
+    total = rng.randint(0, max_conditions)
+    split = rng.randint(0, total)
+    cons = [random_condition(rng, n) for _ in range(split)]
+    incons = [random_condition(rng, n) for _ in range(total - split)]
+    return Pattern(n, tuple(cons), tuple(incons))
+
+
+def random_cnf(rng: random.Random, variables: int, clause_count: int, width: int = 3) -> CnfFormula:
+    clauses = []
+    for _ in range(clause_count):
+        if variables == 0:
+            clauses.append(())  # only the empty clause exists
+            continue
+        size = rng.randint(1, min(width, variables))
+        chosen = rng.sample(range(variables), size)
+        clauses.append(tuple(Literal(v, rng.random() < 0.5) for v in chosen))
+    return CnfFormula(variables, tuple(clauses))
+
+
+def family_from_dict(doc) -> SetFamily:
+    """The set family of a witness document: {"universe": u, "sets": [[point, ...], ...]}."""
+    return SetFamily(doc["universe"], tuple(frozenset(s) for s in doc["sets"]))
 
 
 def truth_table_sat(formula: CnfFormula) -> bool:

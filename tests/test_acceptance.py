@@ -48,10 +48,8 @@ from patterna.cli import run as cli_run
 from patterna.decide import condition_cnf
 from patterna.rand import (
     random_amalgam_problem,
-    random_cnf,
     random_consistency_pattern,
     random_hypergraph,
-    random_pattern,
     random_reasonable_positive,
 )
 from patterna.sat import import_dimacs
@@ -62,6 +60,8 @@ from conftest import (
     all_conditions,
     disjoint_conditions,
     fully_complete_patterns,
+    random_cnf,
+    random_pattern,
     truth_table_sat,
 )
 

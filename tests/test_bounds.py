@@ -6,6 +6,7 @@ from patterna import (
     Hypergraph,
     Pattern,
     blowup,
+    classify,
     brute_force_exhibitable,
     condition_cnf,
     cooper_pattern,
@@ -62,6 +63,7 @@ def edgeless(vertices):
 #: value of the two passes both.
 BOUNDED = {
     "decide_exhibitable": ("3", decide_exhibitable, Pattern(8), Pattern(9), "2**3"),
+    "classify": ("3", classify, Pattern(8, (((7,), ()),)), Pattern(9, (((8,), ()),)), "2**3"),
     "brute_force_exhibitable": ("3", brute_force_exhibitable, Pattern(3), Pattern(4), "3"),
     "condition_cnf": ("3", condition_cnf, Pattern(8), Pattern(9), "2**3"),
     "tree_nodes": ("3", lambda bd: tp1_pattern(*bd), (2, 1), (2, 2), "3"),

@@ -11,10 +11,9 @@ from patterna.bounds import ENV_VAR
 from patterna.cli import run
 from patterna.patterns import GEN_KINDS
 from patterna.verify import VERIFIERS
-from patterna.errors import ParseError
 from patterna.patterns import pattern_from_cnf
 
-from conftest import NO_POINT, UNION_SPLIT
+from conftest import NO_POINT, UNION_SPLIT, family_from_dict
 
 
 #: One integer flag per verifier parameter, as the verify subparser builds them.
@@ -75,7 +74,7 @@ class TestDecideCommand:
         path.write_text(jsonio.dumps_canonical(jsonio.pattern_to_dict(pattern)))
         code, out, _ = invoke(["decide", str(path), "--witness"])
         assert code == 0
-        witness = jsonio.family_from_dict(json.loads(out)["witness"])
+        witness = family_from_dict(json.loads(out)["witness"])
         assert check_exhibits(witness, pattern).ok
 
     def test_pigeonhole_8_7_fails_its_condition(self, tmp_path):
@@ -366,12 +365,6 @@ class TestNonIntegerFields:
             path = write_doc(tmp_path, doc)
             for action in ("pattern", "blowup", "double", "witness-structure"):
                 assert_one_line_error(["hypergraph", action, path])
-
-    def test_family_universe_and_points(self):
-        # no subcommand reads a set family, so the parse boundary is checked directly
-        for doc in ({"universe": True, "sets": [[0]]}, {"universe": 2, "sets": [[0, True]]}):
-            with pytest.raises(ParseError, match="integers"):
-                jsonio.family_from_dict(doc)
 
 
 class TestGoldenPayloads:

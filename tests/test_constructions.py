@@ -32,9 +32,25 @@ from patterna.errors import (
     PreconditionFailure,
     UnsupportedParams,
 )
-from patterna.rand import random_consistency_pattern, random_reasonable_positive
+from patterna.patterns import subset_index
+from patterna.rand import random_condition, random_consistency_pattern, random_reasonable_positive
 
 from conftest import disjoint_conditions, fully_complete_patterns
+
+
+def random_k_bounded(rng, n, max_consistency, max_inconsistency, k):
+    """random_reasonable_positive with each inconsistency condition drawn as a
+    k-subset of [0, n), n >= k: a candidate inside a consistency condition is
+    dropped, with 20 * (wanted + 1) draws at most."""
+    cons = [random_condition(rng, n, positive=True) for _ in range(rng.randint(0, max_consistency))]
+    incons, want = [], rng.randint(0, max_inconsistency)
+    for _ in range(20 * (want + 1)):
+        if len(incons) == want:
+            break
+        z = Condition(tuple(rng.sample(range(n), k)), ())
+        if not any(set(z.pos) <= set(c.pos) for c in cons):
+            incons.append(z)
+    return Pattern(n, tuple(cons), tuple(incons))
 
 
 def cond(pos, neg=()):
@@ -93,7 +109,7 @@ class TestAtomlessWitness:
         rng = random.Random(22)
         for _ in range(80):
             k = rng.choice((2, 3))
-            p = random_reasonable_positive(rng, rng.randint(k, 6), 5, 5, k=k)
+            p = random_k_bounded(rng, rng.randint(k, 6), 5, 5, k)
             assert is_k_bounded(p, k)
             assert check_exhibits(atomless_pm_witness(p), p).ok
 
@@ -180,16 +196,15 @@ class TestDisjointFamilies:
     def test_atoms_layout(self):
         fam = disjoint_one1_family(2, "atoms")
         assert fam.base_set(0) == {0} and fam.base_set(1) == {1}
-        assert fam.set_for({0, 1}) == {0, 1} and fam.set_for(()) == frozenset()
+        assert fam.family.sets[subset_index({0, 1})] == {0, 1}
+        assert fam.family.sets[subset_index(())] == frozenset()
         assert check_one_n(fam, 1)
 
     def test_skolem_labels(self):
         fam = disjoint_one1_family(3, "skolem")
         assert fam.point_labels == ("2", "3", "5")
-        from patterna.patterns import subset_index
-
         assert fam.set_labels[subset_index({0, 2})] == "10"
-        assert fam.set_for({0, 2}) == {0, 2}
+        assert fam.family.sets[subset_index({0, 2})] == {0, 2}
 
     def test_labels_match_direct_formula(self):
         # each union is labelled by its atoms in ascending order ("0" when

@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import subprocess
@@ -22,12 +23,20 @@ from patterna import (
 )
 from patterna.bounds import ENV_VAR
 from patterna.errors import BoundExceeded
-from patterna.rand import random_cnf, random_condition, random_pattern
+from patterna.rand import random_condition
 
 from patterna.decide import _clause_codes, _literals, _verified
 from patterna.sat import CompiledCnf
 
-from conftest import NO_POINT, UNION_SPLIT, all_conditions, dpll_reference, truth_table_sat
+from conftest import (
+    NO_POINT,
+    UNION_SPLIT,
+    all_conditions,
+    dpll_reference,
+    random_cnf,
+    random_pattern,
+    truth_table_sat,
+)
 
 
 def cond(pos, neg=()):
@@ -375,6 +384,29 @@ class TestIndexBound:
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines() == ["Condition(pos=(1000000000,), neg=())"] + [
             f"2 error: n={n} exceeds the pattern index bound 2**20" for n in (10**11, 10**11, 10**20, 10**20)]
+
+    def test_mask_reads_keep_nothing(self, tmp_path):
+        # 40,000 conditions at indices up to 2**16 - 1: their masks would take
+        # about 230 MB if each read kept one, over the 150 MB address-space cap
+        # of this child process; decide itself needs about 50 MB here
+        n = 2**16
+        doc = {"n": n, "consistency": [[[n - 1 - i], []] for i in range(40000)]}
+        (tmp_path / "p.json").write_text(json.dumps(doc))
+        script = (
+            "import resource, sys\n"
+            "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (150_000_000, hard))\n"
+            "from patterna import cli\n"
+            "sys.exit(cli.run(['decide', sys.argv[1]]))\n"
+        )
+        env = {k: v for k, v in os.environ.items() if k != ENV_VAR}
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "p.json")],
+            capture_output=True, text=True, timeout=60,
+            env={**env, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == {"exhibitable": True, "failing": None, "witness": None}
 
     def test_bound_follows_the_env_exponent(self, monkeypatch):
         monkeypatch.setenv(ENV_VAR, "4")

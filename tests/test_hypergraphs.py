@@ -42,7 +42,7 @@ from patterna.errors import (
     UnsupportedParams,
 )
 from patterna.patterns import _canonical, subset_index
-from patterna.rand import random_amalgam_problem, random_graph, random_hypergraph
+from patterna.rand import random_amalgam_problem, random_hypergraph
 
 from conftest import clique_masks_by_scan
 
@@ -403,7 +403,7 @@ class TestHypergraphState:
         # blowup carries are not part of its state
         rng = random.Random(73)
         for _ in range(20):
-            h = random_graph(rng, rng.randint(0, 4), rng.random())
+            h = random_hypergraph(rng, 2, rng.randint(0, 4), rng.random())
             for built in (blowup(h)[0], triangle_free_double(h).graph):
                 copy = Hypergraph(built.arity, built.vertex_count, built.edges)
                 assert copy == built and hash(copy) == hash(built) and copy.edges == built.edges
@@ -741,7 +741,7 @@ class TestTriangleFreeDoubling:
     def test_random_graphs_triangle_free_and_realizing(self):
         rng = random.Random(43)
         for _ in range(40):
-            g = random_graph(rng, rng.randint(0, 5), rng.choice((0.3, 0.6)))
+            g = random_hypergraph(rng, 2, rng.randint(0, 5), rng.choice((0.3, 0.6)))
             result = triangle_free_double(g)
             assert triangle_count(result.graph) == 0
             assert realize_check(result.family, g)

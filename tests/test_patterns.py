@@ -39,11 +39,12 @@ from patterna.errors import (
     UnsupportedParams,
 )
 from patterna.hypergraphs import pattern_from_hypergraph
-from patterna.rand import random_condition, random_consistency_pattern, random_graph
-from patterna.semantics import SetFamily, fully_complete_extension
+from patterna.jsonio import pattern_from_dict
+from patterna.rand import random_condition, random_consistency_pattern, random_hypergraph
+from patterna.semantics import SetFamily, condition_trace, fully_complete_extension
 from patterna.verify import all_disjoint_conditions
 
-from conftest import assert_parsed_as, complete_conditions, disjoint_conditions, reference_pattern
+from conftest import assert_parsed_as, complete_conditions, disjoint_conditions, random_cnf, reference_pattern
 
 
 def cond(pos, neg=()):
@@ -167,7 +168,7 @@ class TestConditionMasks:
         formula = CnfFormula(3, ((Literal(0), Literal(2, True)), (Literal(1, True),)))
         self.assert_masked(pattern_from_cnf(formula).conditions)
         self.assert_masked(double_positive(op_pattern(3)).conditions)
-        self.assert_masked(pattern_from_hypergraph(random_graph(rng, 5, 0.5)).conditions)
+        self.assert_masked(pattern_from_hypergraph(random_hypergraph(rng, 2, 5, 0.5)).conditions)
         self.assert_masked(fully_complete_extension(SetFamily(5, [{0, 1}, {1, 4}, {2}, set()])).conditions)
         self.assert_masked(random_condition(rng, 6) for _ in range(30))
         self.assert_masked(all_disjoint_conditions(3))
@@ -182,12 +183,26 @@ class TestConditionMasks:
     def test_indices_without_a_mask_refused(self):
         for bad, message in ((0.5, "index 0.5 is not an integer"), (1.0, "index 1.0 is not an integer"),
                              ("1", "index '1' is not an integer"), (-1, "index -1 is negative"),
-                             ([0], "index [0] is not an integer")):
+                             ([0], "index [0] is not an integer"), (True, "index True is not an integer")):
             for parts in (((bad,), ()), ((), (2, bad)), ((1, bad), (0,))):
                 with pytest.raises(IndexOutOfRange) as caught:
                     Condition(*parts)
                 assert str(caught.value) == message
-        assert Condition((True,), ()).pos_mask == 2  # a bool has a mask; Pattern refuses it
+
+    def test_reads_store_no_mask(self):
+        # a read computes the mask and keeps nothing, so deciding, classifying
+        # and tracing leave a parsed pattern's conditions as parsed; only
+        # complete_conditions, which grows the masks, stores them
+        p = pattern_from_dict({"n": 6, "consistency": [[[0, 2], [1]], [[3], []], [[], [4, 5]]],
+                               "inconsistency": [[[1, 3], []], [[5], [0]]]})
+        decision = decide_exhibitable(p)
+        assert decision.exhibitable and not classify(p).positive
+        assert all(condition_trace(decision.witness, c) for c in p.consistency)
+        self.assert_masked(p.conditions)
+        assert all(not {"pos_mask", "neg_mask"} & c.__dict__.keys() for c in p.conditions)
+        splits = patterns.complete_conditions(4)
+        assert all(c.__dict__.keys() >= {"pos_mask", "neg_mask"} for c in splits)
+        self.assert_masked(splits)
 
 
 class TestClassify:
@@ -240,6 +255,33 @@ class TestClassify:
             "complete": False, "fully_complete": False, "k_bounded": None,
             "k_bounded_at_most": None, "positive": True, "reasonable": True,
         }
+
+    def test_huge_index_refused_before_any_mask(self, tmp_path):
+        # a mask as wide as index 10**11 - 1 would take 12.5 GB, and one as
+        # wide as 10**20 - 1 cannot be built at all; in a child process capped
+        # at 1.5 GB as above, classify exits 2 on the index bound instead
+        for n in (10**11, 10**20):
+            (tmp_path / f"{n}.json").write_text(f'{{"n": {n}, "consistency": [[[{n - 1}], []]]}}')
+        script = (
+            "import contextlib, io, resource, sys\n"
+            "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, hard))\n"
+            "from patterna import cli\n"
+            "for path in sys.argv[1:]:\n"
+            "    err = io.StringIO()\n"
+            "    with contextlib.redirect_stderr(err):\n"
+            "        code = cli.run(['classify', path])\n"
+            "    print(code, err.getvalue(), end='')\n"
+        )
+        env = {k: v for k, v in os.environ.items() if k != ENV_VAR}
+        done = subprocess.run(
+            [sys.executable, "-c", script, *(str(tmp_path / f"{n}.json") for n in (10**11, 10**20))],
+            capture_output=True, text=True, timeout=60,
+            env={**env, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == [
+            f"2 error: conditions over [0, {n}) exceed the pattern index bound 2**20" for n in (10**11, 10**20)]
 
     def test_k_bounded(self):
         p = Pattern(4, (), (cond([0, 1]), cond([2, 3])))
@@ -433,8 +475,6 @@ class TestPatternFromCnf:
 
     def test_reasonable_without_empty_clauses(self):
         rng = random.Random(7)
-        from patterna.rand import random_cnf
-
         for _ in range(60):
             f = random_cnf(rng, rng.randint(1, 5), rng.randint(0, 6))
             assert classify(pattern_from_cnf(f)).reasonable

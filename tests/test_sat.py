@@ -5,10 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from patterna import CnfFormula, Literal, export_dimacs, import_dimacs, sat_solve
 from patterna.errors import IndexOutOfRange, ParseError
-from patterna.rand import random_cnf
 from patterna.sat import CompiledCnf
 
-from conftest import dpll_reference, truth_table_sat
+from conftest import dpll_reference, random_cnf, truth_table_sat
 
 
 def lit(v, neg=False):

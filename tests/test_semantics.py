@@ -22,9 +22,8 @@ from patterna import (
     union_representable,
 )
 from patterna.errors import ArityMismatch, IndexOutOfRange, MalformedUnionMap
-from patterna.rand import random_pattern
 
-from conftest import NO_POINT, UNION_SPLIT, complete_conditions
+from conftest import NO_POINT, UNION_SPLIT, complete_conditions, random_pattern
 
 
 def fam(universe, *sets):

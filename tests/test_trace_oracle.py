@@ -45,9 +45,13 @@ from patterna import (
     witness_trace_family,
 )
 from patterna.errors import PreconditionFailure
-from patterna.rand import random_consistency_pattern, random_graph, random_pattern, random_reasonable_positive
+from patterna.rand import (
+    random_consistency_pattern,
+    random_hypergraph as random_uniform_hypergraph,
+    random_reasonable_positive,
+)
 
-from conftest import clique_masks_by_scan, trace_by_points
+from conftest import clique_masks_by_scan, random_pattern, trace_by_points
 
 
 def random_family(rng, n, max_universe=200):
@@ -456,7 +460,7 @@ def test_mask_built_families_match_the_public_constructor():
         if len(p.consistency) <= 8:
             assert_as_public(pm_char_reduction(canonical_char_family(len(p.consistency)), p))
     for _ in range(40):
-        doubling = triangle_free_double(random_graph(rng, rng.randint(0, 6), rng.random()))
+        doubling = triangle_free_double(random_uniform_hypergraph(rng, 2, rng.randint(0, 6), rng.random()))
         assert_hypergraph_as_public(doubling.graph)
         assert_as_public(doubling.family)
     for _ in range(40):
