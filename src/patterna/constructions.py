@@ -27,7 +27,7 @@ from .errors import (
     VerificationFailure,
 )
 from .patterns import Pattern, _bits, _subset_families, _up_masks, classify, double_positive, subset_index
-from .semantics import SetFamily, UnionClosedFamily, _columns, _trace_mask, check_exhibits, check_one_n
+from .semantics import SetFamily, UnionClosedFamily, _columns, _tracer, check_exhibits, check_one_n
 
 
 def _self_check(fam: SetFamily, p: Pattern, what: str) -> SetFamily:
@@ -84,8 +84,8 @@ def check_char_property(char_fam: SetFamily, k: int) -> bool:
     of subsets of [0, k), the traces of Z intersect iff the subsets of Z do."""
     if char_fam.n != 1 << k:
         raise ArityMismatch(f"need {1 << k} sets for k={k}, got {char_fam.n}")
-    return all(bool(_trace_mask(char_fam, members, ())) == meets
-               for members, meets in _subset_families(k))
+    trace = _tracer(char_fam)
+    return all(bool(trace(members, ())) == meets for members, meets in _subset_families(k))
 
 
 #: pm_char_reduction brute-forces the characterization for k <= this: 2**16

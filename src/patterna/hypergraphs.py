@@ -30,7 +30,7 @@ from .errors import (
     VerificationFailure,
 )
 from .patterns import Pattern, _bits, _canonical, classify, subset_index
-from .semantics import SetFamily, _columns, _trace_mask, _types, check_exhibits, encodes_hypergraph
+from .semantics import SetFamily, _columns, _tracer, _types, check_exhibits, encodes_hypergraph
 
 
 @dataclass(frozen=True, init=False, repr=False)
@@ -174,7 +174,8 @@ def pattern_from_hypergraph(h: Hypergraph) -> Pattern:
 
 def _realizes(fam: SetFamily, h: Hypergraph, cliques) -> bool:
     """Does fam realize h, given h's maximal cliques as vertex masks?"""
-    return encodes_hypergraph(fam, h) and all(_trace_mask(fam, _bits(c), ()) for c in cliques)
+    trace = _tracer(fam)
+    return encodes_hypergraph(fam, h) and all(trace(_bits(c), ()) for c in cliques)
 
 
 def realize_check(fam: SetFamily, h: Hypergraph) -> bool:
@@ -252,7 +253,8 @@ def blowup_pullback(fam: SetFamily, original: Hypergraph, grouping) -> SetFamily
         raise PreconditionFailure("grouping does not match the deterministic blowup grouping")
     if not (fam.n == blown.vertex_count and _realizes(fam, blown, blown._cliques)):
         raise PreconditionFailure("family does not realize the blowup")
-    result = SetFamily._of_masks(fam.universe_size, (_trace_mask(fam, block, ()) for block in expected))
+    trace = _tracer(fam)
+    result = SetFamily._of_masks(fam.universe_size, (trace(block, ()) for block in expected))
     if not _realizes(result, original, maximal):
         raise VerificationFailure("pullback failed to realize the original hypergraph")
     return result

@@ -209,14 +209,14 @@ def classify(p: Pattern) -> PatternFlags:
         disjoint = disjoint and not pos & neg
         y = pos | neg << shift
         by_count.setdefault(y.bit_count(), set()).add(y)
-    contained = False
+    contained, top = False, max(by_count, default=0)
     for c in p.inconsistency:
         pos, neg = c.pos_mask, c.neg_mask
         disjoint = disjoint and not pos & neg
         if disjoint and not contained:
             z = pos | neg << shift
             size = z.bit_count()
-            contained = z in by_count.get(size, ()) or any(
+            contained = z in by_count.get(size, ()) or size < top and any(
                 z & y == z for count, ys in by_count.items() if count > size for y in ys)
     reasonable = disjoint and not contained
     positive = all(not c.neg for c in conds)

@@ -105,25 +105,33 @@ def _columns(point_count: int, n: int, pairs) -> SetFamily:
     return SetFamily._of_types(n, _types(point_count, n, pairs))
 
 
-def _trace_mask(fam: SetFamily, pos, neg) -> int:
-    """The trace of (pos, neg) as a point mask: full & AND(masks[pos]) &
-    ~OR(masks[neg]).  Indices are not range-checked here."""
+def _tracer(fam: SetFamily):
+    """trace(pos, neg): the trace of (pos, neg) in fam as a point mask, full &
+    AND(masks[pos]) & ~OR(masks[neg]), with fam's masks and full mask bound
+    once.  Indices are not range-checked here."""
     masks = fam.masks
-    trace = (1 << fam.universe_size) - 1
-    for i in pos:
-        trace &= masks[i]
-    for j in neg:
-        trace &= ~masks[j]
+    full = (1 << fam.universe_size) - 1
+
+    def trace(pos, neg) -> int:
+        out = full
+        for i in pos:
+            out &= masks[i]
+        for j in neg:
+            out &= ~masks[j]
+        return out
+
     return trace
 
 
 def condition_trace(fam: SetFamily, cond: Condition) -> frozenset[int]:
     """Points inside every positive set and outside every negative one.
 
-    Empty pos/neg sides intersect to the full universe."""
-    if (cond.pos_mask | cond.neg_mask) >> fam.n:
-        raise IndexOutOfRange(f"condition index {max(cond.pos + cond.neg)} outside family of {fam.n} sets")
-    return frozenset(_bits(_trace_mask(fam, cond.pos, cond.neg)))
+    Empty pos/neg sides intersect to the full universe.  The parts are sorted,
+    so their last indices are checked against fam before any mask is built."""
+    top = max(cond.pos[-1:] + cond.neg[-1:], default=-1)
+    if top >= fam.n:
+        raise IndexOutOfRange(f"condition index {top} outside family of {fam.n} sets")
+    return frozenset(_bits(_tracer(fam)(cond.pos, cond.neg)))
 
 
 @dataclass(frozen=True)
@@ -137,11 +145,22 @@ class ExhibitReport:
 
 
 def check_exhibits(fam: SetFamily, p: Pattern) -> ExhibitReport:
-    """Does fam exhibit p?  The report lists every failing condition."""
+    """Does fam exhibit p?  The report lists every failing condition.  A
+    pattern whose conditions all name n indices is answered from the types
+    fam realises; any other pattern is traced condition by condition."""
     if fam.n != p.n:
         raise ArityMismatch(f"family has {fam.n} sets, pattern expects {p.n}")
-    bad_c = tuple(c for c in p.consistency if not _trace_mask(fam, c.pos, c.neg))
-    bad_i = tuple(z for z in p.inconsistency if _trace_mask(fam, z.pos, z.neg))
+    n = fam.n
+    if all(len(c.pos) + len(c.neg) == n for c in p.conditions):
+        # each condition names all n indices: a disjoint one is a split (X, n∖X),
+        # whose trace is the points of type X; an overlapping one has no points
+        types = _type_classes(fam)
+        bad_c = tuple(c for c in p.consistency if not ((x := c.pos_mask) in types and not x & c.neg_mask))
+        bad_i = tuple(z for z in p.inconsistency if (x := z.pos_mask) in types and not x & z.neg_mask)
+    else:
+        trace = _tracer(fam)
+        bad_c = tuple(c for c in p.consistency if not trace(c.pos, c.neg))
+        bad_i = tuple(z for z in p.inconsistency if trace(z.pos, z.neg))
     return ExhibitReport(not bad_c and not bad_i, bad_c, bad_i)
 
 

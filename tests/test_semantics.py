@@ -21,6 +21,7 @@ from patterna import (
     realized_types,
     union_representable,
 )
+from patterna import patterns
 from patterna.errors import ArityMismatch, IndexOutOfRange, MalformedUnionMap
 
 from conftest import NO_POINT, UNION_SPLIT, complete_conditions, random_pattern
@@ -50,6 +51,18 @@ class TestTrace:
     def test_out_of_range(self):
         with pytest.raises(IndexOutOfRange):
             condition_trace(fam(1, {0}), Condition((1,), ()))
+
+    def test_range_checked_before_any_mask(self, monkeypatch):
+        # neither the range check nor the trace builds a mask of the condition
+        def refuse(subset):
+            raise AssertionError(f"mask built for {subset}")
+
+        monkeypatch.setattr(patterns, "subset_index", refuse)
+        f = fam(3, {0}, {0, 1}, {2})
+        for cond in (Condition((3,), ()), Condition((0,), (3,)), Condition((1, 3), (0, 2))):
+            with pytest.raises(IndexOutOfRange, match="condition index 3 outside family of 3 sets"):
+                condition_trace(f, cond)
+        assert condition_trace(f, Condition((0,), (2,))) == {0}
 
     def test_trace_composes_under_union(self):
         rng = random.Random(11)

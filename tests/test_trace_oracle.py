@@ -32,6 +32,7 @@ from patterna import (
     encodes_hypergraph,
     fully_complete_extension,
     ip_family,
+    ip_pattern,
     membership_column_family,
     membership_structure,
     pattern_from_hypergraph,
@@ -88,7 +89,62 @@ def padded(fam, rng, extra):
     )
 
 
+def assert_report_by_points(fam, p, traces):
+    """check_exhibits(fam, p) reports what the point scan finds: ok, and both
+    failing lists in order.  traces keeps each condition's scan.  Returns ok."""
+    for c in p.conditions:
+        if c not in traces:
+            traces[c] = trace_by_points(fam, c)
+    bad_c = tuple(c for c in p.consistency if not traces[c])
+    bad_i = tuple(z for z in p.inconsistency if traces[z])
+    report = check_exhibits(fam, p)
+    assert (report.ok, report.failing_consistency, report.failing_inconsistency) == (
+        not bad_c and not bad_i, bad_c, bad_i
+    ), (fam, p)
+    return report.ok
+
+
+def overlapping_condition(rng, n):
+    """A condition over [0, n), n >= 2, naming n indices in all, one of them
+    on both sides: it has as many indices as a split but no points."""
+    pos = rng.sample(range(n), rng.randint(1, n - 1))
+    shared = rng.choice(pos)
+    return Condition(tuple(pos), (shared, *rng.sample([i for i in range(n) if i != shared], n - len(pos) - 1)))
+
+
+def shared_out(rng, n, conds):
+    split = [rng.random() < 0.5 for _ in conds]
+    return Pattern(
+        n,
+        tuple(c for c, s in zip(conds, split) if s),
+        tuple(c for c, s in zip(conds, split) if not s),
+    )
+
+
+def complete_candidates(rng, fam):
+    """Patterns whose conditions all name fam's n >= 2 indices: fam's fully
+    complete extension and ip_pattern(n) as built, which hand their masks
+    over; both rebuilt with the public Condition, which computes them; and
+    rebuilt splits shared out at random with overlapping conditions."""
+    n = fam.n
+    built = [fully_complete_extension(fam), ip_pattern(n)]
+    rebuilt = [
+        Pattern(n, *(tuple(Condition(c.pos, c.neg) for c in side) for side in (p.consistency, p.inconsistency)))
+        for p in built
+    ]
+    assert all("pos_mask" in vars(c) for p in built for c in p.conditions)
+    assert not any("pos_mask" in vars(c) for p in rebuilt for c in p.conditions)
+    overlapping = [overlapping_condition(rng, n) for _ in range(rng.randint(1, 4))]
+    return built + rebuilt + [shared_out(rng, n, list(rebuilt[0].conditions) + overlapping)]
+
+
 def test_traces_and_exhibit_reports():
+    # pinned: point 0 has type {0}, so (0, 0), which names both indices,
+    # meets its type's class but has no points, on either side
+    fam = SetFamily(2, ({0}, ()))
+    p = Pattern(2, (((0,), (1,)), ((0,), (0,))), (((0,), (0,)), ((1,), (0,))))
+    assert not assert_report_by_points(fam, p, {})
+    assert check_exhibits(fam, p).failing_consistency == (Condition((0,), (0,)),)
     rng = random.Random(4101)
     outcomes = set()
     for _ in range(300):
@@ -99,27 +155,18 @@ def test_traces_and_exhibit_reports():
         for cond in conds:
             traces[cond] = trace_by_points(fam, cond)
             assert condition_trace(fam, cond) == traces[cond], (fam, cond)
-        split = [rng.random() < 0.5 for _ in conds]
         candidates = [
-            Pattern(
-                n,
-                tuple(c for c, s in zip(conds, split) if s),
-                tuple(c for c, s in zip(conds, split) if not s),
-            ),
+            shared_out(rng, n, conds),
             Pattern(
                 n,
                 tuple(c for c in conds if traces[c]),
                 tuple(c for c in conds if not traces[c]),
             ),
         ]
+        if n >= 2:
+            candidates += complete_candidates(rng, fam)
         for p in candidates:
-            bad_c = tuple(c for c in p.consistency if not traces[c])
-            bad_i = tuple(z for z in p.inconsistency if traces[z])
-            report = check_exhibits(fam, p)
-            assert report.ok == (not bad_c and not bad_i)
-            assert report.failing_consistency == bad_c
-            assert report.failing_inconsistency == bad_i
-            outcomes.add(report.ok)
+            outcomes.add(assert_report_by_points(fam, p, traces))
     assert outcomes == {True, False}
 
 
