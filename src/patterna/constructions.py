@@ -48,8 +48,8 @@ def powerset_sm_witness(p: Pattern) -> SetFamily:
     """
     if not classify(p).fully_complete:
         raise NotFullyComplete("input pattern is not fully complete")
-    stray = p.consistency[0].pos_mask if any(not z.pos for z in p.inconsistency) else 0
-    types = [cond.pos_mask for cond in p.consistency] + [stray, stray]
+    stray = p.consistency[0].pos if any(not z.pos for z in p.inconsistency) else ()
+    types = [cond.pos for cond in p.consistency] + [stray, stray]
     return _self_check(SetFamily._of_types(p.n, types), p, "powerset witness")
 
 
@@ -64,7 +64,7 @@ def atomless_pm_witness(p: Pattern) -> SetFamily:
     flags = classify(p)
     if not (flags.reasonable and flags.positive):
         raise NotReasonablePositive("input pattern must be reasonable and positive")
-    fam = SetFamily._of_types(p.n, [cond.pos_mask for cond in p.consistency])
+    fam = SetFamily._of_types(p.n, [cond.pos for cond in p.consistency])
     return _self_check(fam, p, "disjoint-pieces witness")
 
 
@@ -112,7 +112,7 @@ def pm_char_reduction(char_fam: SetFamily, p: Pattern) -> SetFamily:
         raise CharacterizationPropertyViolated(
             "family does not satisfy the intersection characterization"
         )
-    atoms = SetFamily._of_types(p.n, [cond.pos_mask for cond in p.consistency])
+    atoms = SetFamily._of_types(p.n, [cond.pos for cond in p.consistency])
     fam = SetFamily._of_masks(char_fam.universe_size, (char_fam.masks[x] for x in atoms.masks))
     report = check_exhibits(fam, p)
     if not report.ok:

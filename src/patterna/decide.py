@@ -72,7 +72,7 @@ def _targets(p: Pattern):
 
 def _verified(p: Pattern, types) -> Decision:
     """The witness with one point per distinct type mask, in lexicographic index order, re-verified."""
-    witness = SetFamily._of_types(p.n, sorted(set(types), key=_bits))
+    witness = SetFamily._of_types(p.n, sorted(map(_bits, set(types))))
     report = check_exhibits(witness, p)
     if not report.ok:
         raise WitnessVerificationFailure(

@@ -37,13 +37,13 @@ from .semantics import SetFamily, _columns, _tracer, _types, check_exhibits, enc
 class Hypergraph:
     """A k-uniform hypergraph on vertices [0, vertex_count).  Its state, with equality and
     hashing, is (arity, vertex_count, masks), one vertex mask per edge.  `edges` is a read-only
-    view: Hypergraph(k, n, edges) checks every edge and fills it at once, and the library's
-    unchecked _canonical builds leave it to the first read.  Only `_blowup` sets `_cliques`."""
+    view: Hypergraph(k, n, edges) checks every edge and fills it at once, and unchecked _canonical
+    builds leave it to the first read.  Only `_blowup` sets `_cliques`, as ascending tuples."""
 
     arity: int
     vertex_count: int
     masks: frozenset[int]
-    _cliques: tuple[int, ...] | None = field(init=False, compare=False, repr=False, default=None)
+    _cliques: tuple[tuple[int, ...], ...] | None = field(init=False, compare=False, repr=False, default=None)
 
     def __init__(self, arity: int, vertex_count: int, edges):
         if type(arity) is not int or arity < 2:
@@ -139,7 +139,7 @@ def _maximal_clique_masks(h: Hypergraph) -> list[int]:
 def maximal_cliques(h: Hypergraph) -> list[frozenset[int]]:
     """All maximal cliques (vertex sets whose arity-subsets are all edges and
     that no vertex extends), sorted by their sorted members."""
-    return [frozenset(_bits(m)) for m in sorted(_maximal_clique_masks(h), key=_bits)]
+    return [frozenset(c) for c in sorted(map(_bits, _maximal_clique_masks(h)))]
 
 
 def _submasks(maximal) -> list[int]:
@@ -173,16 +173,16 @@ def pattern_from_hypergraph(h: Hypergraph) -> Pattern:
 
 
 def _realizes(fam: SetFamily, h: Hypergraph, cliques) -> bool:
-    """Does fam realize h, given h's maximal cliques as vertex masks?"""
+    """Does fam realize h, given h's maximal cliques as ascending vertex tuples?"""
     trace = _tracer(fam)
-    return encodes_hypergraph(fam, h) and all(trace(_bits(c), ()) for c in cliques)
+    return encodes_hypergraph(fam, h) and all(trace(c, ()) for c in cliques)
 
 
 def realize_check(fam: SetFamily, h: Hypergraph) -> bool:
     """Does fam realize h?  Equivalent to exhibiting pattern_from_hypergraph(h)
     but checked as: arity-subsets intersect iff they are edges, and every
     maximal clique has a common point (which covers all sub-cliques)."""
-    return _realizes(fam, h, _maximal_clique_masks(h))
+    return _realizes(fam, h, map(_bits, _maximal_clique_masks(h)))
 
 
 def realization_witness(h: Hypergraph) -> SetFamily:
@@ -190,7 +190,7 @@ def realization_witness(h: Hypergraph) -> SetFamily:
     members), set v = the maximal cliques through v.  Sub-cliques inherit the
     point of any maximal extension; a non-edge lies in no clique at all.  The
     cliques a blowup carries are used, others searched; self-verified on them."""
-    cliques = sorted(_maximal_clique_masks(h) if h._cliques is None else h._cliques, key=_bits)
+    cliques = sorted(map(_bits, _maximal_clique_masks(h)) if h._cliques is None else h._cliques)
     fam = SetFamily._of_types(h.vertex_count, cliques)
     if not _realizes(fam, h, cliques):
         raise VerificationFailure("maximal-clique witness failed realization check")
@@ -214,24 +214,23 @@ def _blowup(h: Hypergraph):
     whose blocks are a clique of s vertices number sum_j (-1)**j C(s, j) C((s-j)(k+1), k+1),
     by inclusion-exclusion over the blocks missed; their total is bounded before each edge
     grows vertex by vertex while its blocks form a clique of h.  blown carries its maximal
-    cliques: the block unions of h's maximal cliques, and the k-sets (cliques vacuously)
-    taking one vertex from each block of a non-edge of h, which no vertex extends."""
+    cliques as ascending tuples: the block unions of h's maximal cliques, and the k-sets (cliques
+    vacuously) taking one vertex from each block of a non-edge of h, which no vertex extends."""
     grouping = _grouping(h)
     k = h.arity
     maximal = _maximal_clique_masks(h)
     cliques = set(_submasks(maximal))
     size = sum(sum((-1) ** j * comb(s, j) * comb((s - j) * (k + 1), k + 1) for j in range(s + 1))
-               for s in (len(_bits(c)) for c in cliques))
+               for s in (c.bit_count() for c in cliques))
     check_bound(size, PATTERN_INDICES_LOG2, "a blowup of {size} edges exceeds the output bound {limit}", log2=True)
     prefixes = [(0, 0, 0)]  # (mask of new vertices, mask of their blocks, next new vertex)
     for _ in range(k + 1):
         prefixes = [(edge | 1 << v, span, v + 1) for edge, spanned, start in prefixes
                     for v in range(start, (k + 1) * h.vertex_count)
                     if (span := spanned | 1 << v // (k + 1)) in cliques]
-    blocks = [subset_index(block) for block in grouping]
-    derived = [sum(blocks[i] for i in _bits(m)) for m in maximal]
+    derived = [sum((grouping[i] for i in _bits(m)), ()) for m in maximal]
     for combo in _non_edges(h):
-        derived.extend(map(subset_index, itertools.product(*(grouping[i] for i in combo))))
+        derived.extend(itertools.product(*(grouping[i] for i in combo)))
     blown = _canonical(Hypergraph, k + 1, (k + 1) * h.vertex_count,
                        frozenset(edge for edge, _, _ in prefixes), tuple(derived))
     return blown, grouping, maximal
@@ -255,7 +254,7 @@ def blowup_pullback(fam: SetFamily, original: Hypergraph, grouping) -> SetFamily
         raise PreconditionFailure("family does not realize the blowup")
     trace = _tracer(fam)
     result = SetFamily._of_masks(fam.universe_size, (trace(block, ()) for block in expected))
-    if not _realizes(result, original, maximal):
+    if not _realizes(result, original, map(_bits, maximal)):
         raise VerificationFailure("pullback failed to realize the original hypergraph")
     return result
 
@@ -547,15 +546,16 @@ def triangle_free_double(g: Hypergraph) -> TriangleFreeDoubling:
         raise ArityMismatch("doubling is defined for graphs (arity 2)")
     check_bound(g.vertex_count, DOUBLING_VERTICES, "{size} vertices exceed the doubling bound {limit}")
     n = g.vertex_count
-    clique_masks = _submasks(_maximal_clique_masks(g))
-    total = 2 * n + len(clique_masks)
+    maximal = _maximal_clique_masks(g)
+    cliques = list(map(_bits, _submasks(maximal)))
+    total = 2 * n + len(cliques)
 
     edges = set()
     for v, w in _non_edges(g):
         edges.update((1 << v | 1 << n + w, 1 << w | 1 << n + v))
-    for t, mask in enumerate(clique_masks):
+    for t, clique in enumerate(cliques):
         witness = 1 << 2 * n + t
-        for v in _bits(mask):
+        for v in clique:
             edges.update((witness | 1 << v, witness | 1 << n + v))
     doubled = _canonical(Hypergraph, 2, total, frozenset(edges))
 
@@ -571,11 +571,11 @@ def triangle_free_double(g: Hypergraph) -> TriangleFreeDoubling:
             raise TriangleFound(f"triangle on {u}, {v}, {common}")
 
     family = SetFamily._of_masks(total or 1, (adjacency[v] & adjacency[n + v] for v in range(n)))
-    if not realize_check(family, g):
+    if not _realizes(family, g, map(_bits, maximal)):
         raise VerificationFailure("doubling's derived family fails to realize the graph")
     return TriangleFreeDoubling(
         doubled,
         tuple((v, n + v) for v in range(n)),
-        tuple((2 * n + t, frozenset(_bits(mask))) for t, mask in enumerate(clique_masks)),
+        tuple((2 * n + t, frozenset(clique)) for t, clique in enumerate(cliques)),
         family,
     )

@@ -62,13 +62,13 @@ class SetFamily:
 
     @classmethod
     def _of_types(cls, n: int, types) -> SetFamily:
-        """The family with one point per type mask, in order: point p is in
-        set i iff bit i of types[p] is set, each mask trusted to be below
-        1 << n.  No types give one point in no set: the universe is nonempty."""
+        """The family with one point per type, in order: point p is in set i
+        iff i is in types[p], each type an iterable of indices trusted to be
+        below n.  No types give one point in no set: the universe is nonempty."""
         masks = [0] * n
         bit = 1  # the next point's bit
         for t in types:
-            for i in _bits(t):
+            for i in t:
                 masks[i] |= bit
             bit <<= 1
         return cls._of_masks(max(bit.bit_length() - 1, 1), masks)
@@ -102,7 +102,7 @@ def _types(point_count: int, n: int, pairs) -> list[int]:
 
 def _columns(point_count: int, n: int, pairs) -> SetFamily:
     """The columns of a relation, from its points' types: set i holds the points related to i."""
-    return SetFamily._of_types(n, _types(point_count, n, pairs))
+    return SetFamily._of_types(n, map(_bits, _types(point_count, n, pairs)))
 
 
 def _tracer(fam: SetFamily):

@@ -41,7 +41,7 @@ from patterna.errors import (
     PreconditionFailure,
     UnsupportedParams,
 )
-from patterna.patterns import _canonical, subset_index
+from patterna.patterns import _bits, _canonical, subset_index
 from patterna.rand import random_amalgam_problem, random_hypergraph
 
 from conftest import clique_masks_by_scan
@@ -303,9 +303,10 @@ class TestBlowup:
 
     def test_derived_cliques_are_the_blowups_maximal_cliques(self):
         # the block unions of h's maximal cliques plus the transversals of
-        # its non-edges: against the subset scan where the blowup has at most
-        # 12 vertices, and against the clique search on the larger ones; the
-        # edges are the (k+1)-sets whose blocks form a scanned clique of h
+        # its non-edges, as ascending tuples: against the subset scan where the
+        # blowup has at most 12 vertices, and against the clique search on a
+        # caller-built copy of the larger ones; the edges are the (k+1)-sets
+        # whose blocks form a scanned clique of h
         rng = random.Random(61)
         sources = fixed_blowup_sources()
         for arity, most in ((2, 5), (3, 4), (4, 4)):
@@ -319,9 +320,10 @@ class TestBlowup:
             blown, _ = blowup(h)
             derived = sorted(blown._cliques)
             if blown.vertex_count <= 12:
-                assert derived == maximal_masks_by_scan(blown), h
+                assert derived == sorted(map(_bits, maximal_masks_by_scan(blown))), h
             else:
-                assert derived == sorted(hypergraphs._maximal_clique_masks(blown)), h
+                copy = Hypergraph(blown.arity, blown.vertex_count, blown.edges)
+                assert derived == sorted(map(_bits, hypergraphs._maximal_clique_masks(copy))), h
             cliques = set(clique_masks_by_scan(h))
             width = h.arity + 1
             assert blown.edges == {
@@ -745,6 +747,20 @@ class TestTriangleFreeDoubling:
             result = triangle_free_double(g)
             assert triangle_count(result.graph) == 0
             assert realize_check(result.family, g)
+
+    def test_doubling_searches_the_graph_once(self, monkeypatch):
+        # the maximal cliques found for the witness vertices also serve the
+        # self-check, which searches nothing again
+        rng = random.Random(71)
+        searched = []
+        engine = hypergraphs._maximal_clique_masks
+        monkeypatch.setattr(hypergraphs, "_maximal_clique_masks",
+                            lambda g: searched.append(g) or engine(g))
+        for _ in range(40):
+            g = random_hypergraph(rng, 2, rng.randint(0, 6), rng.random())
+            searched.clear()
+            triangle_free_double(g)
+            assert searched == [g]
 
 
 class TestEncoding:

@@ -46,6 +46,7 @@ from patterna import (
     witness_trace_family,
 )
 from patterna.errors import PreconditionFailure
+from patterna.patterns import _bits
 from patterna.rand import (
     random_consistency_pattern,
     random_hypergraph as random_uniform_hypergraph,
@@ -520,7 +521,7 @@ def test_families_of_types_realize_exactly_those_types():
     for _ in range(200):
         n = rng.randint(0, 8)
         types = [rng.getrandbits(n) for _ in range(rng.randint(1, 70))]
-        fam = SetFamily._of_types(n, types)
+        fam = SetFamily._of_types(n, map(_bits, types))
         assert_as_public(fam)
         assert fam.universe_size == len(types)
         assert realized_types(fam) == {frozenset(i for i in range(n) if t >> i & 1) for t in types}
