@@ -71,8 +71,9 @@ def _targets(p: Pattern):
 
 
 def _verified(p: Pattern, types) -> Decision:
-    """The witness with one point per distinct type mask, in lexicographic index order, re-verified."""
-    witness = SetFamily._of_types(p.n, sorted(map(_bits, set(types))))
+    """The witness with one point per distinct type, each an iterable of
+    indices, in lexicographic index order, re-verified."""
+    witness = SetFamily._of_types(p.n, sorted({tuple(sorted(t)) for t in types}))
     report = check_exhibits(witness, p)
     if not report.ok:
         raise WitnessVerificationFailure(
@@ -94,15 +95,14 @@ def decide_exhibitable(p: Pattern) -> Decision:
     More than 2**PATTERN_INDICES_LOG2 indices (the witness's sets) are refused.
     """
     shared = CompiledCnf(p.n, _clause_codes(p))
-    types = []  # as masks
+    types = []  # as index sets
     for cond in _targets(p):
-        want, avoid = cond.pos_mask, cond.neg_mask
-        if any(t & want == want and not t & avoid for t in types):
+        if any(t.issuperset(cond.pos) and t.isdisjoint(cond.neg) for t in types):
             continue
         assignment = sat_solve(shared, assumptions=_literals(cond))
         if assignment is None:
             return Decision(False, None, cond)
-        types.append(subset_index(i for i in range(p.n) if assignment[i]))
+        types.append(frozenset(v for v, true in assignment.items() if true))
     return _verified(p, types)
 
 
@@ -126,4 +126,4 @@ def brute_force_exhibitable(p: Pattern) -> Decision:
         if found is None:
             return Decision(False, None, cond)
         types.append(found)
-    return _verified(p, types)
+    return _verified(p, map(_bits, types))

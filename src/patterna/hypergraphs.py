@@ -30,7 +30,7 @@ from .errors import (
     VerificationFailure,
 )
 from .patterns import Pattern, _bits, _canonical, classify, subset_index
-from .semantics import SetFamily, _columns, _tracer, _types, check_exhibits, encodes_hypergraph
+from .semantics import SetFamily, _columns, _tracer, check_exhibits, encodes_hypergraph
 
 
 @dataclass(frozen=True, init=False, repr=False)
@@ -419,13 +419,12 @@ def embedding_problems(a: WitnessStructure, b: WitnessStructure, e: Embedding) -
     problems += lengths or ranges
     if problems:
         return problems
-    # each source witness's type against its image's, read back through the parameter map
+    # each source pair (w, p) against its image's, one bit of the two structures' columns
     param_image = {v: i for i, v in enumerate(e.parameter_map)}
-    ta = _types(len(a.witness_points), len(a.parameter_points), a.r)
-    tb = _types(len(b.witness_points), len(b.parameter_points), b.r)
+    ca, cb = witness_trace_family(a).masks, witness_trace_family(b).masks
     for w, image in enumerate(e.witness_map):
-        pulled = subset_index(param_image[v] for v in _bits(tb[image]) if v in param_image)
-        problems.extend(f"relation not preserved/reflected at ({w},{p})" for p in _bits(ta[w] ^ pulled))
+        problems.extend(f"relation not preserved/reflected at ({w},{p})"
+                        for p, q in enumerate(e.parameter_map) if (ca[p] >> w ^ cb[q] >> image) & 1)
     for edge in a.hyperedges:
         if frozenset(e.parameter_map[p] for p in edge) not in b.hyperedges:
             problems.append(f"hyperedge {sorted(edge)} not preserved")
@@ -550,22 +549,19 @@ def triangle_free_double(g: Hypergraph) -> TriangleFreeDoubling:
     cliques = list(map(_bits, _submasks(maximal)))
     total = 2 * n + len(cliques)
 
-    edges = set()
+    edges = []  # as (lower, higher) vertex pairs
     for v, w in _non_edges(g):
-        edges.update((1 << v | 1 << n + w, 1 << w | 1 << n + v))
+        edges += (v, n + w), (w, n + v)
     for t, clique in enumerate(cliques):
-        witness = 1 << 2 * n + t
         for v in clique:
-            edges.update((witness | 1 << v, witness | 1 << n + v))
-    doubled = _canonical(Hypergraph, 2, total, frozenset(edges))
+            edges += (v, 2 * n + t), (n + v, 2 * n + t)
+    doubled = _canonical(Hypergraph, 2, total, frozenset(1 << u | 1 << v for u, v in edges))
 
     adjacency = [0] * total
-    for edge in doubled.masks:
-        u, v = _bits(edge)
+    for u, v in edges:
         adjacency[u] |= 1 << v
         adjacency[v] |= 1 << u
-    for edge in doubled.masks:
-        u, v = _bits(edge)
+    for u, v in edges:
         if adjacency[u] & adjacency[v]:
             common = (adjacency[u] & adjacency[v]).bit_length() - 1
             raise TriangleFound(f"triangle on {u}, {v}, {common}")

@@ -89,20 +89,15 @@ class SetFamily:
         return frozenset(range(self.universe_size))
 
 
-def _types(point_count: int, n: int, pairs) -> list[int]:
-    """Each point's type under a relation from points [0, point_count) to
-    indices [0, n), as a mask: bit i is set iff the point is related to i.
-    Pairs outside the two ranges are skipped."""
-    types = [0] * point_count
+def _columns(point_count: int, n: int, pairs) -> SetFamily:
+    """The columns of a relation from points [0, point_count) to indices
+    [0, n): set i holds the points related to i.  Pairs outside the two
+    ranges are skipped; no points give one point in no set."""
+    masks = [0] * n
     for point, i in pairs:
         if 0 <= point < point_count and 0 <= i < n:
-            types[point] |= 1 << i
-    return types
-
-
-def _columns(point_count: int, n: int, pairs) -> SetFamily:
-    """The columns of a relation, from its points' types: set i holds the points related to i."""
-    return SetFamily._of_types(n, map(_bits, _types(point_count, n, pairs)))
+            masks[i] |= 1 << point
+    return SetFamily._of_masks(max(point_count, 1), masks)
 
 
 def _tracer(fam: SetFamily):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import random
@@ -5,8 +6,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import patterna.decide
+import patterna.patterns
 from patterna import (
     EMPTY_CONDITION,
     CnfFormula,
@@ -18,6 +21,7 @@ from patterna import (
     check_exhibits,
     condition_cnf,
     decide_exhibitable,
+    gen_divline,
     pattern_from_cnf,
     sat_solve,
 )
@@ -184,6 +188,43 @@ class TestDecide:
         assert calls == [(Literal(0),)]
         assert decision.exhibitable and decision.witness.universe_size == 1
 
+    def test_types_stay_index_sets(self, monkeypatch):
+        # decide keeps each chosen type as an index set from the model to the
+        # witness: its skip test reads no Condition mask, and no type is
+        # packed into a mask or unpacked from one.  The re-verification is
+        # check_exhibits', whose type lookup reads the masks of complete
+        # patterns such as op, so reads inside it are not counted.
+        reads, verifying = [], []
+        get = patterna.patterns._Mask.__get__
+
+        def counting(self, cond, owner=None):
+            if cond is not None and not verifying:
+                reads.append(self.part)
+            return get(self, cond, owner)
+
+        def verified(fam, p):
+            verifying.append(p)
+            try:
+                return check_exhibits(fam, p)
+            finally:
+                verifying.pop()
+
+        def refused(*args):
+            raise AssertionError("decide converted a type between masks and indices")
+
+        monkeypatch.setattr(patterna.patterns._Mask, "__get__", counting)
+        monkeypatch.setattr(patterna.decide, "subset_index", refused)
+        monkeypatch.setattr(patterna.decide, "_bits", refused)
+        monkeypatch.setattr(patterna.decide, "check_exhibits", verified)
+        named = [gen_divline(kind, **params) for kind, params in (
+            ("op", {"n": 3}), ("ip", {"n": 3}), ("sop", {"n": 4}), ("cm", {"n": 2}),
+            ("ktp", {"b": 2, "d": 2, "k": 2}), ("tp1", {"b": 2, "d": 2}),
+            ("ktp2", {"b": 3, "d": 2, "k": 2}), ("cooper", {"n": 3}), ("pmchar", {"n": 3}))]
+        wide = Pattern(2**16, (((2**16 - 1,), ()),), ())
+        answers = [decide_exhibitable(p).exhibitable for p in (NO_POINT, UNION_SPLIT, *named, wide)]
+        assert reads == []
+        assert answers[0] is False and answers[1] is True and answers[-1] is True
+
     def test_exhibitable_iff_witness(self):
         rng = random.Random(2)
         for _ in range(150):
@@ -201,7 +242,7 @@ class TestDecide:
         p = Pattern(6, (cond([1], [0, 2, 3, 4, 5]), cond([0, 5], [1, 2, 3, 4])))
         for decision in (decide_exhibitable(p), brute_force_exhibitable(p)):
             assert decision.witness.masks == (0b01, 0b10, 0, 0, 0, 0b01)
-        for types in ([2, 33], [33, 2, 2], [2, 33, 33]):
+        for types in ([(1,), (0, 5)], [(0, 5), (1,), (1,)], [(1,), (0, 5), (0, 5)]):
             assert _verified(p, types).witness.masks == (0b01, 0b10, 0, 0, 0, 0b01)
 
     def test_deterministic_witness(self):
@@ -291,6 +332,90 @@ class TestSemanticOracle:
         for _ in range(150):
             p = random_pattern(rng, 3, 5)
             assert decide_exhibitable(p).exhibitable == family_search_exhibitable(p)
+
+
+@st.composite
+def planted_patterns(draw):
+    """(p, trapped): an n-pattern for n in 17..64, too wide for the brute-force
+    oracle, with its answer planted.  No inconsistency condition holds of 1-3
+    hidden types, and each consistency condition is realised by one of them,
+    so p is exhibitable unless it is trapped: then one more consistency
+    condition, realised by no hidden type, is extended by inconsistency
+    conditions on every split of 1-3 further indices, which leaves no type for it."""
+    n = draw(st.integers(17, 64))
+    index = st.integers(0, n - 1)
+    hidden = draw(st.lists(st.frozensets(index, max_size=n), min_size=1, max_size=3))
+
+    def part(indices):
+        return draw(st.frozensets(st.sampled_from(sorted(indices)), max_size=4)) if indices else frozenset()
+
+    def realised_by_none():
+        pos, neg = set(part(range(n))), set(part(range(n)))
+        neg -= pos
+        for h in hidden:
+            if h.issuperset(pos) and h.isdisjoint(neg):
+                i = draw(st.sampled_from(sorted(set(range(n)) - pos - neg)))
+                (neg if i in h else pos).add(i)
+        return pos, neg
+
+    consistency = []
+    for h in draw(st.lists(st.sampled_from(hidden), min_size=1, max_size=6)):
+        pos, neg = part(h), part(set(range(n)) - h)
+        if pos or neg:
+            consistency.append(Condition(tuple(pos), tuple(neg)))
+    inconsistency = [Condition(tuple(pos), tuple(neg))
+                     for pos, neg in (realised_by_none() for _ in range(draw(st.integers(0, 12))))]
+    trapped = draw(st.booleans())
+    if trapped:
+        pos, neg = realised_by_none()
+        consistency.append(Condition(tuple(pos), tuple(neg)))
+        rest = sorted(set(range(n)) - pos - neg)
+        split = draw(st.lists(st.sampled_from(rest), min_size=1, max_size=3, unique=True))
+        for signs in itertools.product((True, False), repeat=len(split)):
+            inconsistency.append(Condition(tuple(pos) + tuple(i for i, s in zip(split, signs) if s),
+                                           tuple(neg) + tuple(i for i, s in zip(split, signs) if not s)))
+    return Pattern(n, consistency, inconsistency), trapped
+
+
+def _renamed(p: Pattern, rename) -> Pattern:
+    """p with each condition's parts mapped by rename(pos, neg) -> (pos, neg)."""
+    return Pattern(p.n, *([Condition(*rename(c.pos, c.neg)) for c in side]
+                          for side in (p.consistency, p.inconsistency)))
+
+
+class TestMetamorphic:
+    """Relations between decisions above the brute-force bound, where no
+    oracle can scan the types."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(planted_patterns(), st.data())
+    def test_permutation_polarity_and_padding(self, planted, data):
+        p, trapped = planted
+        decision = decide_exhibitable(p)
+        assert decision.exhibitable is not trapped
+        n = p.n
+        # an index permutation σ: σ(p)'s witness, read back through σ, exhibits p
+        sigma = data.draw(st.permutations(range(n)))
+        permuted = decide_exhibitable(
+            _renamed(p, lambda pos, neg: ([sigma[i] for i in pos], [sigma[j] for j in neg])))
+        assert permuted.exhibitable is decision.exhibitable
+        if permuted.exhibitable:
+            w = permuted.witness
+            assert check_exhibits(SetFamily(w.universe_size, [w.sets[sigma[i]] for i in range(n)]), p).ok
+        # a polarity flip on S: the flipped pattern's witness, with its S-sets
+        # complemented, exhibits p
+        flip = data.draw(st.frozensets(st.integers(0, n - 1)))
+        flipped = decide_exhibitable(_renamed(p, lambda pos, neg: (
+            [i for i in pos if i not in flip] + [j for j in neg if j in flip],
+            [j for j in neg if j not in flip] + [i for i in pos if i in flip])))
+        assert flipped.exhibitable is decision.exhibitable
+        if flipped.exhibitable:
+            w = flipped.witness
+            assert check_exhibits(SetFamily(w.universe_size, [
+                w.universe - s if i in flip else s for i, s in enumerate(w.sets)]), p).ok
+        # padding by unused indices
+        padded = Pattern(n + data.draw(st.integers(1, 8)), p.consistency, p.inconsistency)
+        assert decide_exhibitable(padded).exhibitable is decision.exhibitable
 
 
 class TestReduction:
