@@ -3,12 +3,18 @@
 The solver is deliberately plain: unit propagation to a fixpoint, then every
 pure literal at once, repeated until neither applies; then branching on the
 lowest-index variable still occurring in an unsatisfied clause, trying True
-first.  It is iterative, with an explicit trail and decision stack and
-per-clause counters, so its depth is bounded by memory, not by Python's
-recursion limit.  sat_solve takes a CompiledCnf (clauses compiled once, for
-many solves) or a CnfFormula, and assumption literals, which act exactly
-like extra unit clauses.  The fixed strategy makes every produced assignment
-(and hence every synthesized witness downstream) bit-for-bit reproducible.
+first.  It is iterative, with an explicit trail and decision stack, so its
+depth is bounded by memory, not by Python's recursion limit.  It keeps only
+the counts it reads: each unassigned variable's literals count the
+unsatisfied clauses they occur in (pure literals and residual variables),
+and each unsatisfied clause counts its literals not yet false (units and
+conflicts).  An assigned variable's counts and a satisfied clause's count
+stay as they were when it was assigned or satisfied, which is what they are
+again when that step is undone.  sat_solve takes a CompiledCnf (clauses
+compiled once, for many solves) or a CnfFormula, and assumption literals,
+which act exactly like extra unit clauses.  The fixed strategy makes every
+produced assignment (and hence every synthesized witness downstream)
+bit-for-bit reproducible.
 """
 
 from __future__ import annotations
@@ -82,61 +88,60 @@ def _search(cnf: CompiledCnf, assumptions):
 
     Returns the value of each variable (None where the search assigned
     none), or None if the clauses are unsatisfiable under the assumptions.
-    Each clause counts its true literals and its literals not yet false, so
-    a clause is satisfied when the first count is nonzero, a unit when it is
-    not and the second count is 1, and a conflict when both are 0.  Each
-    literal counts the unsatisfied clauses it occurs in, which finds pure
-    literals and the residual variables.  The trail holds every assigned
-    literal; a decision records the trail length before it, so a conflict
-    undoes the trail back to the last decision still to be tried False.
-    Assumptions stay on the trail below every decision; unit propagation
-    reaches one fixpoint in any order, so they act as unit clauses would.
+    A clause is satisfied while it records the literal that first made it
+    true.  The counts the search reads are exact where it reads them:
+    - `live[lit]`, the unsatisfied clauses lit occurs in, while lit's
+      variable is unassigned; it finds pure literals and residual variables;
+    - `free_count[c]`, clause c's literals not yet false, while c is
+      unsatisfied; c is a unit when it is 1 and a conflict when it is 0.
+    An assigned variable's `live` and a satisfied clause's `free_count` are
+    left as they were when it was assigned or satisfied.  Undo is last in,
+    first out and runs assign's steps in reverse, clearing the value last,
+    so each is exact again when it is read again.  The trail holds every
+    assigned literal; a decision records the trail length before it, so a
+    conflict undoes the trail back to the last decision still to be tried
+    False.  Assumptions stay on the trail below every decision; unit
+    propagation reaches one fixpoint in any order, so they act as unit
+    clauses would.
     """
     variable_count, clauses, occurs = cnf.variable_count, cnf.clauses, cnf.occurs
-    true_count = [0] * len(clauses)
+    satisfier = [None] * len(clauses)  # the literal that first made each clause true
     free_count = cnf.free_count.copy()
     live = cnf.live.copy()
-    value = [None] * variable_count
+    end = 2 * variable_count
+    value = [None] * end  # of each literal: True, False or None
     trail = []
-    decisions = []  # (trail length before, variable, False branch taken)
+    decisions = []  # (trail length before, variable's positive literal, False branch taken)
     units = cnf.units.copy()
-    # Every pure variable is among these: a literal's count only reaches 0
-    # by a decrement, and the state a conflict returns to had no pure literal.
+    # Every pure variable is among these: an unassigned variable's count only
+    # reaches 0 by a decrement, and the state a conflict returns to had no
+    # pure literal.
     candidates = set(range(variable_count))
 
     def assign(lit):
         """Set lit true; returns True if some clause became empty."""
-        value[lit >> 1] = not lit & 1
+        value[lit], value[lit ^ 1] = True, False
         trail.append(lit)
         for c in occurs[lit]:
-            true_count[c] += 1
-            if true_count[c] == 1:
+            if satisfier[c] is None:
+                satisfier[c] = lit
                 for other in clauses[c]:
-                    count = live[other] - 1
-                    live[other] = count
-                    if not count:
-                        candidates.add(other >> 1)
+                    if value[other] is None:
+                        count = live[other] - 1
+                        live[other] = count
+                        if not count:
+                            candidates.add(other >> 1)
         conflict = False
         for c in occurs[lit ^ 1]:
-            free = free_count[c] - 1
-            free_count[c] = free
-            if free < 2 and not true_count[c]:
-                if free:
-                    units.append(c)
-                else:
-                    conflict = True
+            if satisfier[c] is None:
+                free = free_count[c] - 1
+                free_count[c] = free
+                if free < 2:
+                    if free:
+                        units.append(c)
+                    else:
+                        conflict = True
         return conflict
-
-    def unassign(lit):
-        value[lit >> 1] = None
-        for c in occurs[lit]:
-            count = true_count[c] - 1
-            true_count[c] = count
-            if not count:
-                for other in clauses[c]:
-                    live[other] += 1
-        for c in occurs[lit ^ 1]:
-            free_count[c] += 1
 
     def propagate():
         """Unit propagation to a fixpoint, then every pure literal at once,
@@ -144,46 +149,59 @@ def _search(cnf: CompiledCnf, assumptions):
         while True:
             while units:
                 c = units.pop()
-                if true_count[c] or free_count[c] != 1:
-                    continue
-                if assign(next(lit for lit in clauses[c] if value[lit >> 1] is None)):
-                    return True
+                if satisfier[c] is None and free_count[c] == 1:
+                    for lit in clauses[c]:
+                        if value[lit] is None:
+                            break
+                    if assign(lit):
+                        return True
             pures = []
             for v in candidates:
-                if value[v] is None and bool(live[2 * v]) != bool(live[2 * v + 1]):
-                    pures.append(2 * v if live[2 * v] else 2 * v + 1)
+                lit = 2 * v
+                if value[lit] is None and bool(live[lit]) != bool(live[lit + 1]):
+                    pures.append(lit if live[lit] else lit + 1)
             candidates.clear()
             if not pures:
                 return False
             for lit in pures:
                 assign(lit)  # a pure literal falsifies no unsatisfied clause
 
-    for lit in assumptions:  # conflict if the opposite literal is set or a clause empties
-        if value[lit >> 1] is bool(lit & 1) or value[lit >> 1] is None and assign(lit):
+    for lit in assumptions:  # conflict if the literal is false or a clause empties
+        if value[lit] is False or value[lit] is None and assign(lit):
             return None
     conflict = propagate()
     while True:
         while conflict:  # undo back to the last decision still to be tried False
             if not decisions:
                 return None
-            mark, v, flipped = decisions.pop()
-            while len(trail) > mark:
-                unassign(trail.pop())
+            mark, decided, flipped = decisions.pop()
+            for lit in reversed(trail[mark:]):  # assign's steps in reverse order
+                for c in occurs[lit ^ 1]:
+                    if satisfier[c] is None:
+                        free_count[c] += 1
+                for c in occurs[lit]:
+                    if satisfier[c] == lit:
+                        satisfier[c] = None
+                        for other in clauses[c]:
+                            if value[other] is None:
+                                live[other] += 1
+                value[lit] = value[lit ^ 1] = None
+            del trail[mark:]
             units.clear()
             candidates.clear()
             if not flipped:
-                decisions.append((mark, v, True))
-                conflict = assign(2 * v + 1) or propagate()
+                decisions.append((mark, decided, True))
+                conflict = assign(decided + 1) or propagate()
         # branch on the lowest residual variable, True first; every variable
         # below the last decision's is assigned or gone from the unsatisfied
         # clauses
-        v = decisions[-1][1] + 1 if decisions else 0
-        while v < variable_count and (value[v] is not None or not (live[2 * v] or live[2 * v + 1])):
-            v += 1
-        if v == variable_count:
-            return value
-        decisions.append((len(trail), v, False))
-        conflict = assign(2 * v) or propagate()
+        lit = decisions[-1][1] + 2 if decisions else 0
+        while lit < end and (value[lit] is not None or not (live[lit] or live[lit + 1])):
+            lit += 2
+        if lit == end:
+            return value[::2]
+        decisions.append((len(trail), lit, False))
+        conflict = assign(lit) or propagate()
 
 
 def sat_solve(formula: CnfFormula | CompiledCnf, assumptions=()) -> dict[int, bool] | None:

@@ -417,6 +417,23 @@ class TestMetamorphic:
         padded = Pattern(n + data.draw(st.integers(1, 8)), p.consistency, p.inconsistency)
         assert decide_exhibitable(padded).exhibitable is decision.exhibitable
 
+    @settings(max_examples=100, deadline=None)
+    @given(planted_patterns(), st.data())
+    def test_monotone_in_each_side(self, planted, data):
+        # fewer inconsistency conditions forbid fewer types, and more
+        # consistency conditions ask for more of them
+        p, trapped = planted
+        if trapped:
+            index = st.integers(0, p.n - 1)
+            pos, neg = data.draw(st.tuples(st.frozensets(index, max_size=4),
+                                           st.frozensets(index, max_size=4)).filter(any))
+            more = Pattern(p.n, p.consistency + (Condition(tuple(pos), tuple(neg)),), p.inconsistency)
+            assert not decide_exhibitable(more).exhibitable
+        else:
+            for i in range(len(p.inconsistency)):
+                fewer = Pattern(p.n, p.consistency, p.inconsistency[:i] + p.inconsistency[i + 1:])
+                assert decide_exhibitable(fewer).exhibitable
+
 
 class TestReduction:
     def test_reduction_matches_truth_table(self):

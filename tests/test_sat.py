@@ -68,6 +68,25 @@ class TestSolve:
             f = random_cnf(rng, variables, rng.randint(0, 3 * variables + 3), rng.randint(1, 4))
             assert sat_solve(f) == dpll_reference(f), f
 
+    def test_same_assignment_as_recursive_reference_on_3_sat_under_assumptions(self):
+        # three distinct variables per clause and 3-5 clauses per variable
+        # reach deep undo chains with many clauses satisfied twice over, which
+        # is where a count kept wrong through an undo changes the next pure
+        # literal or unit
+        rng = random.Random(2104)
+        for _ in range(300):
+            variables = rng.randint(10, 24)
+            clauses = tuple(
+                tuple(lit(v, rng.random() < 0.5) for v in rng.sample(range(variables), 3))
+                for _ in range(round(variables * rng.uniform(3, 5)))
+            )
+            f = CnfFormula(variables, clauses)
+            assumptions = [
+                lit(rng.randrange(variables), rng.random() < 0.5) for _ in range(rng.randint(0, 2))
+            ]
+            with_units = CnfFormula(variables, clauses + tuple((a,) for a in assumptions))
+            assert sat_solve(f, assumptions=assumptions) == dpll_reference(with_units), (f, assumptions)
+
     def test_assumptions_act_as_unit_clauses(self):
         rng = random.Random(5)
         for _ in range(300):
