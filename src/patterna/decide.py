@@ -6,10 +6,10 @@ there are no consistency conditions at all, some complete type must still
 exist to populate the mandatory nonempty universe (the "sentinel" instance).
 decide_exhibitable compiles the inconsistency clauses, shared by every such
 question, once per pattern and solves each question under the condition's
-literals as assumptions; a condition that a type already chosen realises
-(pos inside it, neg outside it) needs no solve.  The chosen types make the
-witness family, re-verified before returning.  A brute-force scanner with
-the same contract serves as the independent oracle.
+literals as assumptions.  The witness grows as column masks, one point per
+solve, and a condition it already traces needs no solve.  The witness is
+re-verified before returning.  A brute-force scanner with the same contract
+serves as the independent oracle.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .bounds import BRUTE_FORCE_N, PATTERN_INDICES_LOG2, check_bound
 from .errors import WitnessVerificationFailure
 from .patterns import Condition, Pattern, _bits, subset_index
 from .sat import CnfFormula, CompiledCnf, Literal, sat_solve
-from .semantics import SetFamily, check_exhibits
+from .semantics import SetFamily, _tracer, check_exhibits
 
 #: Sentinel for the "universe is nonempty" instance solved when C = ∅.  Not a
 #: legal pattern condition; only ever appears as a Decision's failing marker.
@@ -42,15 +42,15 @@ def _literals(cond: Condition) -> list[Literal]:
     return [Literal(i) for i in cond.pos] + [Literal(j, True) for j in cond.neg]
 
 
-def _clause_codes(p: Pattern) -> list[tuple[int, ...]]:
-    """p's inconsistency clauses as normal-form literal codes: (Z+, Z-) gives
-    (OR of not-i for i in Z+) or (OR of j for j in Z-), and is dropped as a
-    tautology when its parts overlap, since its trace is always empty.  A
-    canonical side gives distinct clauses, so sorting is all that is left.
+def _clause_codes(p: Pattern) -> list[list[int]]:
+    """p's inconsistency clauses as literal codes, in p's order: (Z+, Z-)
+    gives (OR of not-i for i in Z+) or (OR of j for j in Z-), and is dropped
+    as a tautology when its parts overlap, since its trace is always empty.
+    The search's answer does not depend on the order; CnfFormula normalises.
     More than 2**PATTERN_INDICES_LOG2 variables are refused."""
     check_bound(p.n, PATTERN_INDICES_LOG2, "n={size} exceeds the pattern index bound {limit}", log2=True)
-    return sorted(tuple(sorted([2 * i + 1 for i in z.pos] + [2 * j for j in z.neg]))
-                  for z in p.inconsistency if set(z.pos).isdisjoint(z.neg))
+    return [[2 * i + 1 for i in z.pos] + [2 * j for j in z.neg]
+            for z in p.inconsistency if set(z.pos).isdisjoint(z.neg)]
 
 
 def condition_cnf(p: Pattern, cond: Condition = EMPTY_CONDITION) -> CnfFormula:
@@ -70,40 +70,40 @@ def _targets(p: Pattern):
     return p.consistency if p.consistency else (EMPTY_CONDITION,)
 
 
-def _verified(p: Pattern, types) -> Decision:
-    """The witness with one point per distinct type, each an iterable of
-    indices, in lexicographic index order, re-verified."""
-    witness = SetFamily._of_types(p.n, sorted({tuple(sorted(t)) for t in types}))
+def _verified(p: Pattern, witness: SetFamily) -> Decision:
+    """The decision for witness, re-verified against p."""
     report = check_exhibits(witness, p)
     if not report.ok:
-        raise WitnessVerificationFailure(
-            f"synthesized witness fails re-verification: {report}"
-        )
+        raise WitnessVerificationFailure(f"synthesized witness fails re-verification: {report}")
     return Decision(True, witness, None)
 
 
 def decide_exhibitable(p: Pattern) -> Decision:
     """Decide exhibitability; on yes, synthesize and re-verify a witness.
 
-    The clauses of condition_cnf(p) are encoded and compiled once.  Each
-    consistency condition in canonical order (the sentinel when there are
-    none) is skipped if a type already chosen realises it, and otherwise
-    solved as assumptions on the compiled clauses.  A skipped condition is
-    satisfiable, so the first failing condition is the first unsatisfiable
-    one.  The witness universe is the set of chosen complete types, one
-    point each.  Deterministic end to end; nothing is kept between calls.
-    More than 2**PATTERN_INDICES_LOG2 indices (the witness's sets) are refused.
+    The clauses of condition_cnf(p) are compiled once, and the witness grows
+    as p.n column masks.  Each consistency condition in canonical order (the
+    sentinel when there are none) is skipped if the witness so far traces
+    it, and otherwise solved as assumptions; the model's true indices make a
+    new point.  So the first failing condition is the first unsatisfiable
+    one, and point k is the type chosen by the k-th solve, which no earlier
+    point has.  Deterministic; nothing is kept between calls.  More than
+    2**PATTERN_INDICES_LOG2 indices (the witness's sets) are refused.
     """
     shared = CompiledCnf(p.n, _clause_codes(p))
-    types = []  # as index sets
+    masks, trace, bit = [0] * p.n, None, 1  # the witness's columns, its tracer, the next point's bit
     for cond in _targets(p):
-        if any(t.issuperset(cond.pos) and t.isdisjoint(cond.neg) for t in types):
+        if trace and trace(cond.pos, cond.neg):
             continue
         assignment = sat_solve(shared, assumptions=_literals(cond))
         if assignment is None:
             return Decision(False, None, cond)
-        types.append(frozenset(v for v, true in assignment.items() if true))
-    return _verified(p, types)
+        for v, true in assignment.items():
+            if true:
+                masks[v] |= bit
+        witness = SetFamily._of_masks(bit.bit_length(), masks)
+        trace, bit = _tracer(witness), bit << 1
+    return _verified(p, witness)
 
 
 def brute_force_exhibitable(p: Pattern) -> Decision:
@@ -126,4 +126,4 @@ def brute_force_exhibitable(p: Pattern) -> Decision:
         if found is None:
             return Decision(False, None, cond)
         types.append(found)
-    return _verified(p, map(_bits, types))
+    return _verified(p, SetFamily._of_types(p.n, map(_bits, dict.fromkeys(types))))

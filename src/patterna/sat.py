@@ -68,7 +68,7 @@ class CnfFormula:
 
 
 class CompiledCnf:
-    """Normal-form clauses of literal codes, compiled once for many solves:
+    """Clauses of literal codes in any order, compiled once for many solves:
     each literal's occurrence list and the counts a search starts from."""
 
     def __init__(self, variable_count: int, clauses):

@@ -95,6 +95,18 @@ CNFS = {
 }
 
 
+#: Pattern documents decided as written.  Their witnesses list the points in
+#: choice order, which is not the lexicographic order of the types' index
+#: lists: choice2's first solve chooses {1} and its second {0, 1};
+#: choice-pool5 is a random-small pattern of the decide benchmark pool of
+#: seed 22102.
+DOCUMENTS = {
+    "choice2": {"n": 2, "consistency": [[[], [0]], [[0], []]], "inconsistency": []},
+    "choice-pool5": {"n": 5, "consistency": [[[], [0, 2]], [[0, 1, 3], [4]], [[1], [3, 4]]],
+                     "inconsistency": []},
+}
+
+
 def _cnf_document(variables, clauses):
     formula = CnfFormula(
         variables, tuple(tuple(Literal(abs(lit) - 1, lit < 0) for lit in c) for c in clauses)
@@ -152,6 +164,10 @@ def corpus(directory):
     for name, (variables, clauses) in CNFS.items():
         path = directory / f"{name}.json"
         path.write_text(_cnf_document(variables, clauses))
+        commands.append((f"decide {name}", ["decide", str(path), "--witness"]))
+    for name, doc in DOCUMENTS.items():
+        path = directory / f"{name}.json"
+        path.write_text(json.dumps(doc))
         commands.append((f"decide {name}", ["decide", str(path), "--witness"]))
     for args in GENERATED:
         commands.append((f"generate {args}", ["generate", *args.split()]))
@@ -224,6 +240,8 @@ PINNED = {
     "decide xor200": [0, "ce418cfb1915458669596faf2b9804596d06dadda782c51bbfc7669f732509a0"],
     "decide implies150": [0, "0b1732a6f4686fb4508edcb9ea58059be2425d2b7a09254bef437036d2bcecc5"],
     "decide planted40": [0, "7d26894a9501a1e3bff9cdb10c0649e9b90f452ecc61921ed06babae34c5497e"],
+    "decide choice2": [0, "7e48fc6c34dc8366bb8e653b02b28c90d48d982363d87f25a88464d5ef96e6a2"],
+    "decide choice-pool5": [0, "cebfd04369ce5b8dc7b64ce511c717767654e857a3ece4f09e72a689b201a9c6"],
     "generate cooper --n 2": [0, "7a0dfa91ee174fca3e25c6528d30b46c0edeee856a30641daef16f999c80526a"],
     "generate pmchar --n 2": [0, "b4e9dad1c8f0c964a49aaf60932cbce7016c1efeb95550c618d41e88c47f477a"],
     "generate pmchar --n 3": [0, "f4485e5c7a5ef4d2440c454e20690770427b901441488679e6b73b2e1ae6cbb0"],

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,19 +15,21 @@ from patterna import (
     EMPTY_CONDITION,
     CnfFormula,
     Condition,
+    Decision,
     Literal,
     Pattern,
     SetFamily,
     brute_force_exhibitable,
     check_exhibits,
     condition_cnf,
+    condition_trace,
     decide_exhibitable,
     gen_divline,
     pattern_from_cnf,
     sat_solve,
 )
 from patterna.bounds import ENV_VAR
-from patterna.errors import BoundExceeded
+from patterna.errors import BoundExceeded, WitnessVerificationFailure
 from patterna.rand import random_condition
 
 from patterna.decide import _clause_codes, _literals, _verified
@@ -45,6 +48,13 @@ from conftest import (
 
 def cond(pos, neg=()):
     return Condition(tuple(pos), tuple(neg))
+
+
+#: one small pattern of each gen_divline kind
+NAMED_DIVLINE = [gen_divline(kind, **params) for kind, params in (
+    ("op", {"n": 3}), ("ip", {"n": 3}), ("sop", {"n": 4}), ("cm", {"n": 2}),
+    ("ktp", {"b": 2, "d": 2, "k": 2}), ("tp1", {"b": 2, "d": 2}),
+    ("ktp2", {"b": 3, "d": 2, "k": 2}), ("cooper", {"n": 3}), ("pmchar", {"n": 3}))]
 
 
 class TestConditionCnf:
@@ -98,8 +108,9 @@ def messy_pattern(rng):
 
 class TestCompiledClauses:
     def test_codes_are_cnf_normal_form(self):
-        # the clauses built literal by literal and normalised by CnfFormula,
-        # as codes 2 * variable + negated
+        # sorted, the clauses are the ones built literal by literal and
+        # normalised by CnfFormula, as codes 2 * variable + negated; the
+        # search does not depend on their order, so they keep the pattern's
         rng = random.Random(17)
         for _ in range(300):
             p = messy_pattern(rng)
@@ -112,7 +123,7 @@ class TestCompiledClauses:
             )
             codes = tuple(tuple(2 * l.variable + l.negated for l in c) for c in formula.clauses)
             compiled = CompiledCnf(p.n, _clause_codes(p))
-            assert compiled.clauses == codes
+            assert tuple(sorted(tuple(sorted(c)) for c in compiled.clauses)) == codes
             # one clause per condition with disjoint parts, none tautological
             disjoint = [z for z in p.inconsistency if set(z.pos).isdisjoint(z.neg)]
             assert len(compiled.clauses) == len(disjoint)
@@ -189,8 +200,8 @@ class TestDecide:
         assert decision.exhibitable and decision.witness.universe_size == 1
 
     def test_types_stay_index_sets(self, monkeypatch):
-        # decide keeps each chosen type as an index set from the model to the
-        # witness: its skip test reads no Condition mask, and no type is
+        # decide sets each model's true indices straight into the witness's
+        # columns: its skip test reads no Condition mask, and no type is
         # packed into a mask or unpacked from one.  The re-verification is
         # check_exhibits', whose type lookup reads the masks of complete
         # patterns such as op, so reads inside it are not counted.
@@ -216,12 +227,8 @@ class TestDecide:
         monkeypatch.setattr(patterna.decide, "subset_index", refused)
         monkeypatch.setattr(patterna.decide, "_bits", refused)
         monkeypatch.setattr(patterna.decide, "check_exhibits", verified)
-        named = [gen_divline(kind, **params) for kind, params in (
-            ("op", {"n": 3}), ("ip", {"n": 3}), ("sop", {"n": 4}), ("cm", {"n": 2}),
-            ("ktp", {"b": 2, "d": 2, "k": 2}), ("tp1", {"b": 2, "d": 2}),
-            ("ktp2", {"b": 3, "d": 2, "k": 2}), ("cooper", {"n": 3}), ("pmchar", {"n": 3}))]
         wide = Pattern(2**16, (((2**16 - 1,), ()),), ())
-        answers = [decide_exhibitable(p).exhibitable for p in (NO_POINT, UNION_SPLIT, *named, wide)]
+        answers = [decide_exhibitable(p).exhibitable for p in (NO_POINT, UNION_SPLIT, *NAMED_DIVLINE, wide)]
         assert reads == []
         assert answers[0] is False and answers[1] is True and answers[-1] is True
 
@@ -237,13 +244,64 @@ class TestDecide:
 
     def test_witness_points_follow_the_lexicographic_type_order(self):
         # the types {1} (mask 2) and {0, 5} (mask 33) are both forced; the
-        # witness lists {0, 5} first, as sorted index lists order them,
-        # though integer order of the masks would put {1} first
+        # witness lists {0, 5} first, since its condition comes first in
+        # canonical order, which here is also how sorted index lists order
+        # the types, though integer order of the masks would put {1} first
         p = Pattern(6, (cond([1], [0, 2, 3, 4, 5]), cond([0, 5], [1, 2, 3, 4])))
         for decision in (decide_exhibitable(p), brute_force_exhibitable(p)):
             assert decision.witness.masks == (0b01, 0b10, 0, 0, 0, 0b01)
-        for types in ([(1,), (0, 5)], [(0, 5), (1,), (1,)], [(1,), (0, 5), (0, 5)]):
-            assert _verified(p, types).witness.masks == (0b01, 0b10, 0, 0, 0, 0b01)
+        witness = SetFamily._of_types(6, [(0, 5), (1,)])
+        assert _verified(p, witness) == Decision(True, witness, None)
+        with pytest.raises(WitnessVerificationFailure):
+            _verified(p, SetFamily._of_types(6, [(0, 5)]))
+
+    def test_points_keep_choice_order(self, monkeypatch):
+        # point k is the type solved for the first condition, in canonical
+        # order, that points 0..k-1 do not trace, and there is one point per
+        # solve; choice2 puts {1} first, though the lexicographic order of
+        # the types' index lists would put {0, 1} first
+        solves = []
+
+        def counting(*args, **kwargs):
+            solves.append(args)
+            return sat_solve(*args, **kwargs)
+
+        monkeypatch.setattr(patterna.decide, "sat_solve", counting)
+        choice2 = Pattern(2, (cond([], [0]), cond([0])))
+        assert decide_exhibitable(choice2).witness.masks == (0b10, 0b11)
+        rng = random.Random(2202)
+        patterns = [choice2, *NAMED_DIVLINE, *(random_pattern(rng, rng.randint(0, 7), 8) for _ in range(400))]
+        exhibitable = 0
+        for p in patterns:
+            solves.clear()
+            decision = decide_exhibitable(p)
+            if not decision.exhibitable:
+                continue
+            exhibitable += 1
+            fam = decision.witness
+            assert fam.universe_size == len(solves)
+            traces = [condition_trace(fam, c) for c in p.consistency or (EMPTY_CONDITION,)]
+            for k in range(fam.universe_size):
+                assert k in next(t for t in traces if min(t) >= k), (p, k)
+        assert exhibitable > 150
+
+    def test_peak_memory_follows_the_witness_not_the_types(self):
+        # each pair condition needs a solve of its own, and its model sets
+        # about n indices true; the witness keeps them as n small column
+        # masks, so eight conditions peak little above one (a type kept as a
+        # set of its indices would add about 1 MiB per condition here)
+        n = 2**14
+
+        def peak(k):
+            p = Pattern(n, tuple(cond([n - 1 - i], [n - 2 - i]) for i in range(k)))
+            tracemalloc.start()
+            try:
+                assert decide_exhibitable(p).witness.universe_size == k
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(8) - peak(1) < 3 * 2**20
 
     def test_deterministic_witness(self):
         rng = random.Random(4)
@@ -270,6 +328,12 @@ class TestBruteForce:
             brute_force_exhibitable(Pattern(17))
         monkeypatch.setenv(ENV_VAR, "17")
         assert brute_force_exhibitable(Pattern(17)).exhibitable
+
+    def test_one_point_per_distinct_type(self):
+        # ({0}, ∅) and ({0}, {1}) share their least type {0}, which gets one
+        # point, where it is first chosen
+        p = Pattern(2, (cond([0]), cond([0], [1]), cond([1])))
+        assert brute_force_exhibitable(p).witness.masks == (0b01, 0b10)
 
     def test_random_agreement_up_to_six(self):
         rng = random.Random(6)

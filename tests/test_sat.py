@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from patterna import CnfFormula, Literal, export_dimacs, import_dimacs, sat_solve
 from patterna.errors import IndexOutOfRange, ParseError
-from patterna.sat import CompiledCnf
+from patterna.sat import CompiledCnf, _search
 
 from conftest import dpll_reference, random_cnf, truth_table_sat
 
@@ -86,6 +86,21 @@ class TestSolve:
             ]
             with_units = CnfFormula(variables, clauses + tuple((a,) for a in assumptions))
             assert sat_solve(f, assumptions=assumptions) == dpll_reference(with_units), (f, assumptions)
+
+    def test_search_does_not_depend_on_clause_or_literal_order(self):
+        # decide compiles its clauses in the pattern's order, not in
+        # CnfFormula's normal form, so the search must give the same values
+        # whatever the order of the clauses and of the literals in each
+        rng = random.Random(2201)
+        for _ in range(300):
+            variables = rng.randint(1, 12)
+            f = random_cnf(rng, variables, rng.randint(0, 3 * variables + 3), rng.randint(1, 4))
+            codes = [[2 * l.variable + l.negated for l in c] for c in f.clauses]
+            assumptions = [rng.randrange(2 * variables) for _ in range(rng.randint(0, 2))]
+            shuffled = [rng.sample(c, len(c)) for c in codes]
+            rng.shuffle(shuffled)
+            expected = _search(CompiledCnf(variables, codes), assumptions)
+            assert _search(CompiledCnf(variables, shuffled), assumptions) == expected, (f, assumptions)
 
     def test_assumptions_act_as_unit_clauses(self):
         rng = random.Random(5)
