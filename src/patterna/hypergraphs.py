@@ -273,9 +273,11 @@ class WitnessStructure:
     from witnesses to parameters, and hyperedges on the parameter sort only.
 
     The defining universal axiom: for every hyperedge E and witness x, not all
-    of r(x, p), p in E, hold.  Structures are not validated on construction
-    (deliberately, so broken ones can be fed to check_axioms); the builders
-    below always validate their output.
+    of r(x, p), p in E, hold.  Construction refuses only a relation entry
+    that is not an int; structures are not otherwise validated on
+    construction (deliberately, so broken ones, out-of-range pairs
+    included, can be fed to check_axioms); the builders below always
+    validate their output.
     """
 
     witness_points: tuple[str, ...]
@@ -287,7 +289,12 @@ class WitnessStructure:
     def __post_init__(self):
         object.__setattr__(self, "witness_points", tuple(self.witness_points))
         object.__setattr__(self, "parameter_points", tuple(self.parameter_points))
-        object.__setattr__(self, "r", frozenset((int(w), int(p)) for w, p in self.r))
+        pairs = [(w, p) for w, p in self.r]
+        for pair in pairs:  # as written: frozenset() would drop a (0, True) beside a (0, 1)
+            for v in pair:
+                if type(v) is not int:
+                    raise IndexOutOfRange(f"relation entry {v!r} is not an integer")
+        object.__setattr__(self, "r", frozenset(pairs))
         object.__setattr__(self, "hyperedges", frozenset(frozenset(e) for e in self.hyperedges))
 
 

@@ -8,6 +8,7 @@ always produce byte-identical documents.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 
 from .decide import Decision
 from .errors import ParseError, PatternaError
@@ -17,7 +18,50 @@ from .semantics import SetFamily
 
 
 def dumps_canonical(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """json.dumps(payload, sort_keys=True, indent=2) + "\n", byte for byte.
+    json's indented encoder is pure Python; this writes the common types
+    directly and hands any other value to json.dumps."""
+    out = []
+    _write(payload, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(value, newline: str, out: list) -> None:
+    """Append value's JSON to out; newline is a line break plus the indent
+    of the line value starts on."""
+    kind = type(value)
+    if kind is list or kind is tuple:
+        inner = newline + "  "
+        if not value:
+            out.append("[]")
+        elif all(type(item) is int for item in value):
+            out.append(f"[{inner}{(',' + inner).join(map(str, value))}{newline}]")
+        else:
+            separator = "[" + inner
+            for item in value:
+                out.append(separator)
+                _write(item, inner, out)
+                separator = "," + inner
+            out.append(newline + "]")
+    elif kind is str:
+        out.append(encode_basestring_ascii(value))
+    elif kind is bool:
+        out.append("true" if value else "false")
+    elif kind is int:
+        out.append(str(value))
+    elif value is None:
+        out.append("null")
+    elif kind is dict and all(type(key) is str for key in value):
+        inner = newline + "  "
+        separator = "{" + inner
+        for key in sorted(value):
+            out.append(f"{separator}{encode_basestring_ascii(key)}: ")
+            _write(value[key], inner, out)
+            separator = "," + inner
+        out.append(newline + "}" if value else "{}")
+    else:  # floats, subclasses, non-string keys
+        out.append(json.dumps(value, sort_keys=True, indent=2).replace("\n", newline))
 
 
 def _require_integers(value, name: str) -> None:

@@ -10,7 +10,13 @@ unsatisfied clauses they occur in (pure literals and residual variables),
 and each unsatisfied clause counts its literals not yet false (units and
 conflicts).  An assigned variable's counts and a satisfied clause's count
 stay as they were when it was assigned or satisfied, which is what they are
-again when that step is undone.  sat_solve takes a CompiledCnf (clauses
+again when that step is undone.  Once some node has failed (both of its
+branches), it also caches residual formulas (formula caching): each node's
+key is the OR, over the trail, of each literal's clause bits and variable
+bit, which fixes the unsatisfied clauses and their unassigned literals, and
+a state whose key belongs to a node that failed is a conflict.  The DPLL is
+complete, so such a state has no model, and skipping it leaves every
+returned assignment as it was.  sat_solve takes a CompiledCnf (clauses
 compiled once, for many solves) or a CnfFormula, and assumption literals,
 which act exactly like extra unit clauses.  The fixed strategy makes every
 produced assignment (and hence every synthesized witness downstream)
@@ -21,6 +27,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 from .errors import IndexOutOfRange, ParseError
 
@@ -83,6 +91,24 @@ class CompiledCnf:
         self.has_empty = 0 in self.free_count
 
 
+class _Marks(dict):
+    """Each literal's key bits, built on first use: bit c for each clause c
+    it satisfies and, when its variable occurs in some clause, bit
+    len(clauses) + variable."""
+
+    def __init__(self, cnf: CompiledCnf):
+        super().__init__()
+        self.occurs, self.base = cnf.occurs, len(cnf.clauses)
+
+    def __missing__(self, lit):
+        occurs = self.occurs
+        mark = sum(map((1).__lshift__, occurs[lit]))
+        if mark or occurs[lit ^ 1]:
+            mark |= 1 << (self.base + (lit >> 1))
+        self[lit] = mark
+        return mark
+
+
 def _search(cnf: CompiledCnf, assumptions):
     """Iterative DPLL over cnf with the literal codes `assumptions` set first.
 
@@ -103,6 +129,21 @@ def _search(cnf: CompiledCnf, assumptions):
     False.  Assumptions stay on the trail below every decision; unit
     propagation reaches one fixpoint in any order, so they act as unit
     clauses would.
+
+    A node is a state at a propagation fixpoint where the search branches.
+    Its key, the OR of `marks` over the trail, is the set of satisfied
+    clauses plus the set of assigned variables that occur in some clause,
+    so it fixes the residual formula: the unsatisfied clauses, each cut to
+    its unassigned literals.  When both branches of a node fail, its key
+    goes into `failed`; the DPLL is complete, so that residual formula has
+    no model, and a later state whose key is in `failed` is treated as a
+    conflict.  Only subtrees with no model are skipped, so the first model,
+    and hence the returned values, stay those of the plain search.  No key
+    is built before the first node fails, so a solve that never fails pays
+    for none; that node and the nodes on the decision stack then get theirs
+    in one pass along the trail, and each later node extends its parent's
+    key over the trail since the parent and keeps it with the decision
+    pushed from it.
     """
     variable_count, clauses, occurs = cnf.variable_count, cnf.clauses, cnf.occurs
     satisfier = [None] * len(clauses)  # the literal that first made each clause true
@@ -111,7 +152,11 @@ def _search(cnf: CompiledCnf, assumptions):
     end = 2 * variable_count
     value = [None] * end  # of each literal: True, False or None
     trail = []
-    decisions = []  # (trail length before, variable's positive literal, False branch taken)
+    # (trail length before, variable's positive literal, False branch taken,
+    # node key or None before the first failed node)
+    decisions = []
+    failed = set()  # keys of nodes whose two branches both failed
+    marks = None  # each literal's key bits, from the first failed node on
     units = cnf.units.copy()
     # Every pure variable is among these: an unassigned variable's count only
     # reaches 0 by a decrement, and the state a conflict returns to had no
@@ -166,6 +211,10 @@ def _search(cnf: CompiledCnf, assumptions):
             for lit in pures:
                 assign(lit)  # a pure literal falsifies no unsatisfied clause
 
+    def extend(key, start, stop=None):
+        """key ORed with the marks of trail[start:stop]."""
+        return reduce(or_, map(marks.__getitem__, trail[start:stop]), key)
+
     for lit in assumptions:  # conflict if the literal is false or a clause empties
         if value[lit] is False or value[lit] is None and assign(lit):
             return None
@@ -174,7 +223,7 @@ def _search(cnf: CompiledCnf, assumptions):
         while conflict:  # undo back to the last decision still to be tried False
             if not decisions:
                 return None
-            mark, decided, flipped = decisions.pop()
+            mark, decided, flipped, key = decisions.pop()
             for lit in reversed(trail[mark:]):  # assign's steps in reverse order
                 for c in occurs[lit ^ 1]:
                     if satisfier[c] is None:
@@ -189,8 +238,17 @@ def _search(cnf: CompiledCnf, assumptions):
             del trail[mark:]
             units.clear()
             candidates.clear()
-            if not flipped:
-                decisions.append((mark, decided, True))
+            if flipped:
+                if marks is None:  # the first failed node: key it and the stack
+                    marks, key, start = _Marks(cnf), 0, 0
+                    for i, (stop, branch, tried, _) in enumerate(decisions):
+                        key = extend(key, start, stop)
+                        decisions[i] = stop, branch, tried, key
+                        start = stop
+                    key = extend(key, start)
+                failed.add(key)
+            else:
+                decisions.append((mark, decided, True, key))
                 conflict = assign(decided + 1) or propagate()
         # branch on the lowest residual variable, True first; every variable
         # below the last decision's is assigned or gone from the unsatisfied
@@ -200,7 +258,14 @@ def _search(cnf: CompiledCnf, assumptions):
             lit += 2
         if lit == end:
             return value[::2]
-        decisions.append((len(trail), lit, False))
+        key = None
+        if failed:
+            start, _, _, key = decisions[-1] if decisions else (0, 0, 0, 0)
+            key = extend(key, start)
+            if key in failed:
+                conflict = True
+                continue
+        decisions.append((len(trail), lit, False, key))
         conflict = assign(lit) or propagate()
 
 

@@ -69,6 +69,10 @@ REFUSALS = [
      MalformedUnionMap, "threshold must be at least 1"),
     ("hypergraph vertex out of range", lambda: Hypergraph(2, 2, [(0, 2)]),
      IndexOutOfRange, "vertex 2 outside [0, 2)"),
+    ("witness structure relation entry a float", lambda: WitnessStructure(("w",), ("p",), {(0.7, 0)}, ()),
+     IndexOutOfRange, "relation entry 0.7 is not an integer"),
+    ("witness structure relation entry a bool", lambda: WitnessStructure(("w",), ("p",), [(0, 1), (0, True)], ()),
+     IndexOutOfRange, "relation entry True is not an integer"),
     ("witness structure from an int", lambda: build_witness_structure(42),
      UnsupportedParams, "cannot build a witness structure from int"),
     ("pattern data a list", lambda: validate_pattern([]),

@@ -1,3 +1,4 @@
+import json
 import random
 import re
 
@@ -18,6 +19,27 @@ def test_pattern_round_trip():
     for _ in range(40):
         p = random_pattern(rng, rng.randint(0, 5), 6)
         assert jsonio.pattern_from_dict(jsonio.pattern_to_dict(p)) == p
+
+
+_payload_text = st.text(st.sampled_from('"\\/\n\t\x00\x1f\x7f aé\u2028中😀') | st.characters())
+_payloads = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**70), 2**70) | st.floats() | _payload_text,
+    lambda children: (
+        st.lists(children, max_size=5)
+        | st.lists(children, max_size=5).map(tuple)
+        | st.lists(st.integers(-5, 2**40), max_size=5)
+        | st.dictionaries(_payload_text, children, max_size=5)
+        | st.dictionaries(st.integers(-3, 3), children, max_size=3)
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_payloads)
+@example({"b": [[0, 1], [], (2,)], "a": {"": [True, False, None, -1]}, "c": ()})
+def test_dumps_canonical_matches_json_dumps(payload):
+    assert jsonio.dumps_canonical(payload) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def test_pattern_serialization_byte_stable():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from patterna import CnfFormula, Literal, export_dimacs, import_dimacs, sat_solve
 from patterna.errors import IndexOutOfRange, ParseError
-from patterna.sat import CompiledCnf, _search
+from patterna.sat import CompiledCnf, _Marks, _search
 
 from conftest import dpll_reference, random_cnf, truth_table_sat
 
@@ -101,6 +102,44 @@ class TestSolve:
             rng.shuffle(shuffled)
             expected = _search(CompiledCnf(variables, codes), assumptions)
             assert _search(CompiledCnf(variables, shuffled), assumptions) == expected, (f, assumptions)
+
+    def test_same_assignment_as_recursive_reference_where_residuals_repeat(self):
+        # PHP(h + 1, h) reaches one residual formula in many orders, which
+        # random 3-SAT rarely does, so the search prunes states whose residual
+        # formula already failed.  Its clauses are widened by not-s, where s is
+        # variable 0 and so tried True first; (s, p, q) and (s, -p, -q) keep s
+        # from being pure, and padding clauses true under a planted assignment
+        # with s False leave a model.  The other variables are relabelled.
+        rng = random.Random(2301)
+        for _ in range(300):
+            holes = rng.choice((2, 3, 4, 4))
+            pigeon_count = (holes + 1) * holes
+            variables = pigeon_count + 1 + rng.randint(0, 6)
+            label = rng.sample(range(1, variables), variables - 1)
+            clauses = [tuple(lit(label[i * holes + j]) for j in range(holes)) + (lit(0, True),)
+                       for i in range(holes + 1)]
+            clauses += [(lit(label[a * holes + j], True), lit(label[b * holes + j], True), lit(0, True))
+                        for j in range(holes) for a, b in itertools.combinations(range(holes + 1), 2)]
+            p, q = rng.sample(range(1, variables), 2)
+            clauses += [(lit(0), lit(p), lit(q)), (lit(0), lit(p, True), lit(q, True))]
+            planted = [False] + [rng.random() < 0.5 for _ in range(variables - 1)]
+            planted[q] = not planted[p]
+            for _ in range(rng.randint(0, variables // 2)):
+                padding = tuple(lit(v, rng.random() < 0.5) for v in rng.sample(range(variables), 3))
+                if any(planted[l.variable] != l.negated for l in padding):
+                    clauses.append(padding)
+            f = CnfFormula(variables, tuple(clauses))
+            assumptions = [
+                lit(rng.randrange(variables), rng.random() < 0.5) for _ in range(rng.randint(0, 2))
+            ]
+            with_units = CnfFormula(variables, f.clauses + tuple((a,) for a in assumptions))
+            assert sat_solve(f, assumptions=assumptions) == dpll_reference(with_units), (f, assumptions)
+
+    def test_key_bits_name_satisfied_clauses_and_occurring_variables(self):
+        # clauses (x0 or x1) and (x1): bits 0 and 1, then one bit per variable
+        # from bit 2 on; x2 occurs in no clause, so neither literal has a bit
+        marks = _Marks(CompiledCnf(3, [[0, 2], [2]]))
+        assert [marks[code] for code in range(6)] == [0b101, 0b100, 0b1011, 0b1000, 0, 0]
 
     def test_assumptions_act_as_unit_clauses(self):
         rng = random.Random(5)
