@@ -13,8 +13,9 @@ construction.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from math import comb
 
 from .bounds import CLIQUE_VERTICES, DOUBLING_VERTICES, PATTERN_INDICES_LOG2, check_bound
@@ -30,7 +31,7 @@ from .errors import (
     VerificationFailure,
 )
 from .patterns import Pattern, _bits, _canonical, classify, subset_index
-from .semantics import SetFamily, _columns, _tracer, check_exhibits, encodes_hypergraph
+from .semantics import SetFamily, _columns, _tracer, _type_classes, check_exhibits
 
 
 @dataclass(frozen=True, init=False, repr=False)
@@ -38,12 +39,13 @@ class Hypergraph:
     """A k-uniform hypergraph on vertices [0, vertex_count).  Its state, with equality and
     hashing, is (arity, vertex_count, masks), one vertex mask per edge.  `edges` is a read-only
     view: Hypergraph(k, n, edges) checks every edge and fills it at once, and unchecked _canonical
-    builds leave it to the first read.  Only `_blowup` sets `_cliques`, as ascending tuples."""
+    builds leave it to the first read.  Only `blowup` sets `_cliques`, which derives its maximal
+    cliques as vertex masks when called."""
 
     arity: int
     vertex_count: int
     masks: frozenset[int]
-    _cliques: tuple[tuple[int, ...], ...] | None = field(init=False, compare=False, repr=False, default=None)
+    _cliques: Callable[[], frozenset[int]] | None = field(init=False, compare=False, repr=False, default=None)
 
     def __init__(self, arity: int, vertex_count: int, edges):
         if type(arity) is not int or arity < 2:
@@ -172,27 +174,37 @@ def pattern_from_hypergraph(h: Hypergraph) -> Pattern:
     return Pattern(h.vertex_count, consistency, inconsistency)
 
 
-def _realizes(fam: SetFamily, h: Hypergraph, cliques) -> bool:
-    """Does fam realize h, given h's maximal cliques as ascending vertex tuples?"""
+def _realizes(fam: SetFamily, k: int, n: int, maximal: frozenset[int]) -> bool:
+    """Does fam realize a k-uniform hypergraph on n vertices whose maximal cliques, as vertex
+    masks, are `maximal`?  A k-set meets iff it lies inside a realised type, it is an edge iff it
+    is a clique, and every edge lies inside a maximal clique.  So fam realizes it iff every
+    realised type of at least k indices lies inside a maximal clique and every maximal clique
+    has a common point; no k-set is walked."""
+    if fam.n != n:
+        raise ArityMismatch(f"family has {fam.n} sets, hypergraph has {n} vertices")
+    types = _type_classes(fam)
     trace = _tracer(fam)
-    return encodes_hypergraph(fam, h) and all(trace(c, ()) for c in cliques)
+    return (all(t in maximal or t.bit_count() < k or any(t | c == c for c in maximal) for t in types)
+            and all(c in types or trace(_bits(c), ()) for c in maximal))
 
 
 def realize_check(fam: SetFamily, h: Hypergraph) -> bool:
-    """Does fam realize h?  Equivalent to exhibiting pattern_from_hypergraph(h)
-    but checked as: arity-subsets intersect iff they are edges, and every
-    maximal clique has a common point (which covers all sub-cliques)."""
-    return _realizes(fam, h, map(_bits, _maximal_clique_masks(h)))
+    """Does fam realize h?  Equivalent to exhibiting pattern_from_hypergraph(h):
+    arity-subsets intersect iff they are edges, and every maximal clique has a
+    common point (which covers all sub-cliques); checked on fam's realised types
+    and h's maximal cliques."""
+    return _realizes(fam, h.arity, h.vertex_count, frozenset(_maximal_clique_masks(h)))
 
 
 def realization_witness(h: Hypergraph) -> SetFamily:
     """A family realizing h: one point per maximal clique (ordered by sorted
     members), set v = the maximal cliques through v.  Sub-cliques inherit the
-    point of any maximal extension; a non-edge lies in no clique at all.  The
-    cliques a blowup carries are used, others searched; self-verified on them."""
-    cliques = sorted(map(_bits, _maximal_clique_masks(h)) if h._cliques is None else h._cliques)
-    fam = SetFamily._of_types(h.vertex_count, cliques)
-    if not _realizes(fam, h, cliques):
+    point of any maximal extension; a non-edge lies in no clique at all.  A
+    blowup's cliques are derived from its source's, others searched;
+    self-verified on them."""
+    cliques = frozenset(_maximal_clique_masks(h)) if h._cliques is None else h._cliques()
+    fam = SetFamily._of_types(h.vertex_count, sorted(map(_bits, cliques)))
+    if not _realizes(fam, h.arity, h.vertex_count, cliques):
         raise VerificationFailure("maximal-clique witness failed realization check")
     return fam
 
@@ -209,13 +221,30 @@ def _grouping(h: Hypergraph):
     return tuple(tuple(range(i * (k + 1), (i + 1) * (k + 1))) for i in range(h.vertex_count))
 
 
-def _blowup(h: Hypergraph):
-    """(blown, grouping, maximal): blowup(h) and h's maximal cliques as masks.  The edges
-    whose blocks are a clique of s vertices number sum_j (-1)**j C(s, j) C((s-j)(k+1), k+1),
-    by inclusion-exclusion over the blocks missed; their total is bounded before each edge
-    grows vertex by vertex while its blocks form a clique of h.  blown carries its maximal
-    cliques as ascending tuples: the block unions of h's maximal cliques, and the k-sets (cliques
-    vacuously) taking one vertex from each block of a non-edge of h, which no vertex extends."""
+def _blown_cliques(h: Hypergraph, maximal) -> frozenset[int]:
+    """blowup(h)'s maximal cliques as vertex masks, from h's maximal cliques as masks: the block
+    unions of h's maximal cliques, and the k-sets (cliques vacuously) taking one vertex from each
+    block of a non-edge of h, which no vertex extends."""
+    width = h.arity + 1
+    block = (1 << width) - 1
+    derived = {sum(block << i * width for i in _bits(m)) for m in maximal}
+    for combo in _non_edges(h):
+        choices = ([1 << i * width + j for j in range(width)] for i in combo)
+        derived.update(map(sum, itertools.product(*choices)))
+    return frozenset(derived)
+
+
+def blowup(h: Hypergraph):
+    """Replace each vertex by a block of k+1 vertices; a (k+1)-subset of the
+    new vertex set is an edge exactly when the blocks it touches form a clique
+    of h.  In particular each block is an edge, and the union of the blocks of
+    any h-clique is a clique of the blowup.  Returns (blown, grouping).
+
+    The edges whose blocks are a clique of s vertices number
+    sum_j (-1)**j C(s, j) C((s-j)(k+1), k+1), by inclusion-exclusion over the blocks missed;
+    their total is bounded before each edge grows vertex by vertex while its blocks form a
+    clique of h.  blown can derive its maximal cliques from h's (_blown_cliques) when
+    realization_witness asks for them."""
     grouping = _grouping(h)
     k = h.arity
     maximal = _maximal_clique_masks(h)
@@ -228,33 +257,26 @@ def _blowup(h: Hypergraph):
         prefixes = [(edge | 1 << v, span, v + 1) for edge, spanned, start in prefixes
                     for v in range(start, (k + 1) * h.vertex_count)
                     if (span := spanned | 1 << v // (k + 1)) in cliques]
-    derived = [sum((grouping[i] for i in _bits(m)), ()) for m in maximal]
-    for combo in _non_edges(h):
-        derived.extend(itertools.product(*(grouping[i] for i in combo)))
     blown = _canonical(Hypergraph, k + 1, (k + 1) * h.vertex_count,
-                       frozenset(edge for edge, _, _ in prefixes), tuple(derived))
-    return blown, grouping, maximal
-
-
-def blowup(h: Hypergraph):
-    """Replace each vertex by a block of k+1 vertices; a (k+1)-subset of the
-    new vertex set is an edge exactly when the blocks it touches form a clique
-    of h.  In particular each block is an edge, and the union of the blocks of
-    any h-clique is a clique of the blowup.  Returns (blown, grouping)."""
-    return _blowup(h)[:2]
+                       frozenset(edge for edge, _, _ in prefixes), partial(_blown_cliques, h, maximal))
+    return blown, grouping
 
 
 def blowup_pullback(fam: SetFamily, original: Hypergraph, grouping) -> SetFamily:
-    """Collapse a family realizing blowup(original), rebuilt from its edge masks, back
-    to the original: the set of vertex i is the intersection over its block.  Re-verified."""
-    blown, expected, maximal = _blowup(original)
+    """Collapse a family realizing blowup(original) back to the original: the set
+    of vertex i is the intersection over its block.  The precondition is checked on
+    the blowup's maximal cliques, derived from the original's, so no blowup edge is
+    built.  Re-verified."""
+    expected = _grouping(original)
     if tuple(tuple(b) for b in grouping) != expected:
         raise PreconditionFailure("grouping does not match the deterministic blowup grouping")
-    if not (fam.n == blown.vertex_count and _realizes(fam, blown, blown._cliques)):
+    k, n = original.arity, original.vertex_count
+    maximal = frozenset(_maximal_clique_masks(original))
+    if not (fam.n == (k + 1) * n and _realizes(fam, k + 1, fam.n, _blown_cliques(original, maximal))):
         raise PreconditionFailure("family does not realize the blowup")
     trace = _tracer(fam)
     result = SetFamily._of_masks(fam.universe_size, (trace(block, ()) for block in expected))
-    if not _realizes(result, original, map(_bits, maximal)):
+    if not _realizes(result, k, n, maximal):
         raise VerificationFailure("pullback failed to realize the original hypergraph")
     return result
 
@@ -574,7 +596,7 @@ def triangle_free_double(g: Hypergraph) -> TriangleFreeDoubling:
             raise TriangleFound(f"triangle on {u}, {v}, {common}")
 
     family = SetFamily._of_masks(total or 1, (adjacency[v] & adjacency[n + v] for v in range(n)))
-    if not _realizes(family, g, map(_bits, maximal)):
+    if not _realizes(family, 2, n, frozenset(maximal)):
         raise VerificationFailure("doubling's derived family fails to realize the graph")
     return TriangleFreeDoubling(
         doubled,

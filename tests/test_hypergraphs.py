@@ -41,7 +41,7 @@ from patterna.errors import (
     PreconditionFailure,
     UnsupportedParams,
 )
-from patterna.patterns import _bits, _canonical, subset_index
+from patterna.patterns import _canonical, subset_index
 from patterna.rand import random_amalgam_problem, random_hypergraph
 
 from conftest import clique_masks_by_scan
@@ -301,9 +301,30 @@ class TestBlowup:
             # a caller-built copy carries no cliques and is searched
             assert realization_witness(Hypergraph(blown.arity, blown.vertex_count, blown.edges)) == witness
 
+    def test_pullback_builds_no_blowup_edges(self, monkeypatch):
+        # the pullback checks its precondition on the blowup's maximal cliques,
+        # derived from the source's: it enumerates no clique's submasks, which
+        # the blowup's edges are grown from, and builds no hypergraph
+        rng = random.Random(71)
+        sources = fixed_blowup_sources()[::3] + [
+            random_hypergraph(rng, arity, rng.randint(0, most), rng.random())
+            for arity, most in ((2, 5), (3, 4), (4, 4)) for _ in range(4)
+        ]
+        built = []
+        canonical, submasks = hypergraphs._canonical, hypergraphs._submasks
+        monkeypatch.setattr(hypergraphs, "_canonical", lambda cls, *values: built.append(cls) or canonical(cls, *values))
+        monkeypatch.setattr(hypergraphs, "_submasks", lambda maximal: built.append("submasks") or submasks(maximal))
+        for h in sources:
+            blown, grouping = blowup(h)
+            assert Hypergraph in built and "submasks" in built
+            witness = realization_witness(blown)
+            built.clear()
+            assert realize_check(blowup_pullback(witness, h, grouping), h)
+            assert built == [], h
+
     def test_derived_cliques_are_the_blowups_maximal_cliques(self):
         # the block unions of h's maximal cliques plus the transversals of
-        # its non-edges, as ascending tuples: against the subset scan where the
+        # its non-edges, as vertex masks: against the subset scan where the
         # blowup has at most 12 vertices, and against the clique search on a
         # caller-built copy of the larger ones; the edges are the (k+1)-sets
         # whose blocks form a scanned clique of h
@@ -318,12 +339,12 @@ class TestBlowup:
                     sources += [random_hypergraph(rng, arity, vertices, rng.random()) for _ in range(4)]
         for h in sources:
             blown, _ = blowup(h)
-            derived = sorted(blown._cliques)
+            derived = sorted(blown._cliques())
             if blown.vertex_count <= 12:
-                assert derived == sorted(map(_bits, maximal_masks_by_scan(blown))), h
+                assert derived == maximal_masks_by_scan(blown), h
             else:
                 copy = Hypergraph(blown.arity, blown.vertex_count, blown.edges)
-                assert derived == sorted(map(_bits, hypergraphs._maximal_clique_masks(copy))), h
+                assert derived == sorted(hypergraphs._maximal_clique_masks(copy)), h
             cliques = set(clique_masks_by_scan(h))
             width = h.arity + 1
             assert blown.edges == {

@@ -9,6 +9,8 @@ point masks run well past 64 bits.
 import itertools
 import random
 
+import pytest
+
 from patterna import (
     Condition,
     Hypergraph,
@@ -214,6 +216,73 @@ def test_hypergraph_encoding_and_realization():
             assert realize_check(fam, h) == realizes, (fam, h)
             outcomes.add((encodes, realizes))
     assert outcomes == {(True, True), (True, False), (False, False)}
+
+
+def of_types(n, universe, types):
+    """The family on n indices with one point per type, in order, and
+    `universe` points in all: the points past the types lie in no set."""
+    return SetFamily(universe, tuple(frozenset(p for p, t in enumerate(types) if i in t) for i in range(n)))
+
+
+def complete_minus(arity, vertices, missing):
+    return Hypergraph(arity, vertices, frozenset(
+        frozenset(e) for e in itertools.combinations(range(vertices), arity) if e not in missing))
+
+
+def cocktail_party(vertices):
+    """Every pair but {2i, 2i+1}: its maximal cliques take one vertex of each
+    missing pair, so they overlap."""
+    return complete_minus(2, vertices, {(v, v + 1) for v in range(0, vertices, 2)})
+
+
+TRIANGLE = complete_minus(2, 3, ())
+PATH = Hypergraph(2, 3, frozenset({frozenset({0, 1}), frozenset({1, 2})}))
+PENDANT = Hypergraph(3, 4, frozenset({frozenset({0, 1, 3})}))  # {0,2}, {1,2}, {2,3} are maximal, below k
+PARTY6, PARTY8 = cocktail_party(6), cocktail_party(8)
+K9_MINUS = complete_minus(3, 9, {(0, 1, 2), (3, 4, 5), (6, 7, 8)})
+
+
+def maximal_types(h):
+    """h's maximal cliques by scan, as index tuples: the types of its realization witness."""
+    scanned = set(clique_masks_by_scan(h))
+    return [members(m) for m in sorted(scanned)
+            if not any(m | 1 << v in scanned for v in range(h.vertex_count) if not m >> v & 1)]
+
+
+#: (h, universe, types, realizes): families that separate the two halves of
+#: realize_check, every realised type of at least k indices inside a maximal
+#: clique and every maximal clique with a common point.
+REALIZATION_TABLE = {
+    "k-type-non-edge": (PATH, 3, [(0, 1), (1, 2), (0, 2)], False),
+    "k-type-edge": (PATH, 3, [(0, 1), (1, 2), (1,)], True),
+    "short-type-outside-k-cliques": (PENDANT, 4, [(0, 1, 3), (0, 2), (1, 2), (2, 3)], True),
+    "short-type-alone": (PENDANT, 5, [(0, 1, 3), (0, 2), (1, 2), (2,), (2, 3)], True),
+    "short-type-in-no-k-clique-missing": (PENDANT, 3, [(0, 1, 3), (0, 2), (1, 2)], False),
+    "edges-meet-clique-does-not": (TRIANGLE, 3, [(0, 1), (1, 2), (0, 2)], False),
+    "clique-meets": (TRIANGLE, 3, [(0, 1), (1, 2), (0, 1, 2)], True),
+    "no-vertices": (Hypergraph(2, 0, frozenset()), 1, [], True),
+    "no-vertices-padded": (Hypergraph(3, 0, frozenset()), 4, [], True),
+    "padded-edgeless": (Hypergraph(2, 2, frozenset()), 5, [(0,), (1,)], True),
+    "padded-edgeless-missing": (Hypergraph(2, 2, frozenset()), 5, [(1,)], False),
+    "party6": (PARTY6, 8, maximal_types(PARTY6), True),
+    "party6-cross-edge": (PARTY6, 9, maximal_types(PARTY6) + [(0, 3)], True),
+    "party6-non-edge": (PARTY6, 9, maximal_types(PARTY6) + [(2, 3)], False),
+    "party7": (cocktail_party(7), 12, maximal_types(cocktail_party(7)), True),
+    "party8-drop-one": (PARTY8, 16, maximal_types(PARTY8)[1:], False),
+    "party8-two-cliques": (PARTY8, 17, maximal_types(PARTY8) + [(0, 2, 4, 6, 7)], False),
+    "k9-minus": (K9_MINUS, 27, maximal_types(K9_MINUS), True),
+    "k9-minus-inside": (K9_MINUS, 28, maximal_types(K9_MINUS) + [(0, 1, 3, 4)], True),
+    "k9-minus-non-edge": (K9_MINUS, 28, maximal_types(K9_MINUS) + [(0, 1, 2)], False),
+    "k9-minus-drop-one": (K9_MINUS, 27, maximal_types(K9_MINUS)[:-1], False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REALIZATION_TABLE))
+def test_realization_table(name):
+    h, universe, types, realizes = REALIZATION_TABLE[name]
+    fam = of_types(h.vertex_count, universe, types)
+    assert realizes_by_scan(fam, h) == realizes
+    assert realize_check(fam, h) == realizes
 
 
 def test_blowup_witness_encoding():
