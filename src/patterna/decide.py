@@ -49,16 +49,8 @@ def _clause_codes(p: Pattern) -> list[list[int]]:
     The search's answer does not depend on the order; CnfFormula normalises.
     More than 2**PATTERN_INDICES_LOG2 variables are refused."""
     check_bound(p.n, PATTERN_INDICES_LOG2, "n={size} exceeds the pattern index bound {limit}", log2=True)
-    codes = []
-    for z in p.inconsistency:
-        if set(z.pos).isdisjoint(z.neg):
-            clause = []
-            for i in z.pos:
-                clause.append(2 * i + 1)
-            for j in z.neg:
-                clause.append(2 * j)
-            codes.append(clause)
-    return codes
+    return [[2 * i + 1 for i in z.pos] + [2 * j for j in z.neg]
+            for z in p.inconsistency if set(z.pos).isdisjoint(z.neg)]
 
 
 def condition_cnf(p: Pattern, cond: Condition = EMPTY_CONDITION) -> CnfFormula:

@@ -179,13 +179,19 @@ def _realizes(fam: SetFamily, k: int, n: int, maximal: frozenset[int]) -> bool:
     masks, are `maximal`?  A k-set meets iff it lies inside a realised type, it is an edge iff it
     is a clique, and every edge lies inside a maximal clique.  So fam realizes it iff every
     realised type of at least k indices lies inside a maximal clique and every maximal clique
-    has a common point; no k-set is walked."""
+    has a common point; no k-set is walked.  A type that is not itself a maximal clique is traced
+    in the family with one point per maximal clique, so no type is compared clique by clique."""
     if fam.n != n:
         raise ArityMismatch(f"family has {fam.n} sets, hypergraph has {n} vertices")
     types = _type_classes(fam)
     trace = _tracer(fam)
-    return (all(t in maximal or t.bit_count() < k or any(t | c == c for c in maximal) for t in types)
-            and all(c in types or trace(_bits(c), ()) for c in maximal))
+    if not all(c in types or trace(_bits(c), ()) for c in maximal):
+        return False
+    strays = [t for t in types if t not in maximal and t.bit_count() >= k]
+    if not strays:
+        return True
+    inside = _tracer(SetFamily._of_types(n, map(_bits, maximal)))  # a point per maximal clique
+    return all(inside(_bits(t), ()) for t in strays)
 
 
 def realize_check(fam: SetFamily, h: Hypergraph) -> bool:
@@ -224,8 +230,12 @@ def _grouping(h: Hypergraph):
 def _blown_cliques(h: Hypergraph, maximal) -> frozenset[int]:
     """blowup(h)'s maximal cliques as vertex masks, from h's maximal cliques as masks: the block
     unions of h's maximal cliques, and the k-sets (cliques vacuously) taking one vertex from each
-    block of a non-edge of h, which no vertex extends."""
+    block of a non-edge of h, which no vertex extends.  Their number is bounded before any is
+    derived."""
     width = h.arity + 1
+    size = len(maximal) + (comb(h.vertex_count, h.arity) - len(h.masks)) * width ** h.arity
+    check_bound(size, PATTERN_INDICES_LOG2, "a blowup of {size} maximal cliques exceeds the output bound {limit}",
+                log2=True)
     block = (1 << width) - 1
     derived = {sum(block << i * width for i in _bits(m)) for m in maximal}
     for combo in _non_edges(h):

@@ -5,7 +5,9 @@ import pytest
 from patterna import (
     Hypergraph,
     Pattern,
+    SetFamily,
     blowup,
+    blowup_pullback,
     classify,
     brute_force_exhibitable,
     condition_cnf,
@@ -20,6 +22,7 @@ from patterna import (
     membership_structure,
     pattern_from_hypergraph,
     pmchar_pattern,
+    realization_witness,
     tp1_pattern,
     triangle_free_double,
 )
@@ -56,6 +59,13 @@ def edgeless(vertices):
     return Hypergraph(2, vertices, frozenset())
 
 
+def pullback_input(h):
+    """blowup_pullback's arguments for h: a witness of h's blowup, h and its
+    grouping, built under the default bounds."""
+    blown, grouping = blowup(h)
+    return realization_witness(blown), h, grouping
+
+
 #: Every bounded entry point: PATTERNA_MAX_N, the call, an input exactly at the
 #: limit, the first input over it, and the limit as the message names it.
 #: cooper and pmchar run at the defaults: PATTERNA_MAX_N sets both their
@@ -74,6 +84,8 @@ BOUNDED = {
     "pattern_from_hypergraph": ("3", pattern_from_hypergraph, edgeless(3), edgeless(4), "3"),
     "blowup": ("3", blowup, edgeless(3), edgeless(4), "3"),
     "blowup_edges": ("5", blowup, graph(2, [(0, 1)]), graph(3, [(0, 1), (1, 2)]), "2**5"),
+    "blowup_pullback": ("5", lambda args: blowup_pullback(*args), pullback_input(edgeless(3)),
+                        pullback_input(edgeless(4)), "2**5"),
     "triangle_free_double": ("3", triangle_free_double, edgeless(3), edgeless(4), "3"),
     "ip_family": ("3", ip_family, 3, 4, "3"),
     "disjoint_one1_family": ("3", disjoint_one1_family, 3, 4, "3"),
@@ -127,3 +139,16 @@ def test_blowup_refused_exactly_over_its_edge_bound(monkeypatch):
                     blowup(h)
             else:
                 assert len(blowup(h)[0].masks) == edges
+
+
+def test_pullback_refused_before_deriving_cliques(monkeypatch):
+    # the pullback counts the blowup's maximal cliques before it derives them:
+    # the edgeless 5-uniform hypergraph on 10 vertices passes the vertex bound,
+    # but its blowup would have C(10, 4) + C(10, 5) * 6**5 = 1,959,762 maximal
+    # cliques: the block unions of its 4-sets and the transversals of its non-edges;
+    # few enough that a pullback which lost the bound fails here in seconds
+    monkeypatch.delenv(ENV_VAR, raising=False)
+    h = Hypergraph(5, 10, frozenset())
+    grouping = tuple(tuple(range(6 * i, 6 * i + 6)) for i in range(10))
+    with pytest.raises(BoundExceeded, match="^a blowup of 1959762 maximal cliques exceeds the output bound 2\\*\\*20$"):
+        blowup_pullback(SetFamily(1, (frozenset(),) * 60), h, grouping)

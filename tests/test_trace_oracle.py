@@ -249,6 +249,12 @@ def maximal_types(h):
             if not any(m | 1 << v in scanned for v in range(h.vertex_count) if not m >> v & 1)]
 
 
+def inner_types(h):
+    """Each maximal clique of h minus one vertex, where that leaves at least
+    k vertices: types inside a clique that are not themselves maximal."""
+    return [c[:i] + c[i + 1:] for c in maximal_types(h) if len(c) > h.arity for i in range(len(c))]
+
+
 #: (h, universe, types, realizes): families that separate the two halves of
 #: realize_check, every realised type of at least k indices inside a maximal
 #: clique and every maximal clique with a common point.
@@ -268,6 +274,9 @@ REALIZATION_TABLE = {
     "party6-cross-edge": (PARTY6, 9, maximal_types(PARTY6) + [(0, 3)], True),
     "party6-non-edge": (PARTY6, 9, maximal_types(PARTY6) + [(2, 3)], False),
     "party7": (cocktail_party(7), 12, maximal_types(cocktail_party(7)), True),
+    "party8-inside-cliques": (PARTY8, 80, maximal_types(PARTY8) + inner_types(PARTY8), True),
+    "party8-inside-cliques-non-edge": (PARTY8, 81, maximal_types(PARTY8) + inner_types(PARTY8) + [(0, 1)],
+                                       False),
     "party8-drop-one": (PARTY8, 16, maximal_types(PARTY8)[1:], False),
     "party8-two-cliques": (PARTY8, 17, maximal_types(PARTY8) + [(0, 2, 4, 6, 7)], False),
     "k9-minus": (K9_MINUS, 27, maximal_types(K9_MINUS), True),
