@@ -77,7 +77,6 @@ from .semantics import (
     check_exhibits,
     check_one_n,
     condition_trace,
-    encodes_hypergraph,
     fully_complete_extension,
     realized_types,
     union_representable,

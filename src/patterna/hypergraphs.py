@@ -427,14 +427,20 @@ def build_witness_structure(source) -> WitnessStructure:
 
 @dataclass(frozen=True)
 class Embedding:
-    """Index maps (position = source index, value = target index), one per sort."""
+    """Index maps (position = source index, value = target index), one per
+    sort.  Each map is taken as a tuple; an entry that is not an int is
+    refused, not coerced, so 0.7 or True cannot stand for an index."""
 
     witness_map: tuple[int, ...]
     parameter_map: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "witness_map", tuple(int(v) for v in self.witness_map))
-        object.__setattr__(self, "parameter_map", tuple(int(v) for v in self.parameter_map))
+        for name in ("witness", "parameter"):
+            entries = tuple(getattr(self, f"{name}_map"))
+            for v in entries:
+                if type(v) is not int:
+                    raise IndexOutOfRange(f"{name} map entry {v!r} is not an integer")
+            object.__setattr__(self, f"{name}_map", entries)
 
 
 def embedding_problems(a: WitnessStructure, b: WitnessStructure, e: Embedding) -> list[str]:

@@ -11,7 +11,7 @@ import json
 from json.encoder import encode_basestring_ascii
 
 from .decide import Decision
-from .errors import ParseError, PatternaError
+from .errors import IndexOutOfRange, ParseError, PatternaError
 from .hypergraphs import POSITIVE_FLAVOR, UNIFORM_FLAVOR, Embedding, Hypergraph, WitnessStructure
 from .patterns import Pattern, _bits, validate_pattern
 from .semantics import SetFamily
@@ -187,7 +187,7 @@ def embedding_from_dict(data) -> Embedding:
     try:
         _require_integers([data["witness"], data["parameter"]], "embedding document")
         return Embedding(tuple(data["witness"]), tuple(data["parameter"]))
-    except (TypeError, KeyError, ValueError) as exc:
+    except (TypeError, KeyError, ValueError, IndexOutOfRange) as exc:  # a nested list reaches Embedding
         raise ParseError(f"malformed embedding document: {exc}") from exc
 
 

@@ -10,7 +10,6 @@ procedures implement.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -159,10 +158,10 @@ def check_exhibits(fam: SetFamily, p: Pattern) -> ExhibitReport:
     return ExhibitReport(not bad_c and not bad_i, bad_c, bad_i)
 
 
-def _type_classes(fam: SetFamily) -> dict[int, int]:
-    """Each realized complete type, as an index mask, mapped to its points
-    as a mask, by partition refinement: the universe split by each set in
-    turn, keeping the nonempty parts."""
+def _type_classes(fam: SetFamily):
+    """The realized complete types, as index masks, by partition refinement:
+    the universe split by each set in turn, keeping the nonempty parts, each
+    keyed by its type.  The keys come back as a view, not copied."""
     classes = {0: (1 << fam.universe_size) - 1}
     for i, mask in enumerate(fam.masks):
         split = {}
@@ -173,7 +172,7 @@ def _type_classes(fam: SetFamily) -> dict[int, int]:
             if inside != points:
                 split[t] = points ^ inside
         classes = split
-    return classes
+    return classes.keys()
 
 
 def realized_types(fam: SetFamily) -> frozenset[frozenset[int]]:
@@ -255,43 +254,16 @@ def union_representable(ufam: UnionClosedFamily) -> bool:
 def check_one_n(ufam: UnionClosedFamily, n: int) -> bool:
     """The finite intersection-threshold check behind the maximality property:
     unions are traced (re-verified), and for every nonempty Y of base indices
-    the intersection of the base sets is empty iff |Y| > n.  Meeting is
-    downward closed, so with t = min(n, k) this is one meet walk to level t:
-    all C(k, t) t-subsets meet, and none extends to a meeting (t+1)-subset."""
+    the intersection of the base sets is empty iff |Y| > n.  A set of base
+    indices meets iff it lies inside a realized type of the k base sets, so
+    with t = min(n, k) this holds iff no type has more than t indices and
+    exactly C(k, t) types have t: once no type exceeds t, a t-set meets iff
+    it is itself a type, and every smaller set lies inside a meeting t-set."""
     if n < 1:
         raise MalformedUnionMap("threshold must be at least 1")
     if not union_representable(ufam):
         return False
-    k = ufam.index_count
-    masks = [ufam.family.masks[1 << i] for i in range(k)]
-    level = _meeting_prefixes(masks, ufam.family.universe_size, min(n, k))
-    return len(level) == math.comb(k, min(n, k)) and not any(
-        meet & masks[v] for meet, _, start in level for v in range(start, k))
-
-
-def _meeting_prefixes(masks, universe_size: int, size: int) -> list:
-    """(meet, index mask, next index) of every size-subset of indices whose
-    masks meet, grown from each prefix's meet: an empty meet prunes its extensions."""
-    level = [((1 << universe_size) - 1, 0, 0)]
-    for _ in range(size):
-        level = [(meet & masks[v], members | 1 << v, v + 1)
-                 for meet, members, start in level for v in range(start, len(masks)) if meet & masks[v]]
-    return level
-
-
-def _meeting_subsets(fam: SetFamily, size: int):
-    """Every size-subset of fam's indices whose sets meet, as an index mask;
-    the last level is walked lazily, so a caller can stop early."""
-    masks = fam.masks
-    for meet, members, start in _meeting_prefixes(masks, fam.universe_size, size - 1):
-        for v in range(start, fam.n):
-            if meet & masks[v]:
-                yield members | 1 << v
-
-
-def encodes_hypergraph(fam: SetFamily, hg) -> bool:
-    """True iff the arity-sized vertex subsets whose sets intersect are
-    exactly the hyperedges; the walk stops one subset past the edge count."""
-    if fam.n != hg.vertex_count:
-        raise ArityMismatch(f"family has {fam.n} sets, hypergraph has {hg.vertex_count} vertices")
-    return set(itertools.islice(_meeting_subsets(fam, hg.arity), len(hg.masks) + 1)) == hg.masks
+    k, t = ufam.index_count, min(n, ufam.index_count)
+    base = SetFamily._of_masks(ufam.family.universe_size, [ufam.family.masks[1 << i] for i in range(k)])
+    sizes = [x.bit_count() for x in _type_classes(base)]
+    return max(sizes) <= t and sizes.count(t) == math.comb(k, t)

@@ -180,6 +180,13 @@ def clique_masks_by_scan(h) -> list[int]:
     return out
 
 
+def encodes_by_scan(fam, h):
+    return all(
+        bool(trace_by_points(fam, Condition(combo, ()))) == (frozenset(combo) in h.edges)
+        for combo in itertools.combinations(range(h.vertex_count), h.arity)
+    )
+
+
 # Named instances used across test modules.
 
 #: Not exhibitable: requires set 0 empty and its complement empty.
@@ -244,6 +251,28 @@ def reference_pattern(doc, *, strict=True):
             keys[key] = None
         sides.append(tuple(sorted(keys)))
     return (n, *sides)
+
+
+def reference_maps(doc):
+    """The ((witness, parameter), (witness, parameter)) index tuples of an
+    amalgam maps document, or None when it is malformed.
+
+    Well formed: a dict with keys "e0" and "e1", each a dict with keys
+    "witness" and "parameter" whose values are lists or tuples of ints;
+    true, false and 1.0 are not ints.  Other keys are ignored, and an index
+    is not range-checked here: that needs the structures it maps between."""
+    if not isinstance(doc, dict) or "e0" not in doc or "e1" not in doc:
+        return None
+    out = []
+    for name in ("e0", "e1"):
+        embedding = doc[name]
+        if not isinstance(embedding, dict) or "witness" not in embedding or "parameter" not in embedding:
+            return None
+        maps = (embedding["witness"], embedding["parameter"])
+        if any(type(m) not in (list, tuple) or any(type(v) is not int for v in m) for m in maps):
+            return None
+        out.append(tuple(tuple(m) for m in maps))
+    return tuple(out)
 
 
 def assert_parsed_as(p, reference):

@@ -25,7 +25,6 @@ from patterna import (
     disjoint_one1_family,
     double_positive,
     cm_from_doubled_witness,
-    encodes_hypergraph,
     free_amalgam,
     fully_complete_extension,
     graph,
@@ -59,6 +58,7 @@ from conftest import (
     UNION_SPLIT,
     all_conditions,
     disjoint_conditions,
+    encodes_by_scan,
     fully_complete_patterns,
     random_cnf,
     random_pattern,
@@ -299,7 +299,7 @@ def test_criterion_14_encoding():
         arity = 2 if i % 2 == 0 else 3
         h = random_hypergraph(rng, arity, rng.randint(arity, 6), rng.choice((0.3, 0.5, 0.7)))
         decision = decide_exhibitable(pattern_from_hypergraph(h))
-        if not (decision.exhibitable and encodes_hypergraph(decision.witness, h)):
+        if not (decision.exhibitable and encodes_by_scan(decision.witness, h)):
             failures += 1
     report(14, "synthesized witnesses encode their hypergraphs", failures, 100)
 

@@ -20,7 +20,6 @@ from patterna import (
     check_exhibits,
     classify,
     decide_exhibitable,
-    encodes_hypergraph,
     free_amalgam,
     graph,
     hypergraphs,
@@ -44,7 +43,7 @@ from patterna.errors import (
 from patterna.patterns import _canonical, subset_index
 from patterna.rand import random_amalgam_problem, random_hypergraph
 
-from conftest import clique_masks_by_scan
+from conftest import clique_masks_by_scan, encodes_by_scan
 
 
 def cond(pos, neg=()):
@@ -378,7 +377,7 @@ class TestBlowup:
                 else:
                     assert realizes, (h, family)
                 meets = all(frozenset.intersection(*(family.sets[v] for v in c)) for c in cliques)
-                seen[realizes, encodes_hypergraph(family, copy), meets] += 1
+                seen[realizes, encodes_by_scan(family, copy), meets] += 1
         # refused families that encode the blowup but leave a clique without
         # a common point, and ones whose cliques all meet but that do not encode it
         assert seen[True, True, True] and seen[False, True, False] and seen[False, False, True], seen
@@ -791,4 +790,4 @@ class TestEncoding:
             h = random_hypergraph(rng, rng.choice((2, 3)), rng.randint(2, 5), 0.5)
             decision = decide_exhibitable(pattern_from_hypergraph(h))
             assert decision.exhibitable
-            assert encodes_hypergraph(decision.witness, h)
+            assert encodes_by_scan(decision.witness, h)

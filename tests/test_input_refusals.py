@@ -30,6 +30,7 @@ from patterna.errors import (
 )
 from patterna.hypergraphs import (
     UNIFORM_FLAVOR,
+    Embedding,
     Hypergraph,
     WitnessStructure,
     build_witness_structure,
@@ -73,6 +74,14 @@ REFUSALS = [
      IndexOutOfRange, "relation entry 0.7 is not an integer"),
     ("witness structure relation entry a bool", lambda: WitnessStructure(("w",), ("p",), [(0, 1), (0, True)], ()),
      IndexOutOfRange, "relation entry True is not an integer"),
+    ("embedding witness map entry a float", lambda: Embedding((0.7, True), ("1",)),
+     IndexOutOfRange, "witness map entry 0.7 is not an integer"),
+    ("embedding witness map entry a bool", lambda: Embedding((0, True), ()),
+     IndexOutOfRange, "witness map entry True is not an integer"),
+    ("embedding parameter map entry a str", lambda: Embedding(range(2), ("1",)),
+     IndexOutOfRange, "parameter map entry '1' is not an integer"),
+    ("embedding parameter map entry a float", lambda: Embedding((), (0, 1.0)),
+     IndexOutOfRange, "parameter map entry 1.0 is not an integer"),
     ("witness structure from an int", lambda: build_witness_structure(42),
      UnsupportedParams, "cannot build a witness structure from int"),
     ("pattern data a list", lambda: validate_pattern([]),

@@ -11,7 +11,7 @@ from patterna.errors import DuplicateCondition, EmptyCondition, IndexOutOfRange,
 from patterna.hypergraphs import Embedding, build_witness_structure
 from patterna.rand import random_hypergraph, random_reasonable_positive
 
-from conftest import assert_parsed_as, family_from_dict, random_pattern, reference_pattern
+from conftest import assert_parsed_as, family_from_dict, random_pattern, reference_maps, reference_pattern
 
 
 def test_pattern_round_trip():
@@ -249,3 +249,33 @@ def test_pattern_from_dict_matches_reference(doc, strict):
     else:
         assert reference is not None
         assert_parsed_as(p, reference)
+
+
+# index entries as a maps document may hold them: ints (negatives too),
+# bools, floats equal to ints, strings and nested lists
+_map_entry = (st.integers(-2, 4) | st.booleans() | st.integers(-2, 4).map(float) | st.text(max_size=1)
+              | st.lists(st.integers(0, 2), max_size=1))
+_index_map = st.lists(st.integers(-2, 4), max_size=3) | st.lists(_map_entry, max_size=3) | _json
+_embedding_doc = st.dictionaries(st.sampled_from(("witness", "parameter", "w")), _index_map) | _json
+_maps_doc = st.dictionaries(st.sampled_from(("e0", "e1", "e")), _embedding_doc) | _json
+
+
+@settings(max_examples=300, deadline=None)
+@given(_maps_doc)
+@example({"e0": {"witness": [0, -1], "parameter": []}, "e1": {"witness": [1], "parameter": [2], "w": 0}})
+@example({"e0": {"witness": [0, True], "parameter": []}, "e1": {"witness": [], "parameter": []}})
+@example({"e0": {"witness": [], "parameter": []}, "e1": {"witness": [], "parameter": [1.0]}})
+@example({"e0": {"witness": [], "parameter": []}, "e1": {"witness": ["1"], "parameter": []}})
+@example({"e0": {"witness": [[0]], "parameter": []}, "e1": {"witness": [], "parameter": []}})
+@example({"e0": {"witness": []}, "e1": {"witness": [], "parameter": []}})
+def test_maps_from_dict_matches_reference(doc):
+    # either the reference's index tuples or a ParseError, never anything else
+    reference = reference_maps(doc)
+    try:
+        maps = jsonio.maps_from_dict(doc)
+    except ParseError:
+        assert reference is None
+    else:
+        assert reference is not None
+        assert all(type(e) is Embedding for e in maps)
+        assert tuple((e.witness_map, e.parameter_map) for e in maps) == reference

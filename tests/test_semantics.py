@@ -5,7 +5,6 @@ import pytest
 
 from patterna import (
     Condition,
-    Hypergraph,
     Pattern,
     SetFamily,
     UnionClosedFamily,
@@ -15,7 +14,6 @@ from patterna import (
     classify,
     condition_trace,
     decide_exhibitable,
-    encodes_hypergraph,
     fully_complete_extension,
     ip_family,
     realized_types,
@@ -271,24 +269,6 @@ class TestUnionClosed:
         broken2 = UnionClosedFamily(2, fam(2, set(), {0}, {1}, set()))
         assert not union_representable(broken2)
         assert not check_one_n(broken2, 1)
-
-
-class TestEncodesHypergraph:
-    def test_positive_example(self):
-        h = Hypergraph(2, 3, frozenset({frozenset({0, 1})}))
-        assert encodes_hypergraph(fam(2, {0}, {0}, {1}), h)
-
-    def test_disjoint_edgeless(self):
-        h = Hypergraph(2, 3, frozenset())
-        assert encodes_hypergraph(fam(3, {0}, {1}, {2}), h)
-
-    def test_shared_point_breaks_nonedge(self):
-        h = Hypergraph(2, 3, frozenset({frozenset({0, 1})}))
-        assert not encodes_hypergraph(fam(1, {0}, {0}, {0}), h)
-
-    def test_arity_mismatch(self):
-        with pytest.raises(ArityMismatch):
-            encodes_hypergraph(fam(1, {0}), Hypergraph(2, 3, frozenset()))
 
 
 def test_no_point_pattern_has_no_family():

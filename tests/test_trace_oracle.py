@@ -29,9 +29,10 @@ from patterna import (
     classify,
     cm_from_doubled_witness,
     condition_trace,
+    cooper_pattern,
     decide_exhibitable,
+    disjoint_one1_family,
     double_positive,
-    encodes_hypergraph,
     fully_complete_extension,
     ip_family,
     ip_pattern,
@@ -55,7 +56,7 @@ from patterna.rand import (
     random_reasonable_positive,
 )
 
-from conftest import clique_masks_by_scan, random_pattern, trace_by_points
+from conftest import clique_masks_by_scan, encodes_by_scan, random_pattern, trace_by_points
 
 
 def random_family(rng, n, max_universe=200):
@@ -173,13 +174,6 @@ def test_traces_and_exhibit_reports():
     assert outcomes == {True, False}
 
 
-def encodes_by_scan(fam, h):
-    return all(
-        bool(trace_by_points(fam, Condition(combo, ()))) == (frozenset(combo) in h.edges)
-        for combo in itertools.combinations(range(h.vertex_count), h.arity)
-    )
-
-
 def realizes_by_scan(fam, h):
     return encodes_by_scan(fam, h) and all(
         trace_by_points(fam, Condition(members(mask), ())) for mask in clique_masks_by_scan(h)
@@ -212,7 +206,6 @@ def test_hypergraph_encoding_and_realization():
         for fam in (random_family(rng, h.vertex_count), witness, flipped):
             encodes = encodes_by_scan(fam, h)
             realizes = realizes_by_scan(fam, h)
-            assert encodes_hypergraph(fam, h) == encodes, (fam, h)
             assert realize_check(fam, h) == realizes, (fam, h)
             outcomes.add((encodes, realizes))
     assert outcomes == {(True, True), (True, False), (False, False)}
@@ -240,6 +233,7 @@ PATH = Hypergraph(2, 3, frozenset({frozenset({0, 1}), frozenset({1, 2})}))
 PENDANT = Hypergraph(3, 4, frozenset({frozenset({0, 1, 3})}))  # {0,2}, {1,2}, {2,3} are maximal, below k
 PARTY6, PARTY8 = cocktail_party(6), cocktail_party(8)
 K9_MINUS = complete_minus(3, 9, {(0, 1, 2), (3, 4, 5), (6, 7, 8)})
+EDGE01 = Hypergraph(2, 3, frozenset({frozenset({0, 1})}))
 
 
 def maximal_types(h):
@@ -257,8 +251,12 @@ def inner_types(h):
 
 #: (h, universe, types, realizes): families that separate the two halves of
 #: realize_check, every realised type of at least k indices inside a maximal
-#: clique and every maximal clique with a common point.
+#: clique and every maximal clique with a common point, and three small
+#: families whose sets meet exactly on the edges, or on a non-edge too.
 REALIZATION_TABLE = {
+    "positive-example": (EDGE01, 2, [(0, 1), (2,)], True),
+    "disjoint-edgeless": (Hypergraph(2, 3, frozenset()), 3, [(0,), (1,), (2,)], True),
+    "shared-point-breaks-nonedge": (EDGE01, 1, [(0, 1, 2)], False),
     "k-type-non-edge": (PATH, 3, [(0, 1), (1, 2), (0, 2)], False),
     "k-type-edge": (PATH, 3, [(0, 1), (1, 2), (1,)], True),
     "short-type-outside-k-cliques": (PENDANT, 4, [(0, 1, 3), (0, 2), (1, 2), (2, 3)], True),
@@ -292,33 +290,6 @@ def test_realization_table(name):
     fam = of_types(h.vertex_count, universe, types)
     assert realizes_by_scan(fam, h) == realizes
     assert realize_check(fam, h) == realizes
-
-
-def test_blowup_witness_encoding():
-    # realization witnesses of arity-3 and arity-4 blowups, padded, and
-    # copies with one used point flipped in some of their sets or dropped
-    # from some of them (a dropped point can only stop edges from meeting)
-    rng = random.Random(4105)
-    outcomes = set()
-    for _ in range(40):
-        arity = rng.choice((2, 3))
-        vertices = rng.randint(0, 6 - arity)
-        density = rng.random()
-        edges = [e for e in itertools.combinations(range(vertices), arity) if rng.random() < density]
-        blown = blowup(Hypergraph(arity, vertices, frozenset(map(frozenset, edges))))[0]
-        witness = padded(realization_witness(blown), rng, rng.randint(0, 50))
-        point = rng.choice(sorted(frozenset().union(*witness.sets)) or [0])
-        flipped, dropped = (
-            SetFamily(witness.universe_size, tuple(
-                change(s) if rng.random() < 0.4 else s for s in witness.sets
-            ))
-            for change in (lambda s: s ^ {point}, lambda s: s - {point})
-        )
-        for fam in (witness, flipped, dropped):
-            encodes = encodes_by_scan(fam, blown)
-            assert encodes_hypergraph(fam, blown) == encodes, (fam, blown)
-            outcomes.add(encodes)
-    assert outcomes == {True, False}
 
 
 def test_blowup_pullback_meets_blocks():
@@ -422,6 +393,20 @@ def test_union_closed_threshold_checks():
         assert check_one_n(broken, threshold) == (
             representable and one_n_by_scan(base, universe, threshold)
         )
+    assert outcomes == {True, False}
+    # the library's own union-closed families, at every threshold 1..k+1
+    outcomes = set()
+    library = [disjoint_one1_family(n, naming) for n in range(1, 7) for naming in ("atoms", "skolem")]
+    library += [membership_column_family(membership_structure(n)) for n in range(1, 6)]
+    library += [UnionClosedFamily(n, decide_exhibitable(cooper_pattern(n)).witness) for n in range(1, 4)]
+    for ufam in library:
+        k = ufam.index_count
+        base = [ufam.base_set(i) for i in range(k)]
+        for threshold in range(1, k + 2):
+            expected = union_representable_by_scan(ufam) and one_n_by_scan(
+                base, ufam.family.universe_size, threshold)
+            assert check_one_n(ufam, threshold) == expected, (ufam, threshold)
+            outcomes.add(expected)
     assert outcomes == {True, False}
     # planted: one point per t-subset of k <= 10 base indices, so exactly the
     # subsets of size <= t meet, sometimes plus one point on a (t+1)-subset.
