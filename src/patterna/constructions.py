@@ -13,13 +13,15 @@ because it can only mean a transcription bug.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 from dataclasses import dataclass
 
-from .bounds import IP_FAMILY_N, MEMBERSHIP_N, check_bound
+from .bounds import IP_FAMILY_N, MEMBERSHIP_N, check_bound, check_indices
 from .errors import (
     ArityMismatch,
     CharacterizationPropertyViolated,
+    IndexOutOfRange,
     NotFullyComplete,
     NotReasonablePositive,
     PreconditionFailure,
@@ -241,8 +243,10 @@ def check_membership_structure(structure: MembershipStructure) -> list[str]:
     element that is not a set of points is reported once and left out of the
     other checks.  Returns human-readable violations; empty means pass."""
     size, elements = structure.s_size, structure.algebra_elements
-    masks = {a: subset_index(element) for a, element in enumerate(elements)
-             if all(type(i) is int and 0 <= i < size for i in element)}
+    masks = {}
+    for a, element in enumerate(elements):
+        with contextlib.suppress(IndexOutOfRange):
+            masks[a] = subset_index(check_indices(element, "point", size))
     problems = [f"algebra element #{a} leaves the point sort" for a in range(len(elements)) if a not in masks]
     lookup = {mask: a for a, mask in masks.items()}
     full = (1 << max(size, 0)) - 1

@@ -18,11 +18,10 @@ from dataclasses import dataclass, field
 from functools import cached_property, partial
 from math import comb
 
-from .bounds import CLIQUE_VERTICES, DOUBLING_VERTICES, PATTERN_INDICES_LOG2, check_bound
+from .bounds import CLIQUE_VERTICES, DOUBLING_VERTICES, PATTERN_INDICES_LOG2, check_bound, check_indices
 from .errors import (
     ArityMismatch,
     AxiomViolation,
-    IndexOutOfRange,
     NotAnEmbedding,
     NotReasonablePositive,
     PreconditionFailure,
@@ -52,15 +51,10 @@ class Hypergraph:
             raise UnsupportedParams(f"arity {arity!r} is not an int of at least 2")
         if type(vertex_count) is not int or vertex_count < 0:
             raise UnsupportedParams(f"vertex count {vertex_count!r} is not a nonnegative int")
-        coerced = frozenset(map(frozenset, edges))
+        coerced = frozenset(frozenset(check_indices(edge, "vertex", vertex_count)) for edge in edges)
         for edge in coerced:
             if len(edge) != arity:
                 raise ArityMismatch(f"edge {sorted(edge)} is not a {arity}-subset")
-            for v in edge:
-                if type(v) is not int:
-                    raise IndexOutOfRange(f"vertex {v!r} is not an integer")
-                if not 0 <= v < vertex_count:
-                    raise IndexOutOfRange(f"vertex {v} outside [0, {vertex_count})")
         masks = frozenset(map(subset_index, coerced))
         self.__dict__.update(arity=arity, vertex_count=vertex_count, masks=masks, edges=coerced)
 
@@ -305,10 +299,10 @@ class WitnessStructure:
     from witnesses to parameters, and hyperedges on the parameter sort only.
 
     The defining universal axiom: for every hyperedge E and witness x, not all
-    of r(x, p), p in E, hold.  Construction refuses only a relation entry
-    that is not an int; structures are not otherwise validated on
-    construction (deliberately, so broken ones, out-of-range pairs
-    included, can be fed to check_axioms); the builders below always
+    of r(x, p), p in E, hold.  Construction refuses only a relation or
+    hyperedge entry that is not an int; structures are not otherwise
+    validated on construction (deliberately, so broken ones, out-of-range
+    pairs included, can be fed to check_axioms); the builders below always
     validate their output.
     """
 
@@ -321,13 +315,11 @@ class WitnessStructure:
     def __post_init__(self):
         object.__setattr__(self, "witness_points", tuple(self.witness_points))
         object.__setattr__(self, "parameter_points", tuple(self.parameter_points))
-        pairs = [(w, p) for w, p in self.r]
-        for pair in pairs:  # as written: frozenset() would drop a (0, True) beside a (0, 1)
-            for v in pair:
-                if type(v) is not int:
-                    raise IndexOutOfRange(f"relation entry {v!r} is not an integer")
+        pairs, edges = [(w, p) for w, p in self.r], list(map(tuple, self.hyperedges))
+        check_indices(itertools.chain.from_iterable(pairs), "relation entry")
+        check_indices(itertools.chain.from_iterable(edges), "hyperedge entry")
         object.__setattr__(self, "r", frozenset(pairs))
-        object.__setattr__(self, "hyperedges", frozenset(frozenset(e) for e in self.hyperedges))
+        object.__setattr__(self, "hyperedges", frozenset(map(frozenset, edges)))
 
 
 @dataclass(frozen=True)
@@ -436,10 +428,7 @@ class Embedding:
 
     def __post_init__(self):
         for name in ("witness", "parameter"):
-            entries = tuple(getattr(self, f"{name}_map"))
-            for v in entries:
-                if type(v) is not int:
-                    raise IndexOutOfRange(f"{name} map entry {v!r} is not an integer")
+            entries = check_indices(getattr(self, f"{name}_map"), f"{name} map entry")
             object.__setattr__(self, f"{name}_map", entries)
 
 

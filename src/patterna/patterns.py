@@ -16,7 +16,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .bounds import PATTERN_INDICES_LOG2, SUBSET_PATTERN_N, TREE_NODES, check_bound
+from .bounds import PATTERN_INDICES_LOG2, SUBSET_PATTERN_N, TREE_NODES, check_bound, check_indices
 from .errors import (
     DuplicateCondition,
     EmptyCondition,
@@ -54,12 +54,10 @@ class Condition:
     neg_mask = _Mask()
 
     def __post_init__(self):
-        pos, neg = tuple(self.pos), tuple(self.neg)
-        for i in pos + neg:  # each index as written, before set() drops a 1.0 beside a 1
-            if type(i) is not int:
-                raise IndexOutOfRange(f"index {i!r} is not an integer")
-            if i < 0:
-                raise IndexOutOfRange(f"index {i} is negative")
+        pos, neg = check_indices(self.pos, "index"), check_indices(self.neg, "index")
+        lowest = min(pos + neg, default=0)
+        if lowest < 0:
+            raise IndexOutOfRange(f"index {lowest} is negative")
         object.__setattr__(self, "pos", tuple(sorted(set(pos))))
         object.__setattr__(self, "neg", tuple(sorted(set(neg))))
 
@@ -102,7 +100,7 @@ def _canonical_side(raw, n: int, side: str, strict: bool) -> tuple[Condition, ..
     """
     if type(n) is not int or n < 0:
         raise IndexOutOfRange(f"index count must be a nonnegative integer, got {n!r}")
-    conditions = {}
+    conditions, where = {}, f"in {side} outside [0, {n})"
     for item in raw:
         if isinstance(item, Condition):
             pos, neg = key = item.pos, item.neg
@@ -112,12 +110,11 @@ def _canonical_side(raw, n: int, side: str, strict: bool) -> tuple[Condition, ..
             if type(p) not in (list, tuple) or type(q) not in (list, tuple):
                 raise TypeError(f"a raw condition is a pair of lists or tuples, got {p!r}, {q!r}")
             item = None
-        for i in pos + neg:
-            if type(i) is not int:
-                hash(i)  # a list index fails as set() does
-                raise IndexOutOfRange(f"index {i!r} is not an integer")
-            if not 0 <= i < n:
-                raise IndexOutOfRange(f"index {i} in {side} outside [0, {n})")
+        try:
+            check_indices(pos + neg, "index", n, where)
+        except IndexOutOfRange:
+            hash(pos + neg)  # a list index fails as set() does
+            raise
         if item is None:
             if len(pos) > 1:  # parts of fewer than two indices are canonical
                 pos = tuple(sorted(set(pos)))
@@ -259,6 +256,16 @@ def complete_conditions(n: int) -> list[Condition]:
     return [_condition(pos, neg, (mask, full ^ mask)) for pos, neg, mask in splits]
 
 
+def _fully_complete(n: int, consistent) -> Pattern:
+    """The fully complete n-pattern whose consistent splits (X, n∖X) are those
+    with the mask of X in `consistent`, every other split inconsistent.  For
+    n = 0 the only split is the illegal (∅, ∅), so it is the empty pattern."""
+    sides = [], []
+    for cond in complete_conditions(n) if n else ():
+        sides[cond.pos_mask not in consistent].append(cond)
+    return _canonical(Pattern, n, tuple(sides[0]), tuple(sides[1]))
+
+
 def op_pattern(n: int) -> Pattern:
     """Order property: C = {({i..n-1}, {0..i-1}) : i < n}, I = ∅."""
     _require(n >= 0, "n must be nonnegative")
@@ -270,9 +277,7 @@ def ip_pattern(n: int) -> Pattern:
     """Independence property: every complete split (X, n∖X) is consistent."""
     _require(n >= 0, "n must be nonnegative")
     _require_output(n << n)
-    if n == 0:
-        return Pattern(0)  # the only split would be (∅, ∅), which is illegal
-    return Pattern(n, tuple(complete_conditions(n)))
+    return _fully_complete(n, range(1 << n))
 
 
 def cm_pattern(n: int) -> Pattern:
@@ -412,11 +417,7 @@ def cooper_pattern(n: int) -> Pattern:
     check_bound(n, SUBSET_PATTERN_N, "n={size} exceeds the subset-pattern bound {limit}")
     count = 1 << n
     _require_output(count << count)
-    up_masks = set(_up_masks(n))
-    consistency, inconsistency = [], []
-    for cond in complete_conditions(count):
-        (consistency if cond.pos_mask in up_masks else inconsistency).append(cond)
-    return Pattern(count, tuple(consistency), tuple(inconsistency))
+    return _fully_complete(count, set(_up_masks(n)))
 
 
 def pmchar_pattern(n: int) -> Pattern:

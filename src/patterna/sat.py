@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import or_
 
+from .bounds import check_indices
 from .errors import IndexOutOfRange, ParseError
 
 
@@ -64,13 +65,12 @@ class CnfFormula:
     clauses: tuple[tuple[Literal, ...], ...]
 
     def __post_init__(self):
-        if self.variable_count < 0:
+        count = self.variable_count
+        check_indices((count,), "variable count")
+        if count < 0:
             raise IndexOutOfRange("variable count must be nonnegative")
-        raw = [[2 * lit.variable + lit.negated for lit in clause] for clause in self.clauses]
-        for variable in sorted({code >> 1 for clause in raw for code in clause}):
-            if not 0 <= variable < self.variable_count:
-                raise IndexOutOfRange(f"variable {variable} outside [0, {self.variable_count})")
-        codes = _normal_codes(raw)
+        check_indices([lit.variable for clause in self.clauses for lit in clause], "variable", count)
+        codes = _normal_codes([[2 * lit.variable + lit.negated for lit in clause] for clause in self.clauses])
         clauses = tuple(tuple(Literal(c >> 1, bool(c & 1)) for c in clause) for clause in codes)
         object.__setattr__(self, "clauses", clauses)
 
@@ -283,11 +283,7 @@ def sat_solve(formula: CnfFormula | CompiledCnf, assumptions=()) -> dict[int, bo
                               [[2 * lit.variable + lit.negated for lit in clause] for clause in formula.clauses])
     if formula.has_empty:
         return None
-    for lit in assumptions:
-        if not 0 <= lit.variable < formula.variable_count:
-            raise IndexOutOfRange(
-                f"assumption variable {lit.variable} outside [0, {formula.variable_count})"
-            )
+    check_indices([lit.variable for lit in assumptions], "assumption variable", formula.variable_count)
     values = _search(formula, [2 * lit.variable + lit.negated for lit in assumptions])
     if values is None:
         return None

@@ -14,8 +14,9 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
+from .bounds import check_indices
 from .errors import ArityMismatch, IndexOutOfRange, MalformedUnionMap
-from .patterns import Condition, Pattern, _bits, _canonical, complete_conditions
+from .patterns import Condition, Pattern, _bits, _canonical, _fully_complete, subset_index
 
 
 @dataclass(frozen=True, init=False, repr=False)
@@ -40,18 +41,10 @@ class SetFamily:
             raise IndexOutOfRange(f"universe size {universe_size!r} is not an integer")
         if universe_size < 1:
             raise ValueError("universe must be nonempty")
-        coerced = tuple(frozenset(s) for s in sets)
-        masks = []
-        for s in coerced:
-            mask = 0
-            for point in s:
-                if type(point) is not int:
-                    raise IndexOutOfRange(f"point {point!r} is not an integer")
-                if not 0 <= point < universe_size:
-                    raise IndexOutOfRange(f"point {point} outside universe [0, {universe_size})")
-                mask |= 1 << point
-            masks.append(mask)
-        self.__dict__.update(universe_size=universe_size, masks=tuple(masks), sets=coerced)
+        where = f"outside universe [0, {universe_size})"
+        coerced = tuple(frozenset(check_indices(s, "point", universe_size, where)) for s in sets)
+        masks = tuple(map(subset_index, coerced))
+        self.__dict__.update(universe_size=universe_size, masks=masks, sets=coerced)
 
     @classmethod
     def _of_masks(cls, universe_size: int, masks) -> SetFamily:
@@ -188,14 +181,7 @@ def fully_complete_extension(fam: SetFamily) -> Pattern:
     For n = 0 the only split is the illegal (∅, ∅), so the empty pattern is
     returned.  The splits come in canonical order, so they are kept as built.
     """
-    n = fam.n
-    if n == 0:
-        return Pattern(0)
-    realized = _type_classes(fam)
-    consistency, inconsistency = [], []
-    for cond in complete_conditions(n):
-        (consistency if cond.pos_mask in realized else inconsistency).append(cond)
-    return _canonical(Pattern, n, tuple(consistency), tuple(inconsistency))
+    return _fully_complete(fam.n, _type_classes(fam))
 
 
 @dataclass(frozen=True)
@@ -227,8 +213,7 @@ class UnionClosedFamily:
 
     def base_set(self, i: int) -> frozenset[int]:
         """The set indexed by the singleton {i}."""
-        if not 0 <= i < self.index_count:
-            raise IndexOutOfRange(f"base index {i} outside [0, {self.index_count})")
+        check_indices((i,), "base index", self.index_count)
         return self.family.sets[1 << i]
 
     @classmethod

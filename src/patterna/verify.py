@@ -42,8 +42,8 @@ from .patterns import (
     Condition,
     Pattern,
     _bits,
+    _fully_complete,
     classify,
-    complete_conditions,
     cooper_pattern,
     double_positive,
     is_k_bounded,
@@ -92,13 +92,13 @@ def _require_sizes(**sizes):
 
 
 def fully_complete_patterns(n: int):
-    """All 2**(2**n) - 1 fully complete n-patterns (every nonempty choice of
-    the consistent side)."""
+    """For n >= 1, all 2**(2**n) - 1 fully complete n-patterns (every nonempty
+    choice of the consistent side), the consistent splits' masks chosen by
+    the bits of 1, 2, ...; none for n = 0, whose only split (∅, ∅) is
+    illegal."""
     check_bound(n, SUBSET_PATTERN_N, "n={size} exceeds the fully-complete-pattern bound {limit}")
-    splits = complete_conditions(n)
-    full = (1 << len(splits)) - 1
-    for mask in range(1, full + 1):
-        yield Pattern(n, tuple(splits[i] for i in _bits(mask)), tuple(splits[i] for i in _bits(full ^ mask)))
+    for chosen in range(1, 1 << (1 << n) if n else 1):
+        yield _fully_complete(n, set(_bits(chosen)))
 
 
 def _counted(construction: str, name: str, outcomes, what: str) -> Report:

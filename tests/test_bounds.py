@@ -75,6 +75,8 @@ BOUNDED = {
     "decide_exhibitable": ("3", decide_exhibitable, Pattern(8), Pattern(9), "2**3"),
     "classify": ("3", classify, Pattern(8, (((7,), ()),)), Pattern(9, (((8,), ()),)), "2**3"),
     "brute_force_exhibitable": ("3", brute_force_exhibitable, Pattern(3), Pattern(4), "3"),
+    "brute_force_steps": ("6", brute_force_exhibitable, Pattern(5, (((0,), ()),), (((1,), ()),)),
+                          Pattern(5, (((0,), ()),), (((1,), ()), ((2,), ()))), "2**6"),
     "condition_cnf": ("3", condition_cnf, Pattern(8), Pattern(9), "2**3"),
     "tree_nodes": ("3", lambda bd: tp1_pattern(*bd), (2, 1), (2, 2), "3"),
     "ktp2_choice_functions": ("3", lambda bdk: ktp2_pattern(*bdk), (3, 1, 3), (2, 2, 2), "3"),

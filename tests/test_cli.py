@@ -58,6 +58,17 @@ class TestDecideCommand:
         payload = json.loads(out)
         assert payload["oracle_exhibitable"] and payload["oracle_agreement"]
 
+    def test_oracle_scan_refused_before_it_starts(self, tmp_path, monkeypatch):
+        # n = 16 passes the brute-force index bound, but 2 targets x 2**16 types
+        # x (1 + 128 clauses) is just over the step bound: the 8.8 KB document
+        # of 4 targets and 514 clauses scanned for 1.3 s before it was bounded
+        monkeypatch.delenv(ENV_VAR, raising=False)
+        pairs = [[[i], [j]] for i, j in itertools.permutations(range(16), 2)][:128]
+        path = write_doc(tmp_path, {"n": 16, "consistency": [[[0], []], [[1], []]], "inconsistency": pairs})
+        assert assert_one_line_error(["decide", path, "--oracle"]) == (
+            "error: a brute-force scan of 16908288 steps exceeds the brute-force step bound 2**24\n")
+        assert invoke(["decide", path])[0] == 0
+
     def test_missing_file_exits_two(self):
         code, _, err = invoke(["decide", "/nonexistent/p.json"])
         assert code == 2 and "error:" in err

@@ -38,7 +38,7 @@ from patterna.hypergraphs import (
 )
 from patterna.patterns import double_positive, ip_pattern, validate_pattern
 from patterna.rand import random_condition
-from patterna.sat import CnfFormula, import_dimacs
+from patterna.sat import CnfFormula, Literal, import_dimacs, sat_solve
 from patterna.semantics import UnionClosedFamily, check_one_n
 
 from conftest import UNION_SPLIT
@@ -70,6 +70,35 @@ REFUSALS = [
      MalformedUnionMap, "threshold must be at least 1"),
     ("hypergraph vertex out of range", lambda: Hypergraph(2, 2, [(0, 2)]),
      IndexOutOfRange, "vertex 2 outside [0, 2)"),
+    # each index is checked as written, before frozenset() merges a True or a
+    # 1.0 into the 1 beside it
+    ("set family point a bool beside its int", lambda: SetFamily(3, [[1, True]]),
+     IndexOutOfRange, "point True is not an integer"),
+    ("set family point a float beside its int", lambda: SetFamily(3, [[1, 1.0]]),
+     IndexOutOfRange, "point 1.0 is not an integer"),
+    ("hypergraph edge of a bool beside an edge", lambda: Hypergraph(2, 3, [[0, 1], [True, 0]]),
+     IndexOutOfRange, "vertex True is not an integer"),
+    ("hypergraph edge of a bool beside its int", lambda: Hypergraph(2, 3, [[1, True]]),
+     IndexOutOfRange, "vertex True is not an integer"),
+    ("witness structure hyperedge entry a float", lambda: WitnessStructure(("w",), ("p", "q"), (), [[0, 0.5]]),
+     IndexOutOfRange, "hyperedge entry 0.5 is not an integer"),
+    ("witness structure hyperedge entry a whole float",
+     lambda: WitnessStructure(("w",), ("p", "q"), (), [[0.0, 1]]),
+     IndexOutOfRange, "hyperedge entry 0.0 is not an integer"),
+    ("witness structure hyperedge entry a bool", lambda: WitnessStructure(("w",), ("p", "q"), (), [[0, True]]),
+     IndexOutOfRange, "hyperedge entry True is not an integer"),
+    ("cnf variable count a bool", lambda: CnfFormula(True, ((Literal(0),),)),
+     IndexOutOfRange, "variable count True is not an integer"),
+    ("cnf literal variable a bool", lambda: CnfFormula(2, ((Literal(True),),)),
+     IndexOutOfRange, "variable True is not an integer"),
+    ("cnf literal variable a float", lambda: CnfFormula(2, ((Literal(1.0),),)),
+     IndexOutOfRange, "variable 1.0 is not an integer"),
+    ("assumption variable a bool", lambda: sat_solve(CnfFormula(2, ()), [Literal(True)]),
+     IndexOutOfRange, "assumption variable True is not an integer"),
+    ("assumption variable a float", lambda: sat_solve(CnfFormula(2, ()), [Literal(1.0)]),
+     IndexOutOfRange, "assumption variable 1.0 is not an integer"),
+    ("union family base index a bool", lambda: UnionClosedFamily(1, ONE_INDEX).base_set(True),
+     IndexOutOfRange, "base index True is not an integer"),
     ("witness structure relation entry a float", lambda: WitnessStructure(("w",), ("p",), {(0.7, 0)}, ()),
      IndexOutOfRange, "relation entry 0.7 is not an integer"),
     ("witness structure relation entry a bool", lambda: WitnessStructure(("w",), ("p",), [(0, 1), (0, True)], ()),

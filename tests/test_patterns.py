@@ -42,8 +42,9 @@ from patterna.hypergraphs import pattern_from_hypergraph
 from patterna.jsonio import pattern_from_dict
 from patterna.rand import random_condition, random_consistency_pattern, random_hypergraph
 from patterna.semantics import SetFamily, condition_trace, fully_complete_extension
-from patterna.verify import all_disjoint_conditions
+from patterna.verify import all_disjoint_conditions, fully_complete_patterns
 
+import conftest
 from conftest import assert_parsed_as, complete_conditions, disjoint_conditions, random_cnf, reference_pattern
 
 
@@ -390,6 +391,18 @@ class TestGenerators:
     def test_complete_splits_in_canonical_order(self):
         for n in range(9):
             assert patterns.complete_conditions(n) == sorted(complete_conditions(n))
+
+    def test_fully_complete_builders_are_canonical(self):
+        # these builders skip the checks and the sort of Pattern(...), so each
+        # result must equal its rebuild through it
+        built = [ip_pattern(n) for n in range(5)] + [cooper_pattern(n) for n in (1, 2)]
+        built += [fully_complete_extension(SetFamily(3, sets)) for sets in ([], [{0, 1}, {1, 2}, {2}, set()])]
+        built += fully_complete_patterns(2)
+        for p in built:
+            assert p == Pattern(p.n, p.consistency, p.inconsistency)
+        assert not list(fully_complete_patterns(0))
+        for n in (1, 2, 3):
+            assert set(fully_complete_patterns(n)) == set(conftest.fully_complete_patterns(n))
 
 
 def index_total(p):
