@@ -5,6 +5,9 @@ input, same bytes) and one-line human summaries on stderr.  Exit codes:
 0 = success / positive answer, 1 = negative answer (not exhibitable, check
 failed), 2 = usage or input error, or any unexpected failure (reported in one
 line, without a traceback).
+
+The handlers write nothing: each returns (document or None, exit code,
+stderr summary), and `run` is the one writer of both streams.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .hypergraphs import (
 )
 from .hypergraphs import pattern_from_hypergraph as _hyper_pattern
 from .jsonio import dumps_canonical
-from .patterns import GEN_KINDS, classify, gen_divline
+from .patterns import GEN_KINDS, Pattern, classify, gen_divline
 from .sat import export_dimacs
 from .verify import VERIFIERS
 
@@ -80,25 +83,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_classify(args, stdout, stderr) -> int:
-    pattern = jsonio.pattern_from_dict(jsonio.load_json(args.pattern_file))
-    stdout.write(dumps_canonical(asdict(classify(pattern))))
-    return 0
+#: What a handler returns: the document to print (None for none), the exit code, the stderr summary.
+Outcome = tuple[dict | None, int, str]
 
 
-def _cmd_generate(args, stdout, stderr) -> int:
+def _pattern(path: str) -> Pattern:
+    return jsonio.pattern_from_dict(jsonio.load_json(path))
+
+
+def _cmd_classify(args) -> Outcome:
+    return asdict(classify(_pattern(args.pattern_file))), 0, ""
+
+
+def _cmd_generate(args) -> Outcome:
     params = {
         name: getattr(args, name)
         for name in ("n", "b", "d", "k")
         if getattr(args, name) is not None
     }
-    pattern = gen_divline(args.kind, **params)
-    stdout.write(dumps_canonical(jsonio.pattern_to_dict(pattern)))
-    return 0
+    return jsonio.pattern_to_dict(gen_divline(args.kind, **params)), 0, ""
 
 
-def _cmd_decide(args, stdout, stderr) -> int:
-    pattern = jsonio.pattern_from_dict(jsonio.load_json(args.pattern_file))
+def _cmd_decide(args) -> Outcome:
+    pattern = _pattern(args.pattern_file)
     decision = decide_exhibitable(pattern)
     payload = jsonio.decision_to_dict(decision, include_witness=args.witness)
     if args.oracle:
@@ -106,66 +113,47 @@ def _cmd_decide(args, stdout, stderr) -> int:
         payload["oracle_exhibitable"] = oracle.exhibitable
         payload["oracle_agreement"] = oracle.exhibitable == decision.exhibitable
         if not payload["oracle_agreement"]:
-            stderr.write("oracle disagreement: decision procedure is buggy\n")
-            stdout.write(dumps_canonical(payload))
-            return 2
-    stdout.write(dumps_canonical(payload))
-    stderr.write(
-        ("exhibitable\n" if decision.exhibitable else "not exhibitable\n")
-    )
-    return 0 if decision.exhibitable else 1
+            return payload, 2, "oracle disagreement: decision procedure is buggy\n"
+    if decision.exhibitable:
+        return payload, 0, "exhibitable\n"
+    return payload, 1, "not exhibitable\n"
 
 
-def _cmd_dimacs(args, stdout, stderr) -> int:
-    pattern = jsonio.pattern_from_dict(jsonio.load_json(args.pattern_file))
+def _cmd_dimacs(args) -> Outcome:
+    pattern = _pattern(args.pattern_file)
     if args.condition is None:
-        cond = None
-        formula = condition_cnf(pattern)
-        label = "sentinel"
-    else:
-        if not 0 <= args.condition < len(pattern.consistency):
-            stderr.write(
-                f"condition index {args.condition} out of range "
-                f"(pattern has {len(pattern.consistency)} consistency conditions)\n"
-            )
-            return 2
-        target = pattern.consistency[args.condition]
-        cond = [list(target.pos), list(target.neg)]
-        formula = condition_cnf(pattern, target)
-        label = str(args.condition)
-    stdout.write(
-        dumps_canonical({"condition": cond, "index": label, "dimacs": export_dimacs(formula)})
-    )
-    return 0
+        return {"condition": None, "index": "sentinel", "dimacs": export_dimacs(condition_cnf(pattern))}, 0, ""
+    if not 0 <= args.condition < len(pattern.consistency):
+        return None, 2, (f"condition index {args.condition} out of range "
+                         f"(pattern has {len(pattern.consistency)} consistency conditions)\n")
+    target = pattern.consistency[args.condition]
+    return {"condition": [list(target.pos), list(target.neg)], "index": str(args.condition),
+            "dimacs": export_dimacs(condition_cnf(pattern, target))}, 0, ""
 
 
-def _cmd_hypergraph(args, stdout, stderr) -> int:
+def _cmd_hypergraph(args) -> Outcome:
     data = jsonio.load_json(args.file)
-    if args.action == "witness-structure" and isinstance(data, dict) and "consistency" in data:
-        source = jsonio.pattern_from_dict(data)
-    else:
-        source = jsonio.hypergraph_from_dict(data)
     if args.action == "witness-structure":
-        payload = jsonio.structure_to_dict(build_witness_structure(source))
-    elif args.action == "pattern":
-        payload = jsonio.pattern_to_dict(_hyper_pattern(source))
-    elif args.action == "blowup":
+        source = (jsonio.pattern_from_dict(data) if isinstance(data, dict) and "consistency" in data
+                  else jsonio.hypergraph_from_dict(data))
+        return jsonio.structure_to_dict(build_witness_structure(source)), 0, ""
+    source = jsonio.hypergraph_from_dict(data)
+    if args.action == "pattern":
+        return jsonio.pattern_to_dict(_hyper_pattern(source)), 0, ""
+    if args.action == "blowup":
         blown, grouping = blowup(source)
-        payload = {"hypergraph": jsonio.hypergraph_to_dict(blown),
-                   "grouping": [list(block) for block in grouping]}
-    else:
-        result = triangle_free_double(source)
-        payload = {
-            "graph": jsonio.hypergraph_to_dict(result.graph),
-            "pairs": [list(pair) for pair in result.pairs],
-            "clique_witnesses": [{"vertex": v, "clique": sorted(s)} for v, s in result.clique_witnesses],
-            "family": jsonio.family_to_dict(result.family),
-        }
-    stdout.write(dumps_canonical(payload))
-    return 0
+        return {"hypergraph": jsonio.hypergraph_to_dict(blown),
+                "grouping": [list(block) for block in grouping]}, 0, ""
+    result = triangle_free_double(source)
+    return {
+        "graph": jsonio.hypergraph_to_dict(result.graph),
+        "pairs": [list(pair) for pair in result.pairs],
+        "clique_witnesses": [{"vertex": v, "clique": sorted(s)} for v, s in result.clique_witnesses],
+        "family": jsonio.family_to_dict(result.family),
+    }, 0, ""
 
 
-def _cmd_verify(args, stdout, stderr) -> int:
+def _cmd_verify(args) -> Outcome:
     procedure = VERIFIERS[args.construction]
     signature = inspect.signature(procedure)
     kwargs = {name: getattr(args, name) for name in signature.parameters
@@ -173,29 +161,21 @@ def _cmd_verify(args, stdout, stderr) -> int:
     report = procedure(**kwargs)
     bound = signature.bind(**kwargs)
     bound.apply_defaults()  # the report names every argument it ran with, defaults included
-    stdout.write(dumps_canonical({**report.to_dict(), "parameters": dict(bound.arguments)}))
-    for check in report.checks:
-        marker = "PASS" if check.ok else "FAIL"
-        stderr.write(f"{marker} {report.construction}/{check.name} {check.detail}\n")
-    return 0 if report.ok else 1
+    summary = "".join(f"{'PASS' if check.ok else 'FAIL'} {report.construction}/{check.name} {check.detail}\n"
+                      for check in report.checks)
+    return {**report.to_dict(), "parameters": dict(bound.arguments)}, 0 if report.ok else 1, summary
 
 
-def _cmd_amalgam(args, stdout, stderr) -> int:
-    base = jsonio.structure_from_dict(jsonio.load_json(args.base_file))
-    side0 = jsonio.structure_from_dict(jsonio.load_json(args.side0_file))
-    side1 = jsonio.structure_from_dict(jsonio.load_json(args.side1_file))
+def _cmd_amalgam(args) -> Outcome:
+    base, side0, side1 = (jsonio.structure_from_dict(jsonio.load_json(path))
+                          for path in (args.base_file, args.side0_file, args.side1_file))
     e0, e1 = jsonio.maps_from_dict(jsonio.load_json(args.maps_file))
     result = free_amalgam(base, side0, side1, e0, e1)
-    stdout.write(
-        dumps_canonical(
-            {
-                "structure": jsonio.structure_to_dict(result.structure),
-                "embed0": jsonio.embedding_to_dict(result.embed0),
-                "embed1": jsonio.embedding_to_dict(result.embed1),
-            }
-        )
-    )
-    return 0
+    return {
+        "structure": jsonio.structure_to_dict(result.structure),
+        "embed0": jsonio.embedding_to_dict(result.embed0),
+        "embed1": jsonio.embedding_to_dict(result.embed1),
+    }, 0, ""
 
 
 _COMMANDS = {
@@ -210,7 +190,8 @@ _COMMANDS = {
 
 
 def run(argv, stdout=None, stderr=None) -> int:
-    """Run one command; returns the exit code.  Streams default to the process's."""
+    """Run one command; returns the exit code.  Streams default to the process's.  The one
+    writer: the handler's document, if it returns one, then its stderr summary."""
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
     parser = _build_parser()
@@ -219,7 +200,11 @@ def run(argv, stdout=None, stderr=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
-        return _COMMANDS[args.command](args, stdout, stderr)
+        document, code, summary = _COMMANDS[args.command](args)
+        if document is not None:
+            stdout.write(dumps_canonical(document))
+        stderr.write(summary)
+        return code
     except (PatternaError, KeyError, OSError, ValueError) as exc:
         stderr.write(f"error: {exc}\n")
         return 2

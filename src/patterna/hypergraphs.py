@@ -215,10 +215,11 @@ def realization_witness(h: Hypergraph) -> SetFamily:
 
 
 def _grouping(h: Hypergraph):
-    """The blowup's blocks: vertex i becomes k+1 consecutive new vertices."""
+    """The blowup's blocks, built as they are iterated: vertex i becomes k+1 consecutive new
+    vertices.  The vertex bound is checked on the call."""
     check_bound(h.vertex_count, CLIQUE_VERTICES, "{size} vertices exceed the blowup bound {limit}")
-    k = h.arity
-    return tuple(tuple(range(i * (k + 1), (i + 1) * (k + 1))) for i in range(h.vertex_count))
+    width = h.arity + 1
+    return (tuple(range(i * width, (i + 1) * width)) for i in range(h.vertex_count))
 
 
 def _blown_cliques(h: Hypergraph, maximal) -> frozenset[int]:
@@ -247,23 +248,30 @@ def blowup(h: Hypergraph):
     The edges whose blocks are a clique of s vertices number
     sum_j (-1)**j C(s, j) C((s-j)(k+1), k+1), by inclusion-exclusion over the blocks missed;
     their total is bounded before each edge grows vertex by vertex while its blocks form a
-    clique of h.  blown can derive its maximal cliques from h's (_blown_cliques) when
-    realization_witness asks for them."""
+    clique of h, and a prefix grows only while enough vertices are left to finish it.  Above
+    arity 64 a clique of two vertices alone gives C(2(k+1), k+1) - 2 >= 2**(k+1) - 2 edges, which
+    is bounded first, so no wide binomial is taken.  blown can derive its maximal cliques from
+    h's (_blown_cliques) when realization_witness asks for them."""
     grouping = _grouping(h)
     k = h.arity
     maximal = _maximal_clique_masks(h)
+    # exponents compared: 2**(k+1) - 2 > 2**limit iff k+1 > limit, as the vertex bound lets two vertices through
+    # only at a limit of 2 or more
+    if k + 1 > 64 and any(c.bit_count() > 1 for c in maximal):
+        check_bound(k + 1, PATTERN_INDICES_LOG2,
+                    "a blowup of at least 2**{size} - 2 edges exceeds the output bound 2**{limit}")
     cliques = set(_submasks(maximal))
     size = sum(sum((-1) ** j * comb(s, j) * comb((s - j) * (k + 1), k + 1) for j in range(s + 1))
                for s in (c.bit_count() for c in cliques))
     check_bound(size, PATTERN_INDICES_LOG2, "a blowup of {size} edges exceeds the output bound {limit}", log2=True)
     prefixes = [(0, 0, 0)]  # (mask of new vertices, mask of their blocks, next new vertex)
-    for _ in range(k + 1):
+    for left in reversed(range(k + 1)):  # vertices still to add after this one
         prefixes = [(edge | 1 << v, span, v + 1) for edge, spanned, start in prefixes
-                    for v in range(start, (k + 1) * h.vertex_count)
+                    for v in range(start, (k + 1) * h.vertex_count - left)
                     if (span := spanned | 1 << v // (k + 1)) in cliques]
     blown = _canonical(Hypergraph, k + 1, (k + 1) * h.vertex_count,
                        frozenset(edge for edge, _, _ in prefixes), partial(_blown_cliques, h, maximal))
-    return blown, grouping
+    return blown, tuple(grouping)
 
 
 def blowup_pullback(fam: SetFamily, original: Hypergraph, grouping) -> SetFamily:
@@ -271,7 +279,7 @@ def blowup_pullback(fam: SetFamily, original: Hypergraph, grouping) -> SetFamily
     of vertex i is the intersection over its block.  The precondition is checked on
     the blowup's maximal cliques, derived from the original's, so no blowup edge is
     built.  Re-verified."""
-    expected = _grouping(original)
+    expected = tuple(_grouping(original))
     if tuple(tuple(b) for b in grouping) != expected:
         raise PreconditionFailure("grouping does not match the deterministic blowup grouping")
     k, n = original.arity, original.vertex_count
@@ -384,6 +392,7 @@ def build_witness_structure(source) -> WitnessStructure:
     the hypergraph's arity.
     Reasonableness is exactly what makes the universal axiom hold; the output
     is checked and its relation columns must exhibit the source pattern.
+    A pattern on more than 2**20 indices is refused before any label is built.
     """
     if isinstance(source, Hypergraph):
         pattern = pattern_from_hypergraph(source)
@@ -393,6 +402,7 @@ def build_witness_structure(source) -> WitnessStructure:
         flavor = POSITIVE_FLAVOR
     else:
         raise UnsupportedParams(f"cannot build a witness structure from {type(source).__name__}")
+    check_bound(pattern.n, PATTERN_INDICES_LOG2, "n={size} exceeds the pattern index bound {limit}", log2=True)
     flags = classify(pattern)
     if not (flags.reasonable and flags.positive):
         raise NotReasonablePositive("witness structures need a reasonable positive pattern")

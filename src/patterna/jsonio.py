@@ -112,17 +112,13 @@ def family_to_dict(fam: SetFamily) -> dict:
 
 
 def decision_to_dict(decision: Decision, *, include_witness: bool = True) -> dict:
-    out = {"exhibitable": decision.exhibitable}
-    if decision.exhibitable:
-        out["witness"] = (
-            family_to_dict(decision.witness) if include_witness and decision.witness else None
-        )
-        out["failing"] = None
-    else:
-        out["witness"] = None
-        cond = decision.failing_condition
-        out["failing"] = [list(cond.pos), list(cond.neg)] if cond is not None else None
-    return out
+    """A Decision carries a witness only when exhibitable and a failing condition only when not."""
+    cond = decision.failing_condition
+    return {
+        "exhibitable": decision.exhibitable,
+        "witness": family_to_dict(decision.witness) if include_witness and decision.witness else None,
+        "failing": [list(cond.pos), list(cond.neg)] if cond is not None else None,
+    }
 
 
 # -- hypergraphs ------------------------------------------------------------

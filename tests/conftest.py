@@ -275,6 +275,60 @@ def reference_maps(doc):
     return tuple(out)
 
 
+def reference_hypergraph(doc):
+    """The (k, vertices, edges) of a hypergraph document, edges as a frozenset of
+    frozensets, or None when it is malformed.
+
+    Well formed: a dict with keys "vertices" and "edges" and an optional "k"
+    (2 when absent); k an int of at least 2 and vertices an int of at least 0;
+    edges a list or tuple of lists or tuples of ints in [0, vertices), each
+    holding exactly k distinct ints.  true, false and 1.0 are not ints.  An
+    edge is the set of its entries, and a repeated edge is one edge."""
+    if not isinstance(doc, dict) or "vertices" not in doc or "edges" not in doc:
+        return None
+    k, vertices, edges = doc.get("k", 2), doc["vertices"], doc["edges"]
+    if type(k) is not int or k < 2 or type(vertices) is not int or vertices < 0:
+        return None
+    if type(edges) not in (list, tuple) or any(type(edge) not in (list, tuple) for edge in edges):
+        return None
+    if any(type(v) is not int or not 0 <= v < vertices for edge in edges for v in edge):
+        return None
+    if any(len(set(edge)) != k for edge in edges):
+        return None
+    return k, vertices, frozenset(frozenset(edge) for edge in edges)
+
+
+def reference_structure(doc):
+    """The (witness_points, parameter_points, r, hyperedges, flavor) of a
+    witness-structure document, or None when it is malformed.
+
+    Well formed: a dict with keys "witness_points" and "parameter_points",
+    each a list of strings, "r", a list or tuple of [w, p] pairs of ints, and
+    "hyperedges", a list or tuple of lists or tuples of ints, with an optional
+    "flavor" that is "positive" (the default) or "k-uniform".  true, false and
+    1.0 are not ints.  Indices are not range-checked: check_axioms reports
+    those.  The labels become tuples, r a frozenset of (w, p) tuples and
+    hyperedges a frozenset of frozensets."""
+    keys = ("witness_points", "parameter_points", "r", "hyperedges")
+    if not isinstance(doc, dict) or any(key not in doc for key in keys):
+        return None
+    labels = (doc["witness_points"], doc["parameter_points"])
+    if any(type(points) is not list or any(type(label) is not str for label in points) for points in labels):
+        return None
+    sequences = (list, tuple)
+    r, hyperedges = doc["r"], doc["hyperedges"]
+    if type(r) not in sequences or any(type(pair) not in sequences or len(pair) != 2 for pair in r):
+        return None
+    if type(hyperedges) not in sequences or any(type(edge) not in sequences for edge in hyperedges):
+        return None
+    if any(type(v) is not int for entries in (*r, *hyperedges) for v in entries):
+        return None
+    flavor = doc.get("flavor", "positive")
+    if flavor not in ("positive", "k-uniform"):
+        return None
+    return (*map(tuple, labels), frozenset(map(tuple, r)), frozenset(map(frozenset, hyperedges)), flavor)
+
+
 def assert_parsed_as(p, reference):
     """p is the canonical Pattern of reference: its n, its conditions in
     order, tuple fields throughout, and the repr and hash that follow."""

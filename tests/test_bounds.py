@@ -1,4 +1,5 @@
 import random
+from math import comb
 
 import pytest
 
@@ -10,6 +11,7 @@ from patterna import (
     blowup_pullback,
     classify,
     brute_force_exhibitable,
+    build_witness_structure,
     condition_cnf,
     cooper_pattern,
     decide_exhibitable,
@@ -73,6 +75,7 @@ def pullback_input(h):
 #: value of the two passes both.
 BOUNDED = {
     "decide_exhibitable": ("3", decide_exhibitable, Pattern(8), Pattern(9), "2**3"),
+    "build_witness_structure": ("3", build_witness_structure, Pattern(8), Pattern(9), "2**3"),
     "classify": ("3", classify, Pattern(8, (((7,), ()),)), Pattern(9, (((8,), ()),)), "2**3"),
     "brute_force_exhibitable": ("3", brute_force_exhibitable, Pattern(3), Pattern(4), "3"),
     "brute_force_steps": ("6", brute_force_exhibitable, Pattern(5, (((0,), ()),), (((1,), ()),)),
@@ -141,6 +144,23 @@ def test_blowup_refused_exactly_over_its_edge_bound(monkeypatch):
                     blowup(h)
             else:
                 assert len(blowup(h)[0].masks) == edges
+
+
+def test_blowup_above_arity_64_bounded_before_its_count(monkeypatch):
+    # two vertices of arity k form one clique, whose blowup has C(2(k+1), k+1)
+    # edges; above arity 64 the cheap lower bound 2**(k+1) - 2 refuses it
+    # first, and only what the exact count would refuse too
+    for env, arity, edges, limit in ((None, 63, comb(128, 64), 20), (None, 64, "at least 2**65 - 2", 20),
+                                     ("70", 64, comb(130, 65), 70)):
+        if env is None:
+            monkeypatch.delenv(ENV_VAR, raising=False)
+        else:
+            monkeypatch.setenv(ENV_VAR, env)
+        with pytest.raises(BoundExceeded) as refused:
+            blowup(Hypergraph(arity, 2, ()))
+        assert str(refused.value) == f"a blowup of {edges} edges exceeds the output bound 2**{limit}"
+    blown, grouping = blowup(Hypergraph(100, 1, ()))  # one vertex: its block is the one edge
+    assert blown.masks == {(1 << 101) - 1} and grouping == (tuple(range(101)),)
 
 
 def test_pullback_refused_before_deriving_cliques(monkeypatch):

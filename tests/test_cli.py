@@ -2,6 +2,9 @@ import inspect
 import io
 import itertools
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -231,6 +234,48 @@ class TestHypergraphCommand:
         code, out, _ = invoke(["hypergraph", "witness-structure", str(path)])
         assert code == 0
         assert json.loads(out)["flavor"] == "positive"
+
+
+#: Documents of at most 64 bytes whose declared size once set the cost: the
+#: arity-25 blowup of one vertex walked every subset of its block (17 s and
+#: 1.08 GB for one edge), two vertices at arity 10**5 ended in a count too
+#: wide to print and at arity 10**7 in a binomial that ran past 100 s, and a
+#: pattern on 10**7 indices built a label for each until MemoryError (exit 1).
+#: Each is run with the exit code and the stdout and stderr it must give.
+ONE_BLOCK = list(range(25))
+WIDE_DOCUMENTS = {
+    "blowup of one vertex at arity 25": (
+        "blowup", {"k": 24, "vertices": 1, "edges": []}, 0,
+        jsonio.dumps_canonical({"hypergraph": {"k": 25, "vertices": 25, "edges": [ONE_BLOCK]},
+                                "grouping": [ONE_BLOCK]}), ""),
+    **{f"blowup of two vertices at arity {k}": (
+        "blowup", {"k": k, "vertices": 2, "edges": []}, 2, "",
+        f"error: a blowup of at least 2**{k + 1} - 2 edges exceeds the output bound 2**20\n")
+       for k in (10**5, 10**7)},
+    "witness structure on 10**7 indices": (
+        "witness-structure", {"n": 10**7, "consistency": [[[0], []]], "inconsistency": []}, 2, "",
+        "error: n=10000000 exceeds the pattern index bound 2**20\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WIDE_DOCUMENTS))
+def test_declared_size_sets_no_cost(tmp_path, name):
+    # in a child process capped at 512 MB of address space and 20 s
+    action, doc, code, out, err = WIDE_DOCUMENTS[name]
+    script = (
+        "import resource, sys\n"
+        "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (512 * 2**20, hard))\n"
+        "from patterna import cli\n"
+        "sys.exit(cli.run(sys.argv[1:]))\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != ENV_VAR}
+    done = subprocess.run(
+        [sys.executable, "-c", script, "hypergraph", action, write_doc(tmp_path, doc)],
+        capture_output=True, text=True, timeout=20,
+        env={**env, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (code, out, err)
 
 
 class TestVerifyCommand:

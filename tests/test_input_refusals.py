@@ -26,6 +26,7 @@ from patterna.errors import (
     NotConsistencyPattern,
     NotReasonablePositive,
     ParseError,
+    PreconditionFailure,
     UnsupportedParams,
 )
 from patterna.hypergraphs import (
@@ -33,6 +34,7 @@ from patterna.hypergraphs import (
     Embedding,
     Hypergraph,
     WitnessStructure,
+    blowup_pullback,
     build_witness_structure,
     check_axioms,
 )
@@ -70,6 +72,11 @@ REFUSALS = [
      MalformedUnionMap, "threshold must be at least 1"),
     ("hypergraph vertex out of range", lambda: Hypergraph(2, 2, [(0, 2)]),
      IndexOutOfRange, "vertex 2 outside [0, 2)"),
+    ("hypergraph edge of another arity", lambda: Hypergraph(2, 3, [[0, 1, 2]]),
+     ArityMismatch, "edge [0, 1, 2] is not a 2-subset"),
+    ("pullback along another grouping",
+     lambda: blowup_pullback(SetFamily(1, [()] * 3), Hypergraph(2, 1, ()), [[0, 1], [2]]),
+     PreconditionFailure, "grouping does not match the deterministic blowup grouping"),
     # each index is checked as written, before frozenset() merges a True or a
     # 1.0 into the 1 beside it
     ("set family point a bool beside its int", lambda: SetFamily(3, [[1, True]]),

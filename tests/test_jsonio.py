@@ -11,7 +11,15 @@ from patterna.errors import DuplicateCondition, EmptyCondition, IndexOutOfRange,
 from patterna.hypergraphs import Embedding, build_witness_structure
 from patterna.rand import random_hypergraph, random_reasonable_positive
 
-from conftest import assert_parsed_as, family_from_dict, random_pattern, reference_maps, reference_pattern
+from conftest import (
+    assert_parsed_as,
+    family_from_dict,
+    random_pattern,
+    reference_hypergraph,
+    reference_maps,
+    reference_pattern,
+    reference_structure,
+)
 
 
 def test_pattern_round_trip():
@@ -279,3 +287,87 @@ def test_maps_from_dict_matches_reference(doc):
         assert reference is not None
         assert all(type(e) is Embedding for e in maps)
         assert tuple((e.witness_map, e.parameter_map) for e in maps) == reference
+
+
+def _spoil(doc, junk, rnd):
+    """doc with one key, chosen by rnd, dropped, or one value anywhere in it replaced by junk."""
+    spots, holders = [], [doc]
+    while holders:
+        holder = holders.pop()
+        for key in holder if isinstance(holder, dict) else range(len(holder)):
+            spots.append((holder, key))
+            holders += [holder[key]] if isinstance(holder[key], (dict, list)) else []
+    holder, key = rnd.choice(spots)
+    if isinstance(holder, dict) and rnd.random() < 0.3:
+        del holder[key]
+    else:
+        holder[key] = junk
+    return doc
+
+
+# hypergraph and witness-structure documents: the right shape, with
+# negative and out-of-range ints, repeated entries and an unknown flavor; or
+# that shape with one key dropped or one value replaced by an entry as a
+# document may hold it (an int, a bool, a float equal to an int, a nested
+# list) or by arbitrary JSON; or arbitrary JSON
+_entry = st.integers(-1, 5) | st.booleans() | st.integers(-1, 5).map(float) | st.lists(st.integers(0, 2), max_size=2)
+_hypergraph_shape = st.fixed_dictionaries(
+    {"vertices": st.integers(2, 5),
+     "edges": st.lists(st.lists(st.integers(0, 4), min_size=2, max_size=2), max_size=4)},
+    optional={"k": st.integers(2, 3)})
+_structure_shape = st.fixed_dictionaries(
+    {"witness_points": st.lists(st.text("w0", max_size=2), max_size=3),
+     "parameter_points": st.lists(st.text("p0", max_size=2), max_size=3),
+     "r": st.lists(st.lists(st.integers(-1, 5), min_size=2, max_size=2), max_size=4),
+     "hyperedges": st.lists(st.lists(st.integers(-1, 5), max_size=3), max_size=3)},
+    optional={"flavor": st.sampled_from(("positive", "k-uniform", "graph"))})
+_hypergraph_doc = (_hypergraph_shape | _json
+                   | st.builds(_spoil, _hypergraph_shape, _entry | _json, st.randoms()))
+_structure_doc = (_structure_shape | _json
+                  | st.builds(_spoil, _structure_shape, _entry | _json | st.text("pk-", max_size=2),
+                              st.randoms()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_hypergraph_doc)
+@example({"k": 2, "vertices": 3, "edges": [[0, 1], [1, 0], [2, 1, 2]]})
+@example({"vertices": 3, "edges": [[0, 1], [True, 0]]})
+@example({"k": 2, "vertices": 3, "edges": [[1, 1.0]]})
+@example({"k": 2.0, "vertices": 3, "edges": []})
+@example({"k": 3, "vertices": 3, "edges": [[0, 1]]})
+@example({"k": 2, "vertices": 2, "edges": [[0, 2]]})
+@example({"k": 2, "vertices": 2, "edges": [[[0], 1]]})
+@example({"k": 2, "edges": []})
+def test_hypergraph_from_dict_matches_reference(doc):
+    # either the reference's (k, vertices, edges) or a library error, never anything else
+    reference = reference_hypergraph(doc)
+    try:
+        h = jsonio.hypergraph_from_dict(doc)
+    except PatternaError:
+        assert reference is None
+    else:
+        assert reference is not None
+        assert (h.arity, h.vertex_count, h.edges) == reference
+
+
+@settings(max_examples=300, deadline=None)
+@given(_structure_doc)
+@example({"witness_points": ["w"], "parameter_points": ["p"], "r": [[0, 0], [-1, 7]], "hyperedges": [[], [3]]})
+@example({"witness_points": ["w"], "parameter_points": ["p"], "r": [[0, True]], "hyperedges": []})
+@example({"witness_points": ["w"], "parameter_points": ["p"], "r": [], "hyperedges": [[0, 0.0]]})
+@example({"witness_points": ["w"], "parameter_points": ["p"], "r": [[0]], "hyperedges": []})
+@example({"witness_points": ["w"], "parameter_points": ["p"], "r": [[[0], [0]]], "hyperedges": []})
+@example({"witness_points": ["w"], "parameter_points": ["p"], "r": [], "hyperedges": [[[0]]]})
+@example({"witness_points": "w", "parameter_points": ["p"], "r": [], "hyperedges": []})
+@example({"witness_points": [], "parameter_points": [], "r": [], "hyperedges": [], "flavor": "k-uniform"})
+@example({"witness_points": [], "parameter_points": [], "r": []})
+def test_structure_from_dict_matches_reference(doc):
+    # either the reference's fields or a library error, never anything else
+    reference = reference_structure(doc)
+    try:
+        s = jsonio.structure_from_dict(doc)
+    except PatternaError:
+        assert reference is None
+    else:
+        assert reference is not None
+        assert (s.witness_points, s.parameter_points, s.r, s.hyperedges, s.flavor) == reference
