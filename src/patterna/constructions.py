@@ -91,8 +91,8 @@ def check_char_property(char_fam: SetFamily, k: int) -> bool:
 
 
 #: pm_char_reduction brute-forces the characterization for k <= this: 2**16
-#: families at k = 4.  A constant, not a bound: PATTERNA_MAX_N=20 would ask
-#: for 2**(2**20) families.
+#: families at k = 4, but 2**32 at k = 5.  A limit, not a refusal: above it
+#: only the reduction's output is checked, by check_exhibits.
 CHAR_PROPERTY_CHECK_K = 4
 
 

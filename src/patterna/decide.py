@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bounds import BRUTE_FORCE_N, BRUTE_FORCE_STEPS_LOG2, PATTERN_INDICES_LOG2, check_bound
+from .bounds import BRUTE_FORCE_STEPS_LOG2, PATTERN_INDICES_LOG2, check_bound
 from .errors import WitnessVerificationFailure
 from .patterns import Condition, Pattern, _bits, subset_index
 from .sat import CnfFormula, CompiledCnf, Literal, sat_solve
@@ -109,11 +109,12 @@ def decide_exhibitable(p: Pattern) -> Decision:
 def brute_force_exhibitable(p: Pattern) -> Decision:
     """Same contract as decide_exhibitable, by scanning all 2**n complete
     types per condition in ascending binary order.  The ground-truth oracle;
-    shares no code with the SAT path.  Over BRUTE_FORCE_N indices, or over
-    2**BRUTE_FORCE_STEPS_LOG2 steps (targets x 2**n types x (1 + |I|)), the
-    scan is refused before it starts."""
+    shares no code with the SAT path.  Over 2**BRUTE_FORCE_STEPS_LOG2 steps
+    (targets x 2**n types x (1 + |I|)) the scan is refused before it starts;
+    n is checked against the exponent first, as 2**n types take at least
+    2**n steps, so no huge n is shifted."""
     targets = _targets(p)
-    check_bound(p.n, BRUTE_FORCE_N, "n={size} exceeds the brute-force bound {limit}")
+    check_bound(p.n, BRUTE_FORCE_STEPS_LOG2, "n={size} exceeds the brute-force bound {limit}")
     check_bound(len(targets) * (len(p.inconsistency) + 1) << p.n, BRUTE_FORCE_STEPS_LOG2,
                 "a brute-force scan of {size} steps exceeds the brute-force step bound {limit}", log2=True)
     forbidden = [(subset_index(z.pos), subset_index(z.neg)) for z in p.inconsistency]

@@ -216,10 +216,17 @@ def realization_witness(h: Hypergraph) -> SetFamily:
 
 def _grouping(h: Hypergraph):
     """The blowup's blocks, built as they are iterated: vertex i becomes k+1 consecutive new
-    vertices.  The vertex bound is checked on the call."""
+    vertices.  The vertex bound is checked on the call, and the blowup's (k+1) * n vertices
+    against the output bound before the first block."""
     check_bound(h.vertex_count, CLIQUE_VERTICES, "{size} vertices exceed the blowup bound {limit}")
     width = h.arity + 1
-    return (tuple(range(i * width, (i + 1) * width)) for i in range(h.vertex_count))
+
+    def blocks():
+        check_bound(width * h.vertex_count, PATTERN_INDICES_LOG2,
+                    "a blowup of {size} vertices exceeds the output bound {limit}", log2=True)
+        for i in range(h.vertex_count):
+            yield tuple(range(i * width, (i + 1) * width))
+    return blocks()
 
 
 def _blown_cliques(h: Hypergraph, maximal) -> frozenset[int]:
@@ -250,16 +257,17 @@ def blowup(h: Hypergraph):
     their total is bounded before each edge grows vertex by vertex while its blocks form a
     clique of h, and a prefix grows only while enough vertices are left to finish it.  Above
     arity 64 a clique of two vertices alone gives C(2(k+1), k+1) - 2 >= 2**(k+1) - 2 edges, which
-    is bounded first, so no wide binomial is taken.  blown can derive its maximal cliques from
-    h's (_blown_cliques) when realization_witness asks for them."""
+    is bounded first, so no wide binomial is taken.  The blowup's (k+1) * n vertices are bounded
+    next, which only a one-vertex blowup reaches with too many.  blown can derive its maximal
+    cliques from h's (_blown_cliques) when realization_witness asks for them."""
     grouping = _grouping(h)
     k = h.arity
     maximal = _maximal_clique_masks(h)
-    # exponents compared: 2**(k+1) - 2 > 2**limit iff k+1 > limit, as the vertex bound lets two vertices through
-    # only at a limit of 2 or more
+    # exponents compared: 2**(k+1) - 2 > 2**limit iff k+1 > limit, for a limit of 2 or more
     if k + 1 > 64 and any(c.bit_count() > 1 for c in maximal):
         check_bound(k + 1, PATTERN_INDICES_LOG2,
                     "a blowup of at least 2**{size} - 2 edges exceeds the output bound 2**{limit}")
+    grouping = tuple(grouping)  # its vertex count is checked here, before any edge grows
     cliques = set(_submasks(maximal))
     size = sum(sum((-1) ** j * comb(s, j) * comb((s - j) * (k + 1), k + 1) for j in range(s + 1))
                for s in (c.bit_count() for c in cliques))
@@ -271,7 +279,7 @@ def blowup(h: Hypergraph):
                     if (span := spanned | 1 << v // (k + 1)) in cliques]
     blown = _canonical(Hypergraph, k + 1, (k + 1) * h.vertex_count,
                        frozenset(edge for edge, _, _ in prefixes), partial(_blown_cliques, h, maximal))
-    return blown, tuple(grouping)
+    return blown, grouping
 
 
 def blowup_pullback(fam: SetFamily, original: Hypergraph, grouping) -> SetFamily:

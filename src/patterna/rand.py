@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 import random
 
+from .bounds import CLIQUE_VERTICES, check_bound
 from .hypergraphs import Embedding, Hypergraph, WitnessStructure, build_witness_structure, check_axioms
 from .patterns import Condition, Pattern
 
@@ -66,6 +67,9 @@ def random_reasonable_positive(rng: random.Random, n: int, max_consistency: int,
 
 
 def random_hypergraph(rng: random.Random, arity: int, vertex_count: int, edge_probability: float) -> Hypergraph:
+    """Each arity-subset of the vertices an edge with edge_probability; the
+    vertex count is bounded as for a clique search, before the subsets are walked."""
+    check_bound(vertex_count, CLIQUE_VERTICES, "{size} vertices exceed the clique-enumeration bound {limit}")
     edges = frozenset(
         frozenset(combo)
         for combo in itertools.combinations(range(vertex_count), arity)

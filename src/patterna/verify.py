@@ -180,6 +180,7 @@ def verify_ip_family(n: int = 2, samples: int = 100, seed: int = 0) -> Report:
     """Sweep every consistency n-pattern while they number at most 2**16
     (3**n - 1 <= 16 conditions, so n <= 2); sample random ones above that."""
     fam = ip_family(n)
+    _require_sizes(samples=(samples, 1))
     if 3**n - 1 > 16:
         return _sampled("ip-family", "exhibits-random-consistency-patterns", samples, seed,
                         lambda rng: check_exhibits(fam, random_consistency_pattern(rng, n, 6)).ok,

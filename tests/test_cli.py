@@ -10,7 +10,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from patterna import CnfFormula, Condition, Literal, Pattern, check_exhibits, jsonio
-from patterna.bounds import ENV_VAR
 from patterna.cli import run
 from patterna.patterns import GEN_KINDS
 from patterna.verify import VERIFIERS
@@ -61,11 +60,10 @@ class TestDecideCommand:
         payload = json.loads(out)
         assert payload["oracle_exhibitable"] and payload["oracle_agreement"]
 
-    def test_oracle_scan_refused_before_it_starts(self, tmp_path, monkeypatch):
+    def test_oracle_scan_refused_before_it_starts(self, tmp_path):
         # n = 16 passes the brute-force index bound, but 2 targets x 2**16 types
         # x (1 + 128 clauses) is just over the step bound: the 8.8 KB document
         # of 4 targets and 514 clauses scanned for 1.3 s before it was bounded
-        monkeypatch.delenv(ENV_VAR, raising=False)
         pairs = [[[i], [j]] for i, j in itertools.permutations(range(16), 2)][:128]
         path = write_doc(tmp_path, {"n": 16, "consistency": [[[0], []], [[1], []]], "inconsistency": pairs})
         assert assert_one_line_error(["decide", path, "--oracle"]) == (
@@ -139,8 +137,7 @@ class TestGenerateCommand:
         code, _, err = invoke(["generate", "op"])
         assert code == 2 and "error:" in err
 
-    def test_output_bound(self, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
+    def test_output_bound(self):
         for argv in (["ip", "--n", "24"], ["tp1", "--b", "2", "--d", "11"], ["op", "--n", "200000"]):
             code, out, err = invoke(["generate", *argv])
             assert code == 2 and not out and "exceed the pattern output bound" in err, argv
@@ -209,10 +206,9 @@ class TestHypergraphCommand:
         assert code == 0
         assert json.loads(out)["flavor"] == "k-uniform"
 
-    def test_blowup_edges_bounded(self, tmp_path, monkeypatch):
+    def test_blowup_edges_bounded(self, tmp_path):
         # 924 edges on 12 vertices pass the vertex bound; the blowup's
         # 5,461,512 edges were built before they were refused
-        monkeypatch.delenv(ENV_VAR, raising=False)
         path = write_doc(tmp_path, {"k": 4, "vertices": 12,
                                     "edges": [list(e) for e in itertools.combinations(range(12), 4)]})
         assert assert_one_line_error(["hypergraph", "blowup", path]) == (
@@ -236,32 +232,44 @@ class TestHypergraphCommand:
         assert json.loads(out)["flavor"] == "positive"
 
 
-#: Documents of at most 64 bytes whose declared size once set the cost: the
+#: Inputs whose declared size once set the cost, none over 64 bytes: the
 #: arity-25 blowup of one vertex walked every subset of its block (17 s and
 #: 1.08 GB for one edge), two vertices at arity 10**5 ended in a count too
 #: wide to print and at arity 10**7 in a binomial that ran past 100 s, and a
 #: pattern on 10**7 indices built a label for each until MemoryError (exit 1).
-#: Each is run with the exit code and the stdout and stderr it must give.
+#: One vertex at arity 10**7 grew its one edge bit by bit for hours, and the
+#: random trials of `verify` walked every arity-subset of up to 10**5
+#: vertices before any bound saw them.  Each is the argv after `patterna`,
+#: with {doc} for the path of its document, and the exit code, stdout and
+#: stderr it must give.
 ONE_BLOCK = list(range(25))
-WIDE_DOCUMENTS = {
+WIDE_INPUTS = {
     "blowup of one vertex at arity 25": (
-        "blowup", {"k": 24, "vertices": 1, "edges": []}, 0,
+        ["hypergraph", "blowup", "{doc}"], {"k": 24, "vertices": 1, "edges": []}, 0,
         jsonio.dumps_canonical({"hypergraph": {"k": 25, "vertices": 25, "edges": [ONE_BLOCK]},
                                 "grouping": [ONE_BLOCK]}), ""),
+    "blowup of one vertex at arity 10000000": (
+        ["hypergraph", "blowup", "{doc}"], {"k": 10**7, "vertices": 1, "edges": []}, 2, "",
+        "error: a blowup of 10000001 vertices exceeds the output bound 2**20\n"),
     **{f"blowup of two vertices at arity {k}": (
-        "blowup", {"k": k, "vertices": 2, "edges": []}, 2, "",
+        ["hypergraph", "blowup", "{doc}"], {"k": k, "vertices": 2, "edges": []}, 2, "",
         f"error: a blowup of at least 2**{k + 1} - 2 edges exceeds the output bound 2**20\n")
        for k in (10**5, 10**7)},
     "witness structure on 10**7 indices": (
-        "witness-structure", {"n": 10**7, "consistency": [[[0], []]], "inconsistency": []}, 2, "",
+        ["hypergraph", "witness-structure", "{doc}"],
+        {"n": 10**7, "consistency": [[[0], []]], "inconsistency": []}, 2, "",
         "error: n=10000000 exceeds the pattern index bound 2**20\n"),
+    **{f"verify {' '.join(argv)}": (
+        ["verify", *argv], None, 2, "", f"error: {vertices} vertices exceed the clique-enumeration bound 12\n")
+       for argv, vertices in ((["blowup-roundtrip", "--vertices", "100000"], 50494),
+                              (["hypergraph-dictionary", "--vertices", "100000"], 50494),
+                              (["blowup-roundtrip", "--k", "40", "--vertices", "60"], 54))},
 }
 
 
-@pytest.mark.parametrize("name", sorted(WIDE_DOCUMENTS))
-def test_declared_size_sets_no_cost(tmp_path, name):
-    # in a child process capped at 512 MB of address space and 20 s
-    action, doc, code, out, err = WIDE_DOCUMENTS[name]
+def run_child(argv, env=os.environ):
+    """cli.run(argv) in a child process capped at 512 MB of address space
+    and 20 s, with environment env: (exit code, stdout, stderr)."""
     script = (
         "import resource, sys\n"
         "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
@@ -269,13 +277,36 @@ def test_declared_size_sets_no_cost(tmp_path, name):
         "from patterna import cli\n"
         "sys.exit(cli.run(sys.argv[1:]))\n"
     )
-    env = {k: v for k, v in os.environ.items() if k != ENV_VAR}
     done = subprocess.run(
-        [sys.executable, "-c", script, "hypergraph", action, write_doc(tmp_path, doc)],
-        capture_output=True, text=True, timeout=20,
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, timeout=20,
         env={**env, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
-    assert (done.returncode, done.stdout, done.stderr) == (code, out, err)
+    return done.returncode, done.stdout, done.stderr
+
+
+@pytest.mark.parametrize("name", sorted(WIDE_INPUTS))
+def test_declared_size_sets_no_cost(tmp_path, name):
+    argv, doc, *expected = WIDE_INPUTS[name]
+    path = write_doc(tmp_path, doc) if doc is not None else None
+    assert run_child([arg.format(doc=path) for arg in argv]) == tuple(expected)
+
+
+#: The environment variable that once overrode every bound at once.
+RETIRED_OVERRIDE = "PATTERNA_MAX_N"
+
+
+def test_no_environment_sets_a_bound(tmp_path):
+    # set to 17, the retired override refused these generators as over "tree
+    # bound 17" and "output bound 2**17", refused the oracle's two-target scan
+    # on 17 indices as over "step bound 2**17", and let the triangle-free sweep
+    # walk all 2**C(v, 2) graphs up to 17 vertices
+    document = write_doc(tmp_path, {"n": 17, "consistency": [[[0], []], [[1], []]]})
+    for argv in (["generate", "tp1", "--b", "2", "--d", "4"], ["generate", "ip", "--n", "15"],
+                 ["decide", "--oracle", document], ["verify", "triangle-free", "--vertices", "4"]):
+        plain = run_child(argv, {k: v for k, v in os.environ.items() if k != RETIRED_OVERRIDE})
+        assert plain[0] == 0 and run_child(argv, {**os.environ, RETIRED_OVERRIDE: "17"}) == plain, argv
+        if argv[0] == "decide":
+            assert json.loads(plain[1])["oracle_agreement"]
 
 
 class TestVerifyCommand:
@@ -335,8 +366,7 @@ class TestVerifyCommand:
         code, out, err = invoke(["verify", "ip-family", "--n", "15"])
         assert code == 0 and json.loads(out)["ok"], err
 
-    def test_unbounded_sweeps_rejected(self, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
+    def test_unbounded_sweeps_rejected(self):
         for argv in (
             ["verify", "powerset-sm", "--n", "5"],
             ["verify", "triangle-free", "--vertices", "8"],
@@ -358,18 +388,15 @@ class TestVerifyCommand:
     (["hypergraph-dictionary", "--vertices", "-1"], "vertices"),
     (["blowup-roundtrip", "--k", "-1"], "k"),
     (["free-amalgam", "--samples", "0"], "samples"),
-    (["ip-family", "--samples", "0"], None),
+    (["ip-family", "--samples", "0"], "samples"),
     (["ip-family", "--n", "3", "--samples", "0"], "samples"),
 ])
 def test_verify_rejects_senseless_sizes(argv, name):
     # a vacuous 0/0 PASS, a FAIL on 0/-1 or a raw Python message before;
-    # ip-family sweeps every pattern for n <= 2 and ignores --samples there
+    # ip-family sweeps every pattern for n <= 2, but refuses no sample there too
     code, out, err = invoke(["verify", *argv])
-    if name is None:
-        assert code == 0 and json.loads(out)["ok"]
-    else:
-        assert code == 2 and not out
-        assert err.startswith(f"error: {name} must be at least "), err
+    assert code == 2 and not out
+    assert err.startswith(f"error: {name} must be at least "), err
 
 
 def write_doc(tmp_path, doc):

@@ -28,7 +28,6 @@ from patterna import (
     pattern_from_cnf,
     sat_solve,
 )
-from patterna.bounds import ENV_VAR
 from patterna.errors import BoundExceeded, WitnessVerificationFailure
 from patterna.rand import random_condition
 
@@ -322,12 +321,15 @@ class TestBruteForce:
         d2 = brute_force_exhibitable(Pattern(2))
         assert d2.exhibitable and all(not s for s in d2.witness.sets)
 
-    def test_bound(self, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
-        with pytest.raises(BoundExceeded):
-            brute_force_exhibitable(Pattern(17))
-        monkeypatch.setenv(ENV_VAR, "17")
-        assert brute_force_exhibitable(Pattern(17)).exhibitable
+    def test_bound(self):
+        # 2**n types take at least 2**n steps, so the step bound 2**24 alone
+        # sets the reach: n = 17 with two targets scans, and n = 25, or an n
+        # whose 2**n could not be built, is refused before any shift
+        assert brute_force_exhibitable(Pattern(18)).exhibitable
+        assert brute_force_exhibitable(Pattern(17, (cond([0]), cond([1])))).exhibitable
+        for n in (25, 10**11):
+            with pytest.raises(BoundExceeded, match=f"^n={n} exceeds the brute-force bound 24$"):
+                brute_force_exhibitable(Pattern(n))
 
     def test_one_point_per_distinct_type(self):
         # ({0}, ∅) and ({0}, {1}) share their least type {0}, which gets one
@@ -549,11 +551,10 @@ class TestIndexBound:
             "    print(exc)\n"
             "sys.exit(cli.run(['decide', sys.argv[1]]))\n"
         )
-        env = {k: v for k, v in os.environ.items() if k != ENV_VAR}
         done = subprocess.run(
             [sys.executable, "-c", script, str(tmp_path / "p.json")],
             capture_output=True, text=True, timeout=60,
-            env={**env, "PYTHONPATH": os.pathsep.join(sys.path)},
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
         )
         assert done.returncode == 2, done.stderr
         assert done.stdout == "n=1048577 exceeds the pattern index bound 2**20\n"
@@ -581,11 +582,10 @@ class TestIndexBound:
             "            code = cli.run([command, path, '--witness'] if command == 'decide' else [command, path])\n"
             "        print(code, err.getvalue(), end='')\n"
         )
-        env = {k: v for k, v in os.environ.items() if k != ENV_VAR}
         done = subprocess.run(
             [sys.executable, "-c", script, str(tmp_path / f"{10**11}.json"), str(tmp_path / f"{10**20}.json")],
             capture_output=True, text=True, timeout=60,
-            env={**env, "PYTHONPATH": os.pathsep.join(sys.path)},
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines() == ["Condition(pos=(1000000000,), neg=())"] + [
@@ -605,17 +605,16 @@ class TestIndexBound:
             "from patterna import cli\n"
             "sys.exit(cli.run(['decide', sys.argv[1]]))\n"
         )
-        env = {k: v for k, v in os.environ.items() if k != ENV_VAR}
         done = subprocess.run(
             [sys.executable, "-c", script, str(tmp_path / "p.json")],
             capture_output=True, text=True, timeout=60,
-            env={**env, "PYTHONPATH": os.pathsep.join(sys.path)},
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
         )
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout) == {"exhibitable": True, "failing": None, "witness": None}
 
-    def test_bound_follows_the_env_exponent(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "4")
+    def test_bound_follows_its_exponent(self, monkeypatch):
+        monkeypatch.setattr(patterna.decide, "PATTERN_INDICES_LOG2", 4)
         decision = decide_exhibitable(Pattern(16, (cond([15], [0]),)))
         assert decision.exhibitable and decision.witness.universe_size == 1
         with pytest.raises(BoundExceeded, match=r"n=17 exceeds the pattern index bound 2\*\*4"):

@@ -42,6 +42,7 @@ from patterna.patterns import double_positive, ip_pattern, validate_pattern
 from patterna.rand import random_condition
 from patterna.sat import CnfFormula, Literal, import_dimacs, sat_solve
 from patterna.semantics import UnionClosedFamily, check_one_n
+from patterna.verify import verify_ip_family
 
 from conftest import UNION_SPLIT
 
@@ -140,6 +141,9 @@ REFUSALS = [
      UnsupportedParams, "n must be at least 1"),
     ("random condition over no index", lambda: random_condition(random.Random(0), 0),
      ValueError, "no nonempty condition exists over an empty index set"),
+    # fewer than one sample is refused before the sweep (n <= 2) or sampling is picked
+    ("ip-family sweep with no samples", lambda: verify_ip_family(2, samples=0),
+     UnsupportedParams, "samples must be at least 1, got 0"),
 ]
 
 

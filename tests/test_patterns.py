@@ -29,7 +29,6 @@ from patterna import (
     tp1_pattern,
     validate_pattern,
 )
-from patterna.bounds import ENV_VAR
 from patterna.errors import (
     BoundExceeded,
     DuplicateCondition,
@@ -274,11 +273,10 @@ class TestClassify:
             "        code = cli.run(['classify', path])\n"
             "    print(code, err.getvalue(), end='')\n"
         )
-        env = {k: v for k, v in os.environ.items() if k != ENV_VAR}
         done = subprocess.run(
             [sys.executable, "-c", script, *(str(tmp_path / f"{n}.json") for n in (10**11, 10**20))],
             capture_output=True, text=True, timeout=60,
-            env={**env, "PYTHONPATH": os.pathsep.join(sys.path)},
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines() == [
@@ -435,7 +433,6 @@ class TestOutputBound:
 
     @pytest.mark.parametrize("kind, params", HUGE)
     def test_refused_before_enumerating(self, monkeypatch, kind, params):
-        monkeypatch.delenv(ENV_VAR, raising=False)
 
         def enumerated(*args):
             raise AssertionError("enumerated before the output bound was checked")
@@ -448,15 +445,14 @@ class TestOutputBound:
         with pytest.raises(BoundExceeded, match="exceed the pattern output bound 2\\*\\*20"):
             gen_divline(kind, **params)
 
-    def test_defaults_keep_the_largest_subset_patterns(self, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
+    def test_defaults_keep_the_largest_subset_patterns(self):
         assert index_total(cooper_pattern(4)) == 2**20
         assert index_total(ip_pattern(16)) == 2**20
 
-    def test_env_sets_the_exponent(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "5")
+    def test_lowered_exponent_refuses_over_it(self, monkeypatch):
+        monkeypatch.setattr(patterns, "PATTERN_INDICES_LOG2", 5)
         assert index_total(op_pattern(5)) == 25
-        for kind, params in (("op", {"n": 6}), ("cooper", {"n": 5}), ("pmchar", {"n": 5})):
+        for kind, params in (("op", {"n": 6}), ("cooper", {"n": 3}), ("pmchar", {"n": 3})):
             with pytest.raises(BoundExceeded, match="2\\*\\*5"):
                 gen_divline(kind, **params)
 
