@@ -68,7 +68,6 @@ from .patterns import (
     sop_pattern,
     subset_index,
     tp1_pattern,
-    validate_pattern,
 )
 from .sat import CnfFormula, Literal, export_dimacs, import_dimacs, sat_solve
 from .semantics import (

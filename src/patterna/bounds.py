@@ -18,6 +18,7 @@ TREE_NODES = 4096
 DOUBLING_VERTICES = 10
 GRAPH_SWEEP_VERTICES = 6  # sweeps over all 2**C(v, 2) graphs on v vertices
 PATTERN_INDICES_LOG2 = 20  # a generated pattern's conditions hold <= 2**this indices in all
+SAMPLED_PATTERN_N = 1024  # verify's random patterns draw up to n indices
 
 
 def check_bound(size: int, limit: int, message: str, *, log2: bool = False) -> None:

@@ -218,7 +218,7 @@ def _grouping(h: Hypergraph):
     """The blowup's blocks, built as they are iterated: vertex i becomes k+1 consecutive new
     vertices.  The vertex bound is checked on the call, and the blowup's (k+1) * n vertices
     against the output bound before the first block."""
-    check_bound(h.vertex_count, CLIQUE_VERTICES, "{size} vertices exceed the blowup bound {limit}")
+    check_bound(h.vertex_count, CLIQUE_VERTICES, "{size} vertices exceed the clique-enumeration bound {limit}")
     width = h.arity + 1
 
     def blocks():

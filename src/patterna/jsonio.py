@@ -13,7 +13,7 @@ from json.encoder import encode_basestring_ascii
 from .decide import Decision
 from .errors import IndexOutOfRange, ParseError, PatternaError
 from .hypergraphs import POSITIVE_FLAVOR, UNIFORM_FLAVOR, Embedding, Hypergraph, WitnessStructure
-from .patterns import Pattern, _bits, validate_pattern
+from .patterns import Pattern, _bits, _canonical, _canonical_side
 from .semantics import SetFamily
 
 
@@ -86,13 +86,17 @@ def pattern_to_dict(p: Pattern) -> dict:
     }
 
 
-def pattern_from_dict(data, *, strict: bool = True) -> Pattern:
-    """validate_pattern's one pass; only a document that fails it is walked
-    for non-integer leaves, which are reported first, wherever they are."""
+def pattern_from_dict(data) -> Pattern:
+    """The pattern of a document {"n": n, "consistency": [...], "inconsistency":
+    [...]}, each side checked and canonicalised in one pass that refuses a
+    repeated condition; only a document that fails it is walked for
+    non-integer leaves, which are reported first, wherever they are."""
     if not isinstance(data, dict) or "n" not in data:
         raise ParseError("pattern document must be an object with an 'n' key")
+    n = data["n"]
     try:
-        return validate_pattern(data, strict=strict)
+        return _canonical(Pattern, n, *(_canonical_side(data.get(side, ()), n, side, strict=True)
+                                        for side in ("consistency", "inconsistency")))
     except (TypeError, ValueError, PatternaError) as exc:
         for key in ("n", "consistency", "inconsistency"):
             _require_integers(data.get(key, []), key)

@@ -95,8 +95,9 @@ def _canonical_side(raw, n: int, side: str, strict: bool) -> tuple[Condition, ..
     Condition, whose fields are taken as they are, or a raw (pos, neg) pair
     of lists or tuples, checked as written, then sorted and deduplicated.
     Every index must be an int in [0, n) and no condition may be (∅, ∅); a
-    repeated condition raises DuplicateCondition when strict and is dropped
-    otherwise.  The side comes back sorted by the keys that order Conditions.
+    repeated condition raises DuplicateCondition when strict (a document read
+    by jsonio.pattern_from_dict) and is dropped otherwise (Pattern(...)).  The
+    side comes back sorted by the keys that order Conditions.
     """
     if type(n) is not int or n < 0:
         raise IndexOutOfRange(f"index count must be a nonnegative integer, got {n!r}")
@@ -151,24 +152,6 @@ class Pattern:
     @property
     def conditions(self) -> tuple[Condition, ...]:
         return self.consistency + self.inconsistency
-
-
-def validate_pattern(data, *, strict: bool = True) -> Pattern:
-    """Normalize candidate pattern data into a canonical Pattern.
-
-    `data` is a Pattern or a mapping with keys n / consistency / inconsistency.
-    Strict mode rejects duplicate conditions within a side; lenient mode
-    deduplicates silently.  Idempotent: validating a validated pattern is a
-    no-op.
-    """
-    if isinstance(data, Pattern):
-        return data  # already canonical by construction
-    try:
-        n, raw_c, raw_i = data["n"], data.get("consistency", ()), data.get("inconsistency", ())
-    except (TypeError, KeyError) as exc:
-        raise IndexOutOfRange(f"pattern data must provide n/consistency/inconsistency: {exc}") from exc
-    return _canonical(Pattern, n, _canonical_side(raw_c, n, "consistency", strict),
-                      _canonical_side(raw_i, n, "inconsistency", strict))
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ import itertools
 import random
 from dataclasses import asdict, dataclass, field
 
-from .bounds import GRAPH_SWEEP_VERTICES, SUBSET_PATTERN_N, check_bound
+from .bounds import CLIQUE_VERTICES, GRAPH_SWEEP_VERTICES, SAMPLED_PATTERN_N, SUBSET_PATTERN_N, check_bound
 from .constructions import (
     atomless_pm_witness,
     canonical_char_family,
@@ -130,6 +130,7 @@ def verify_powerset_sm(n: int = 2) -> Report:
 
 def verify_atomless_pm(n: int = 4, samples: int = 50, seed: int = 0) -> Report:
     _require_sizes(n=(n, 0))
+    check_bound(n, SAMPLED_PATTERN_N, "n={size} exceeds the sampled-pattern bound {limit}")
 
     def trial(rng):
         p = random_reasonable_positive(rng, rng.randint(0, n), 4, 4)
@@ -142,6 +143,7 @@ def verify_atomless_pm(n: int = 4, samples: int = 50, seed: int = 0) -> Report:
 
 def verify_pm_char(n: int = 4, samples: int = 30, seed: int = 0) -> Report:
     _require_sizes(n=(n, 0))
+    check_bound(n, SAMPLED_PATTERN_N, "n={size} exceeds the sampled-pattern bound {limit}")
 
     def trial(rng):
         p = random_reasonable_positive(rng, rng.randint(0, n), 4, 4)
@@ -154,6 +156,7 @@ def verify_pm_char(n: int = 4, samples: int = 30, seed: int = 0) -> Report:
 
 def verify_cm_doubling(n: int = 4, samples: int = 50, seed: int = 0) -> Report:
     _require_sizes(n=(n, 0))
+    check_bound(n, SAMPLED_PATTERN_N, "n={size} exceeds the sampled-pattern bound {limit}")
 
     def trial(rng):
         p = random_consistency_pattern(rng, rng.randint(0, n), 4)
@@ -212,6 +215,7 @@ def verify_membership(n: int = 3) -> Report:
 
 def verify_blowup_roundtrip(k: int = 2, vertices: int = 4, samples: int = 20, seed: int = 0) -> Report:
     _require_sizes(k=(k, 2), vertices=(vertices, 0))
+    check_bound(vertices, CLIQUE_VERTICES, "{size} vertices exceed the clique-enumeration bound {limit}")
 
     def trial(rng):
         h = random_hypergraph(rng, k, rng.randint(0, vertices), rng.choice((0.3, 0.5, 0.7)))
@@ -269,6 +273,7 @@ def verify_cooper_claim(n: int = 2) -> Report:
 def verify_hypergraph_dictionary(vertices: int = 4, arity: int = 2, samples: int = 30, seed: int = 0) -> Report:
     """Extra entry point: random hypergraphs through the whole dictionary."""
     _require_sizes(vertices=(vertices, 0), arity=(arity, 2))
+    check_bound(vertices, CLIQUE_VERTICES, "{size} vertices exceed the clique-enumeration bound {limit}")
 
     def trial(rng):
         h = random_hypergraph(rng, arity, rng.randint(0, vertices), rng.choice((0.3, 0.5, 0.7)))

@@ -8,10 +8,25 @@ scans for clique and trace logic.
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 from patterna import CnfFormula, Condition, Literal, Pattern, SetFamily
 from patterna.rand import random_condition
+
+
+def run_capped(script: str, args=(), *, cap: int, timeout: float, env=None) -> subprocess.CompletedProcess:
+    """The Python code script run with argv args in a child process whose
+    address space is capped at cap bytes, with this process's sys.path as
+    PYTHONPATH, stopped after timeout seconds; env defaults to os.environ."""
+    prelude = ("import resource\n"
+               f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, resource.getrlimit(resource.RLIMIT_AS)[1]))\n")
+    return subprocess.run(
+        [sys.executable, "-c", prelude + script, *args], capture_output=True, text=True, timeout=timeout,
+        env={**(os.environ if env is None else env), "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
 
 
 def random_pattern(rng: random.Random, n: int, max_conditions: int) -> Pattern:

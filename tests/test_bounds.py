@@ -37,7 +37,7 @@ from patterna import (
 from patterna import bounds
 from patterna.errors import BoundExceeded
 from patterna.rand import random_hypergraph
-from patterna.verify import fully_complete_patterns, verify_triangle_free
+from patterna.verify import fully_complete_patterns, verify_atomless_pm, verify_triangle_free
 
 
 def test_defaults_without_env():
@@ -45,7 +45,7 @@ def test_defaults_without_env():
     assert {name: value for name, value in vars(bounds).items() if name.isupper()} == {
         "BRUTE_FORCE_STEPS_LOG2": 24, "IP_FAMILY_N": 16, "CLIQUE_VERTICES": 12, "SUBSET_PATTERN_N": 4,
         "MEMBERSHIP_N": 8, "TREE_NODES": 4096, "DOUBLING_VERTICES": 10, "GRAPH_SWEEP_VERTICES": 6,
-        "PATTERN_INDICES_LOG2": 20}
+        "PATTERN_INDICES_LOG2": 20, "SAMPLED_PATTERN_N": 1024}
 
 
 def edgeless(vertices):
@@ -100,6 +100,8 @@ BOUNDED = {
     "fully_complete_patterns": (patterna.verify, "SUBSET_PATTERN_N", 3, lambda n: list(fully_complete_patterns(n)),
                                 3, 4, "3"),
     "verify_triangle_free": (patterna.verify, "GRAPH_SWEEP_VERTICES", 3, verify_triangle_free, 3, 4, "3"),
+    "verify_atomless_pm": (patterna.verify, "SAMPLED_PATTERN_N", 3, lambda n: verify_atomless_pm(n, samples=1),
+                           3, 4, "3"),
 }
 
 

@@ -3,8 +3,6 @@ import io
 import itertools
 import json
 import os
-import subprocess
-import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -15,7 +13,7 @@ from patterna.patterns import GEN_KINDS
 from patterna.verify import VERIFIERS
 from patterna.patterns import pattern_from_cnf
 
-from conftest import NO_POINT, UNION_SPLIT, family_from_dict
+from conftest import NO_POINT, UNION_SPLIT, family_from_dict, run_capped
 
 
 #: One integer flag per verifier parameter, as the verify subparser builds them.
@@ -239,9 +237,10 @@ class TestHypergraphCommand:
 #: pattern on 10**7 indices built a label for each until MemoryError (exit 1).
 #: One vertex at arity 10**7 grew its one edge bit by bit for hours, and the
 #: random trials of `verify` walked every arity-subset of up to 10**5
-#: vertices before any bound saw them.  Each is the argv after `patterna`,
-#: with {doc} for the path of its document, and the exit code, stdout and
-#: stderr it must give.
+#: vertices before any bound saw them, or drew patterns on up to 10**6
+#: indices (each still running after 20 s).  Each is the argv after
+#: `patterna`, with {doc} for the path of its document, and the exit code,
+#: stdout and stderr it must give.
 ONE_BLOCK = list(range(25))
 WIDE_INPUTS = {
     "blowup of one vertex at arity 25": (
@@ -261,26 +260,21 @@ WIDE_INPUTS = {
         "error: n=10000000 exceeds the pattern index bound 2**20\n"),
     **{f"verify {' '.join(argv)}": (
         ["verify", *argv], None, 2, "", f"error: {vertices} vertices exceed the clique-enumeration bound 12\n")
-       for argv, vertices in ((["blowup-roundtrip", "--vertices", "100000"], 50494),
-                              (["hypergraph-dictionary", "--vertices", "100000"], 50494),
-                              (["blowup-roundtrip", "--k", "40", "--vertices", "60"], 54))},
+       for argv, vertices in ((["blowup-roundtrip", "--vertices", "100000"], 100000),
+                              (["hypergraph-dictionary", "--vertices", "100000"], 100000),
+                              (["blowup-roundtrip", "--k", "40", "--vertices", "60"], 60))},
+    **{f"verify {verifier} --n 1000000": (
+        ["verify", verifier, "--n", "1000000", "--samples", "1"], None, 2, "",
+        "error: n=1000000 exceeds the sampled-pattern bound 1024\n")
+       for verifier in ("atomless-pm", "pm-char", "cm-doubling")},
 }
 
 
-def run_child(argv, env=os.environ):
+def run_child(argv, env=None):
     """cli.run(argv) in a child process capped at 512 MB of address space
     and 20 s, with environment env: (exit code, stdout, stderr)."""
-    script = (
-        "import resource, sys\n"
-        "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
-        "resource.setrlimit(resource.RLIMIT_AS, (512 * 2**20, hard))\n"
-        "from patterna import cli\n"
-        "sys.exit(cli.run(sys.argv[1:]))\n"
-    )
-    done = subprocess.run(
-        [sys.executable, "-c", script, *argv], capture_output=True, text=True, timeout=20,
-        env={**env, "PYTHONPATH": os.pathsep.join(sys.path)},
-    )
+    done = run_capped("import sys\nfrom patterna import cli\nsys.exit(cli.run(sys.argv[1:]))\n", argv,
+                      cap=512 * 2**20, timeout=20, env=env)
     return done.returncode, done.stdout, done.stderr
 
 
@@ -374,6 +368,14 @@ class TestVerifyCommand:
         ):
             code, out, err = invoke(argv)
             assert code == 2 and not out and "exceed" in err, argv
+
+    @pytest.mark.parametrize("verifier", ["blowup-roundtrip", "hypergraph-dictionary"])
+    def test_vertex_bound_reads_the_argument(self, verifier):
+        # the bound once saw each trial's drawn vertex count, so --vertices 13
+        # passed for seeds 1 and 3-9 and was refused for seeds 0 and 2
+        for seed in range(10):
+            assert invoke(["verify", verifier, "--vertices", "13", "--samples", "1", "--seed", str(seed)]) == (
+                2, "", "error: 13 vertices exceed the clique-enumeration bound 12\n"), seed
 
 
 @pytest.mark.parametrize("argv, name", [

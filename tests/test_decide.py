@@ -1,9 +1,6 @@
 import itertools
 import json
-import os
 import random
-import subprocess
-import sys
 import tracemalloc
 
 import pytest
@@ -41,6 +38,7 @@ from conftest import (
     dpll_reference,
     random_cnf,
     random_pattern,
+    run_capped,
     truth_table_sat,
 )
 
@@ -540,9 +538,7 @@ class TestIndexBound:
         # 2 * n occurrence lists for n = 10**8 would exceed it
         (tmp_path / "p.json").write_text('{"n": 100000000}')
         script = (
-            "import resource, sys\n"
-            "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, hard))\n"
+            "import sys\n"
             "from patterna import Pattern, cli, decide_exhibitable\n"
             "from patterna.errors import BoundExceeded\n"
             "try:\n"
@@ -551,11 +547,7 @@ class TestIndexBound:
             "    print(exc)\n"
             "sys.exit(cli.run(['decide', sys.argv[1]]))\n"
         )
-        done = subprocess.run(
-            [sys.executable, "-c", script, str(tmp_path / "p.json")],
-            capture_output=True, text=True, timeout=60,
-            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
-        )
+        done = run_capped(script, [str(tmp_path / "p.json")], cap=1_500_000_000, timeout=60)
         assert done.returncode == 2, done.stderr
         assert done.stdout == "n=1048577 exceeds the pattern index bound 2**20\n"
         assert "n=100000000 exceeds the pattern index bound 2**20" in done.stderr
@@ -570,9 +562,7 @@ class TestIndexBound:
             (tmp_path / f"{n}.json").write_text(f'{{"n": {n}, "consistency": [[[{n - 1}], []]], '
                                                 f'"inconsistency": [[[{n - 1}], [0]]]}}')
         script = (
-            "import contextlib, io, resource, sys\n"
-            "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, hard))\n"
+            "import contextlib, io, sys\n"
             "from patterna import Condition, cli\n"
             "print(Condition((10**9,), ()))\n"
             "for path in sys.argv[1:]:\n"
@@ -582,11 +572,8 @@ class TestIndexBound:
             "            code = cli.run([command, path, '--witness'] if command == 'decide' else [command, path])\n"
             "        print(code, err.getvalue(), end='')\n"
         )
-        done = subprocess.run(
-            [sys.executable, "-c", script, str(tmp_path / f"{10**11}.json"), str(tmp_path / f"{10**20}.json")],
-            capture_output=True, text=True, timeout=60,
-            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
-        )
+        done = run_capped(script, [str(tmp_path / f"{n}.json") for n in (10**11, 10**20)],
+                          cap=1_500_000_000, timeout=60)
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines() == ["Condition(pos=(1000000000,), neg=())"] + [
             f"2 error: n={n} exceeds the pattern index bound 2**20" for n in (10**11, 10**11, 10**20, 10**20)]
@@ -599,17 +586,11 @@ class TestIndexBound:
         doc = {"n": n, "consistency": [[[n - 1 - i], []] for i in range(40000)]}
         (tmp_path / "p.json").write_text(json.dumps(doc))
         script = (
-            "import resource, sys\n"
-            "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (150_000_000, hard))\n"
+            "import sys\n"
             "from patterna import cli\n"
             "sys.exit(cli.run(['decide', sys.argv[1]]))\n"
         )
-        done = subprocess.run(
-            [sys.executable, "-c", script, str(tmp_path / "p.json")],
-            capture_output=True, text=True, timeout=60,
-            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
-        )
+        done = run_capped(script, [str(tmp_path / "p.json")], cap=150_000_000, timeout=60)
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout) == {"exhibitable": True, "failing": None, "witness": None}
 

@@ -38,7 +38,7 @@ from patterna.hypergraphs import (
     build_witness_structure,
     check_axioms,
 )
-from patterna.patterns import double_positive, ip_pattern, validate_pattern
+from patterna.patterns import double_positive, ip_pattern
 from patterna.rand import random_condition
 from patterna.sat import CnfFormula, Literal, import_dimacs, sat_solve
 from patterna.semantics import UnionClosedFamily, check_one_n
@@ -121,8 +121,6 @@ REFUSALS = [
      IndexOutOfRange, "parameter map entry 1.0 is not an integer"),
     ("witness structure from an int", lambda: build_witness_structure(42),
      UnsupportedParams, "cannot build a witness structure from int"),
-    ("pattern data a list", lambda: validate_pattern([]),
-     IndexOutOfRange, "pattern data must provide n/consistency/inconsistency"),
     ("double an unreasonable pattern", lambda: double_positive(Pattern(1, (cond([0], [0]),))),
      NotConsistencyPattern, "input must be reasonable (disjoint pos/neg parts)"),
     ("char family k -1", lambda: canonical_char_family(-1),

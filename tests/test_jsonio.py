@@ -5,7 +5,7 @@ import re
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from patterna import jsonio
+from patterna import Pattern, jsonio
 from patterna.decide import decide_exhibitable
 from patterna.errors import DuplicateCondition, EmptyCondition, IndexOutOfRange, ParseError, PatternaError
 from patterna.hypergraphs import Embedding, build_witness_structure
@@ -179,9 +179,9 @@ def test_pattern_fault_contract(doc, error, message):
     with pytest.raises(error) as caught:
         jsonio.pattern_from_dict(doc)
     assert type(caught.value) is error and str(caught.value) == message
-    if error is not DuplicateCondition:  # lenient parsing only forgives repeats
+    if error not in (ParseError, DuplicateCondition):  # Pattern(...) forgives repeats
         with pytest.raises(error, match=re.escape(message)):
-            jsonio.pattern_from_dict(doc, strict=False)
+            Pattern(doc["n"], doc.get("consistency", ()), doc.get("inconsistency", ()))
 
 
 #: Documents with two faults.  A non-integer leaf comes first wherever it is;
@@ -248,12 +248,23 @@ _document = _well_formed | st.builds(_corrupt, _well_formed, _json, st.randoms()
 @example({"n": 3, "consistency": [[[0, 0.0], []]]}, False)
 @example({"n": 3, "consistency": [[[], [0, False]]]}, False)
 def test_pattern_from_dict_matches_reference(doc, strict):
-    # either the reference pattern or a library error, never anything else
+    # either the reference pattern or a refusal, never anything else: strict,
+    # the document reader's library error; lenient, Pattern(...) on the
+    # document's values, which refuses with TypeError or ValueError where the
+    # reader raises ParseError
     reference = reference_pattern(doc, strict=strict)
+    if not strict and not (isinstance(doc, dict) and "n" in doc):
+        assert reference is None
+        return
     try:
-        p = jsonio.pattern_from_dict(doc, strict=strict)
+        if strict:
+            p = jsonio.pattern_from_dict(doc)
+        else:
+            p = Pattern(doc["n"], doc.get("consistency", ()), doc.get("inconsistency", ()))
     except PatternaError:
         assert reference is None
+    except (TypeError, ValueError):
+        assert reference is None and not strict
     else:
         assert reference is not None
         assert_parsed_as(p, reference)

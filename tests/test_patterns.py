@@ -1,8 +1,5 @@
 import json
-import os
 import random
-import subprocess
-import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -27,7 +24,6 @@ from patterna import (
     pmchar_pattern,
     sop_pattern,
     tp1_pattern,
-    validate_pattern,
 )
 from patterna.errors import (
     BoundExceeded,
@@ -44,7 +40,14 @@ from patterna.semantics import SetFamily, condition_trace, fully_complete_extens
 from patterna.verify import all_disjoint_conditions, fully_complete_patterns
 
 import conftest
-from conftest import assert_parsed_as, complete_conditions, disjoint_conditions, random_cnf, reference_pattern
+from conftest import (
+    assert_parsed_as,
+    complete_conditions,
+    disjoint_conditions,
+    random_cnf,
+    reference_pattern,
+    run_capped,
+)
 
 
 def cond(pos, neg=()):
@@ -53,22 +56,23 @@ def cond(pos, neg=()):
 
 class TestValidate:
     def test_minimal_pattern(self):
-        p = validate_pattern({"n": 2, "consistency": [[[0], []]], "inconsistency": []})
+        p = pattern_from_dict({"n": 2, "consistency": [[[0], []]], "inconsistency": []})
         assert p == Pattern(2, (cond([0]),))
 
     def test_empty_condition_rejected(self):
         with pytest.raises(EmptyCondition):
-            validate_pattern({"n": 1, "consistency": [[[], []]], "inconsistency": []})
+            pattern_from_dict({"n": 1, "consistency": [[[], []]], "inconsistency": []})
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexOutOfRange):
-            validate_pattern({"n": 1, "consistency": [[[1], []]], "inconsistency": []})
+            pattern_from_dict({"n": 1, "consistency": [[[1], []]], "inconsistency": []})
 
     def test_strict_duplicate(self):
+        # a document refuses a repeated condition; Pattern(...) drops it
         raw = {"n": 2, "consistency": [[[0], []], [[0], []]], "inconsistency": []}
         with pytest.raises(DuplicateCondition):
-            validate_pattern(raw)
-        lenient = validate_pattern(raw, strict=False)
+            pattern_from_dict(raw)
+        lenient = Pattern(raw["n"], raw["consistency"], raw["inconsistency"])
         assert lenient.consistency == (cond([0]),)
 
     def test_canonical_order_and_dedup(self):
@@ -80,7 +84,6 @@ class TestValidate:
         conds = disjoint_conditions(n)
         picks = data.draw(st.lists(st.sampled_from(conds), max_size=6))
         p = Pattern(n, tuple(picks))
-        assert validate_pattern(p) == p
         assert Pattern(p.n, p.consistency, p.inconsistency) == p
 
 
@@ -109,22 +112,29 @@ def messy_document(rng):
     return doc
 
 
+def json_form(doc):
+    """doc as a JSON document holds it: tuples become lists, and each
+    Condition its [pos, neg] pair."""
+    return json.loads(json.dumps(doc, default=lambda c: [c.pos, c.neg]))
+
+
 class TestOnePassParse:
     def test_matches_reference(self):
         rng = random.Random(31)
         repeats = 0
         for _ in range(600):
             doc = messy_document(rng)
-            lenient = reference_pattern(doc, strict=False)
-            assert_parsed_as(validate_pattern(doc, strict=False), lenient)
-            assert_parsed_as(Pattern(doc["n"], doc["consistency"], doc["inconsistency"]), lenient)
-            strict = reference_pattern(doc)
+            assert_parsed_as(Pattern(doc["n"], doc["consistency"], doc["inconsistency"]),
+                             reference_pattern(doc, strict=False))
+            document = json_form(doc)
+            strict = reference_pattern(document)
+            assert strict == reference_pattern(doc)
             if strict is None:
                 repeats += 1
                 with pytest.raises(DuplicateCondition):
-                    validate_pattern(doc)
+                    pattern_from_dict(document)
             else:
-                assert_parsed_as(validate_pattern(doc), strict)
+                assert_parsed_as(pattern_from_dict(document), strict)
         assert 0 < repeats < 600  # both branches are exercised
 
     def test_non_integer_indices_rejected(self):
@@ -157,7 +167,6 @@ class TestConditionMasks:
         parsed = []
         for doc in (messy_document(rng) for _ in range(50)):
             parsed += Pattern(doc["n"], doc["consistency"], doc["inconsistency"]).conditions
-            parsed += validate_pattern(doc, strict=False).conditions
         self.assert_masked(parsed)
         for n in range(6):
             self.assert_masked(patterns.complete_conditions(n))
@@ -232,19 +241,13 @@ class TestClassify:
         # anything linear in n = 10**8 would exceed
         (tmp_path / "p.json").write_text('{"n": 100000000}')
         script = (
-            "import dataclasses, resource, sys\n"
-            "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, hard))\n"
+            "import dataclasses, sys\n"
             "from patterna import Condition, Pattern, classify, cli\n"
             "for p in (Pattern(10**8), Pattern(10**8, (Condition((0, 1), ()),), (Condition((1,), ()),))):\n"
             "    print(dataclasses.astuple(classify(p)))\n"
             "sys.exit(cli.run(['classify', sys.argv[1]]))\n"
         )
-        done = subprocess.run(
-            [sys.executable, "-c", script, str(tmp_path / "p.json")],
-            capture_output=True, text=True, timeout=60,
-            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
-        )
+        done = run_capped(script, [str(tmp_path / "p.json")], cap=1_500_000_000, timeout=60)
         assert done.returncode == 0, done.stderr
         lines = done.stdout.splitlines()
         assert lines[:2] == [
@@ -263,9 +266,7 @@ class TestClassify:
         for n in (10**11, 10**20):
             (tmp_path / f"{n}.json").write_text(f'{{"n": {n}, "consistency": [[[{n - 1}], []]]}}')
         script = (
-            "import contextlib, io, resource, sys\n"
-            "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, hard))\n"
+            "import contextlib, io, sys\n"
             "from patterna import cli\n"
             "for path in sys.argv[1:]:\n"
             "    err = io.StringIO()\n"
@@ -273,11 +274,8 @@ class TestClassify:
             "        code = cli.run(['classify', path])\n"
             "    print(code, err.getvalue(), end='')\n"
         )
-        done = subprocess.run(
-            [sys.executable, "-c", script, *(str(tmp_path / f"{n}.json") for n in (10**11, 10**20))],
-            capture_output=True, text=True, timeout=60,
-            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
-        )
+        done = run_capped(script, [str(tmp_path / f"{n}.json") for n in (10**11, 10**20)],
+                          cap=1_500_000_000, timeout=60)
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines() == [
             f"2 error: conditions over [0, {n}) exceed the pattern index bound 2**20" for n in (10**11, 10**20)]
